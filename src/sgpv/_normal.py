@@ -5,16 +5,22 @@ implementation of the published rational approximations), which keeps the
 absolute error at the 1e-15 level across the deep tails that the design
 formulas evaluate. The quantile is Wichura's algorithm AS 241 (PPND16),
 three rational approximations accurate to full double precision.
+
+``norm_quantile_array`` is the same algorithm over a numpy array: the
+same coefficients, the same Horner order and the same branch cuts, with
+``math.log`` (not ``np.log``, which can differ in the last bit) on the
+tail elements, so it is bitwise equal to ``norm_quantile`` elementwise.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import InvalidProbability
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # AS 241 coefficients, central region |p - 1/2| <= 0.425.
 _A = (
@@ -88,11 +94,6 @@ def _poly(coeffs: tuple[float, ...], x: float) -> float:
     return acc
 
 
-def norm_pdf(x: float) -> float:
-    """Standard normal density."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
 def norm_cdf(x: float) -> float:
     """Standard normal CDF, accurate in both tails."""
     return 0.5 * math.erfc(-x / _SQRT2)
@@ -113,3 +114,41 @@ def norm_quantile(p: float) -> float:
     else:
         x = _poly(_E, r - 5.0) / _poly(_F, r - 5.0)
     return -x if q < 0.0 else x
+
+
+def _poly_array(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    # _poly's first step, 0.0 * x + coeffs[-1], is exactly coeffs[-1]
+    acc = np.full_like(x, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc *= x
+        acc += c
+    return acc
+
+
+def norm_quantile_array(p: np.ndarray) -> np.ndarray:
+    """Elementwise ``norm_quantile``, bitwise equal to the scalar kernel."""
+    p = np.asarray(p, dtype=float)
+    inside = (p > 0.0) & (p < 1.0)
+    if not inside.all():
+        bad = float(p[~inside].flat[0])
+        raise InvalidProbability(f"quantile argument must be in (0, 1), got {bad!r}")
+    q = p - 0.5
+    out = np.empty_like(q)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    out[central] = qc * _poly_array(_A, r) / _poly_array(_B, r)
+    tail = ~central
+    lower = q[tail] < 0.0
+    pt = p[tail]
+    r = np.where(lower, pt, 1.0 - pt)
+    r = np.fromiter(map(math.log, r.tolist()), dtype=float, count=r.size)
+    r = np.sqrt(-r)
+    x = np.empty_like(r)
+    mid = r <= 5.0
+    rm = r[mid] - 1.6
+    x[mid] = _poly_array(_C, rm) / _poly_array(_D, rm)
+    rf = r[~mid] - 5.0
+    x[~mid] = _poly_array(_E, rf) / _poly_array(_F, rf)
+    out[tail] = np.where(lower, -x, x)
+    return out

@@ -89,6 +89,21 @@ def _resolve(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
     return default
 
 
+def _resolve_int(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
+    """_resolve for an integer option; a config file value may be any JSON."""
+    value = _resolve(args, file_cfg, name, default)
+    if value is None or type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise _ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _resolve_null(args, file_cfg, allow_fold_change_default: bool) -> NullSpec:
     point = _resolve(args, file_cfg, "null_point")
     delta = _resolve(args, file_cfg, "delta")
@@ -264,7 +279,7 @@ def _cmd_compute(args) -> int:
     level = float(_resolve(args, file_cfg, "level", 0.95))
     if not 0.0 < level < 1.0:
         raise _ConfigError(f"--level must be in (0, 1), got {level}")
-    digits = int(_resolve(args, file_cfg, "digits", 6))
+    digits = _resolve_int(args, file_cfg, "digits", 6)
     out_format = _resolve(args, file_cfg, "format", "csv")
 
     header, raw_rows = _read_table(args.input)
@@ -322,7 +337,7 @@ def _cmd_design(args) -> int:
     file_cfg = _load_config(args.config)
     cfg = _resolve_design(args, file_cfg)
     grid = _resolve_grid(args, file_cfg)
-    digits = int(_resolve(args, file_cfg, "digits", 6))
+    digits = _resolve_int(args, file_cfg, "digits", 6)
     out_format = _resolve(args, file_cfg, "format", "csv")
     rows = emit_power_curve(cfg, grid)
     if out_format == "json":
@@ -351,7 +366,7 @@ def _cmd_reliability(args) -> int:
     except SgpvError as exc:
         raise _ConfigError(str(exc)) from exc
     grid = _resolve_grid(args, file_cfg)
-    digits = int(_resolve(args, file_cfg, "digits", 6))
+    digits = _resolve_int(args, file_cfg, "digits", 6)
     out_format = _resolve(args, file_cfg, "format", "csv")
     rows = emit_reliability_curve(cfg, odds, grid)
     if out_format == "json":
@@ -432,7 +447,7 @@ def _cmd_screen(args) -> int:
         raise _ConfigError(f"--level must be in (0, 1), got {level}")
     welch = bool(_resolve(args, file_cfg, "welch", False))
     want_crosstab = bool(_resolve(args, file_cfg, "crosstab", False))
-    digits = int(_resolve(args, file_cfg, "digits", 6))
+    digits = _resolve_int(args, file_cfg, "digits", 6)
     out_format = _resolve(args, file_cfg, "format", "csv")
 
     header, raw_rows = _read_table(args.input)
@@ -520,7 +535,7 @@ def _cmd_screen(args) -> int:
 def _cmd_track(args) -> int:
     file_cfg = _load_config(args.config)
     null_spec = _resolve_null(args, file_cfg, allow_fold_change_default=False)
-    digits = int(_resolve(args, file_cfg, "digits", 6))
+    digits = _resolve_int(args, file_cfg, "digits", 6)
     out_format = _resolve(args, file_cfg, "format", "csv")
 
     header, raw_rows = _read_table(args.input)
@@ -568,17 +583,17 @@ def _cmd_simulate(args) -> int:
     file_cfg = _load_config(args.config)
     design = _resolve_design(args, file_cfg)
     theta = float(_resolve(args, file_cfg, "theta", design.theta0))
-    replicates = _resolve(args, file_cfg, "replicates")
+    replicates = _resolve_int(args, file_cfg, "replicates")
     if replicates is None:
         raise _ConfigError("--replicates is required")
-    seed = int(_resolve(args, file_cfg, "seed", 0))
-    chunks = int(_resolve(args, file_cfg, "chunks", 1))
+    seed = _resolve_int(args, file_cfg, "seed", 0)
+    chunks = _resolve_int(args, file_cfg, "chunks", 1)
     try:
-        sim_cfg = SimConfig(design, theta, int(replicates), seed)
+        sim_cfg = SimConfig(design, theta, replicates, seed)
+        result = simulate_outcomes(sim_cfg, chunks=chunks)
     except SgpvError as exc:
         raise _ConfigError(str(exc)) from exc
 
-    result = simulate_outcomes(sim_cfg, chunks=chunks)
     closed = outcome_probs(theta, design)
     names = ("p_alt", "p_null", "p_inconclusive")
     payload = {

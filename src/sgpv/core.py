@@ -13,6 +13,10 @@ Infinite-length estimates are supported but discouraged; an estimate that
 covers the whole real line is rejected with an error pointing at
 ``intervals.truncate``. A one-sided estimate overlapping a finite null
 yields ``0.5 * |I ∩ H0| / |H0|``, the wide-estimate limit.
+
+``p_delta_array`` applies the same rule to arrays of endpoints with the
+same float operations, so it agrees with the scalar rule elementwise; a
+whole-line estimate there gives NaN instead of an error.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import decimal
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     InvalidInterval,
@@ -132,6 +138,50 @@ def _p_delta(i: ExtendedInterval, h: ExtendedInterval) -> tuple[float, bool]:
         # is supported: strictly inconclusive
         return 0.5, True
     return overlap_len / len_i, False
+
+
+def p_delta_array(
+    lo: np.ndarray, hi: np.ndarray, null_lo: float, null_hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise ``_p_delta`` of estimates [lo, hi] against [null_lo, null_hi].
+
+    Returns (p_delta, correction_applied) arrays. Every convention
+    of the scalar rule holds, with the same float operations; the only
+    difference is that an estimate covering the whole real line gives NaN
+    (uncorrected) where ``_p_delta`` raises. Endpoints are taken to form
+    valid intervals, as ExtendedInterval would require.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    len_h = null_hi - null_lo
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        len_i = hi - lo
+        overlap_len = np.minimum(hi, null_hi)
+        overlap_len -= np.maximum(lo, null_lo)  # negative exactly when disjoint
+        # later assignments win, mirroring the order of the scalar early returns
+        p = overlap_len / len_i
+        corrected = (len_i > 2.0 * len_h) & (lo <= null_lo) & (null_hi <= hi)
+        p[corrected] = 0.5
+        one_sided = np.isinf(len_i)
+        if one_sided.any():
+            part = overlap_len[one_sided]
+            if math.isinf(len_h):
+                # two one-sided intervals: all or nothing
+                p[one_sided] = np.where(np.isinf(part), 1.0, 0.0)
+                corrected[one_sided] = False
+            else:
+                p[one_sided] = np.where(part == 0.0, 0.0, 0.5 * part / len_h)
+                corrected[one_sided] = part != 0.0
+        settled = (null_lo <= lo) & (hi <= null_hi)
+        p[settled] = 1.0
+        disjoint = overlap_len < 0.0
+        p[disjoint] = 0.0
+        settled |= disjoint
+        whole_line = np.isinf(lo) & np.isinf(hi)
+        p[whole_line] = np.nan
+        settled |= whole_line
+        corrected[settled] = False
+    return p, corrected
 
 
 def second_gen_p(

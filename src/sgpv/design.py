@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _normal
-from .core import NullSpec
 from .errors import (
     InvalidInterval,
     InvalidProbability,
@@ -87,12 +86,6 @@ class DesignConfig:
     @property
     def null_interval(self) -> ExtendedInterval:
         return ExtendedInterval(self.theta0 - self.delta, self.theta0 + self.delta)
-
-    def null_spec(self) -> NullSpec | None:
-        """NullSpec for this design, or None when delta == 0 (point null)."""
-        if self.delta == 0:
-            return None
-        return NullSpec.symmetric(self.theta0, self.delta)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ what makes parallel schedules deterministic. Normal variates come from
 inverse-transform through the package's own quantile, tying simulation
 accuracy to the tested kernel.
 
+Draws, transforms and classification are vectorised per chunk:
+``norm_quantile_array`` is bitwise equal to the scalar AS 241 and
+``p_delta_array`` to the scalar p_delta rule, so the counts depend
+neither on the code path nor on ``chunks=``.
+
 Outcome runs consume lane 0 per replicate; reliability runs consume lane
 0 for the truth draw and lane 1 for the variate.
 """
@@ -18,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import norm_quantile
-from .core import NullSpec, Classification, second_gen_p
+from ._normal import norm_quantile_array
+from .core import p_delta_array
 from .design import DesignConfig, OutcomeProbs
 from .errors import InvalidConfig
-from .intervals import ExtendedInterval
 from .reliability import PriorOdds
 
 _MIN_UNIFORM = 2.0**-64  # keep the inverse transform finite at u == 0
@@ -97,28 +101,16 @@ def _chunk_ranges(replicates: int, chunks: int) -> list[tuple[int, int]]:
     ]
 
 
-def _null_target(design: DesignConfig) -> NullSpec | ExtendedInterval:
-    spec = design.null_spec()
-    if spec is not None:
-        return spec
-    return ExtendedInterval(design.theta0, design.theta0)  # delta == 0: point null
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))  # a plain int, as JSON output expects
 
 
-def _classify_batch(
-    theta_hats: np.ndarray, design: DesignConfig
-) -> tuple[int, int, int]:
+def _p_deltas(theta_hats: np.ndarray, design: DesignConfig) -> np.ndarray:
+    """p_delta of each (1 - alpha) z-interval against the design's null."""
     half = design.z_crit * design.se
-    target = _null_target(design)
-    n_alt = n_null = n_inc = 0
-    for theta_hat in theta_hats:
-        res = second_gen_p(ExtendedInterval(theta_hat - half, theta_hat + half), target)
-        if res.classification is Classification.ALTERNATIVE_COMPATIBLE:
-            n_alt += 1
-        elif res.classification is Classification.NULL_COMPATIBLE:
-            n_null += 1
-        else:
-            n_inc += 1
-    return n_alt, n_null, n_inc
+    null = design.null_interval  # [theta0, theta0] when delta == 0: point null
+    p, _ = p_delta_array(theta_hats - half, theta_hats + half, null.lo, null.hi)
+    return p
 
 
 def simulate_outcomes(cfg: SimConfig, chunks: int = 1) -> SimResult:
@@ -129,15 +121,15 @@ def simulate_outcomes(cfg: SimConfig, chunks: int = 1) -> SimResult:
     interval, and tally the verdict. ``chunks`` only partitions the work;
     any value yields identical counts for the same seed.
     """
-    design = cfg.design
-    se = design.se
-    totals = [0, 0, 0]
+    se = cfg.design.se
+    n_alt = n_null = 0
     for start, size in _chunk_ranges(cfg.replicates, chunks):
         u = _uniform_lanes(cfg.seed, start, size)[:, 0]
-        theta_hats = cfg.theta + se * np.array([norm_quantile(v) for v in u])
-        part = _classify_batch(theta_hats, design)
-        totals = [t + p for t, p in zip(totals, part)]
-    return SimResult.from_counts(tuple(totals), cfg.replicates)
+        p = _p_deltas(cfg.theta + se * norm_quantile_array(u), cfg.design)
+        n_alt += _count(p == 0.0)
+        n_null += _count(p == 1.0)
+    counts = (n_alt, n_null, cfg.replicates - n_alt - n_null)
+    return SimResult.from_counts(counts, cfg.replicates)
 
 
 def simulate_reliability(
@@ -154,27 +146,19 @@ def simulate_reliability(
     """
     design = cfg.design
     se = design.se
-    half = design.z_crit * design.se
-    target = _null_target(design)
     p_alt_truth = odds.r / (1.0 + odds.r)
     discoveries = false_discoveries = confirmations = false_confirmations = 0
     for start, size in _chunk_ranges(cfg.replicates, chunks):
         lanes = _uniform_lanes(cfg.seed, start, size)
         truth_is_alt = lanes[:, 0] < p_alt_truth
         means = np.where(truth_is_alt, theta1, design.theta0)
-        theta_hats = means + se * np.array([norm_quantile(v) for v in lanes[:, 1]])
-        for theta_hat, is_alt in zip(theta_hats, truth_is_alt):
-            res = second_gen_p(
-                ExtendedInterval(theta_hat - half, theta_hat + half), target
-            )
-            if res.classification is Classification.ALTERNATIVE_COMPATIBLE:
-                discoveries += 1
-                if not is_alt:
-                    false_discoveries += 1
-            elif res.classification is Classification.NULL_COMPATIBLE:
-                confirmations += 1
-                if is_alt:
-                    false_confirmations += 1
+        p = _p_deltas(means + se * norm_quantile_array(lanes[:, 1]), design)
+        found = p == 0.0
+        discoveries += _count(found)
+        false_discoveries += _count(found & ~truth_is_alt)
+        found = p == 1.0
+        confirmations += _count(found)
+        false_confirmations += _count(found & truth_is_alt)
     fdr = false_discoveries / discoveries if discoveries else None
     fcr = false_confirmations / confirmations if confirmations else None
     return ReliabilitySimResult(

@@ -336,6 +336,33 @@ class TestSimulate:
         )
         assert code == 3
 
+    def test_zero_chunks_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--theta0", "0", "--delta", "0",
+            "--n", "25", "--variance", "1", "--replicates", "10", "--chunks", "0",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("sgpv: configuration error: ")
+
+    @pytest.mark.parametrize(
+        "file_cfg",
+        [{"chunks": "abc"}, {"seed": "abc"}, {"seed": 1.5}, {"replicates": "many"},
+         {"replicates": [10]}],
+        ids=["chunks-text", "seed-text", "seed-fraction", "replicates-text",
+             "replicates-list"],
+    )
+    def test_non_integer_config_exit_3(self, tmp_path, capsys, file_cfg):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"replicates": 10, **file_cfg}))
+        code, out, err = run(
+            capsys, "simulate", "--theta0", "0", "--delta", "0",
+            "--n", "25", "--variance", "1", "--config", str(cfg),
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("sgpv: configuration error: ")
+
     def test_chunks_do_not_change_output(self, capsys):
         base_args = (
             "simulate", "--theta0", "0", "--delta", "0.5", "--n", "16",
@@ -371,6 +398,16 @@ class TestConfigFile:
         src.write_text(TABLE1)
         code, _, _ = run(capsys, "compute", str(src), "--config", str(cfg))
         assert code == 3
+
+    def test_non_integer_digits_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"null_point": 146, "delta": 2, "digits": "abc"}))
+        src = tmp_path / "t1.csv"
+        src.write_text(TABLE1)
+        code, out, err = run(capsys, "compute", str(src), "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("sgpv: configuration error: ")
 
     def test_unknown_command_exit_3(self, capsys):
         assert run(capsys, "frobnicate")[0] == 3

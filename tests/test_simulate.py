@@ -56,6 +56,37 @@ class TestDeterminism:
         assert a.counts != b.counts
 
 
+class TestGoldenCounts:
+    """Counts recorded from the per-replicate scalar classifier (seed 7, 1e5)."""
+
+    @pytest.mark.parametrize(
+        "theta, delta, n, counts",
+        [
+            (0.3, 0.5, 16.0, (280, 1582, 98138)),
+            (0.0, 0.5, 100.0, (0, 99767, 233)),
+            (1.0, 0.2, 4.0, (36067, 0, 63933)),
+            (0.0, 0.0, 16.0, (5021, 0, 94979)),
+        ],
+    )
+    def test_outcome_counts(self, theta, delta, n, counts):
+        design = DesignConfig(0.0, delta, n, 1.0, 0.05)
+        result = simulate_outcomes(SimConfig(design, theta, 100_000, 7))
+        assert result.counts == counts
+        assert all(type(c) is int for c in result.counts)  # JSON-serialisable
+
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_reliability_counts(self, chunks):
+        cfg = SimConfig(FIG5, 0.0, 100_000, 7)
+        rel = simulate_reliability(cfg, PriorOdds(1.0), 1.0, chunks=chunks)
+        got = (
+            rel.n_discoveries,
+            rel.n_false_discoveries,
+            rel.n_confirmations,
+            rel.n_false_confirmations,
+        )
+        assert got == (25649, 8, 1594, 1)
+
+
 class TestOutcomeAgreement:
     def test_classical_alpha_recovery_at_zero_delta(self):
         design = DesignConfig(0.0, 0.0, 25.0, 1.0, 0.05)
