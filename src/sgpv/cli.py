@@ -10,25 +10,29 @@ otherwise; JSON output keeps full precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
 
-from .core import NullSpec, SgpvResult, second_gen_p
-from .design import DesignConfig, outcome_probs, emit_power_curve, power_curve_csv
+from . import _table
+from .core import NullSpec, second_gen_p
+from .design import POWER_CURVE_COLUMNS, DesignConfig, emit_power_curve, outcome_probs
 from .errors import SgpvError, UnboundedEstimate
 from .intervals import ExtendedInterval, z_interval
 from .reliability import (
+    RELIABILITY_CURVE_COLUMNS,
     PriorOdds,
     emit_reliability_curve,
     fcr_sgpv,
     fdr_sgpv,
-    reliability_curve_csv,
 )
 from .screening import (
     FOLD_CHANGE_NULL,
@@ -47,6 +51,13 @@ from .simulate import SimConfig, simulate_outcomes, simulate_reliability
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
+
+COMPUTE_COLUMNS = ("id", "lo", "hi", "p_delta", "classification",
+                   "correction_applied", "delta_gap", "flags")
+SCREEN_COLUMNS = ("id", "p_delta", "classification", "delta_gap", "p_raw",
+                  "p_bonferroni", "q_bh", "rank", "flags")
+CROSSTAB_COLUMNS = ("crosstab", "p_delta_zero", "p_delta_positive")
+TRACK_COLUMNS = ("t", "p_delta", "classification", "grey_level")
 
 
 class _ConfigError(Exception):
@@ -67,13 +78,22 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------- helpers
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Report library validation errors as configuration errors."""
+    try:
+        yield
+    except SgpvError as exc:
+        raise _ConfigError(str(exc)) from exc
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise _ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise _ConfigError(f"config file {path} must hold a JSON object")
@@ -81,12 +101,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
+    """The flag if given, else the config file value, else default (null is unset)."""
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in file_cfg:
-        return file_cfg[name]
-    return default
+    if value is None:
+        value = file_cfg.get(name)
+    return default if value is None else value
 
 
 def _resolve_int(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
@@ -104,28 +123,45 @@ def _resolve_int(args: argparse.Namespace, file_cfg: dict, name: str, default=No
     raise _ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _resolve_float(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
+    """_resolve for a real-valued option; a config file value may be any JSON."""
+    value = _resolve(args, file_cfg, name, default)
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _resolve_unit(args, file_cfg, name: str, default: float) -> float:
+    """_resolve_float for a level or rate that must lie in (0, 1)."""
+    value = _resolve_float(args, file_cfg, name, default)
+    if not 0.0 < value < 1.0:
+        raise _ConfigError(f"--{name} must be in (0, 1), got {value}")
+    return value
+
+
 def _resolve_null(args, file_cfg, allow_fold_change_default: bool) -> NullSpec:
-    point = _resolve(args, file_cfg, "null_point")
-    delta = _resolve(args, file_cfg, "delta")
-    lo = _resolve(args, file_cfg, "null_lo")
-    hi = _resolve(args, file_cfg, "null_hi")
+    point, delta, lo, hi = (
+        _resolve_float(args, file_cfg, name)
+        for name in ("null_point", "delta", "null_lo", "null_hi")
+    )
     point_form = point is not None or delta is not None
     range_form = lo is not None or hi is not None
     if point_form and range_form:
         raise _ConfigError(
             "give either --null-point/--delta or --null-lo/--null-hi, not both"
         )
-    try:
+    with _config_errors():
         if point_form:
             if point is None or delta is None:
                 raise _ConfigError("--null-point and --delta must be given together")
-            return NullSpec.symmetric(float(point), float(delta))
+            return NullSpec.symmetric(point, delta)
         if range_form:
             if lo is None or hi is None:
                 raise _ConfigError("--null-lo and --null-hi must be given together")
-            return NullSpec.from_interval(float(lo), float(hi))
-    except SgpvError as exc:
-        raise _ConfigError(str(exc)) from exc
+            return NullSpec.from_interval(lo, hi)
     if allow_fold_change_default:
         return FOLD_CHANGE_NULL
     raise _ConfigError(
@@ -134,19 +170,15 @@ def _resolve_null(args, file_cfg, allow_fold_change_default: bool) -> NullSpec:
 
 
 def _resolve_design(args, file_cfg) -> DesignConfig:
-    values = {}
+    values = []
     for name in ("theta0", "delta", "n", "variance"):
-        value = _resolve(args, file_cfg, name)
+        value = _resolve_float(args, file_cfg, name)
         if value is None:
             raise _ConfigError(f"--{name} is required")
-        values[name] = float(value)
-    alpha = float(_resolve(args, file_cfg, "alpha", 0.05))
-    try:
-        return DesignConfig(
-            values["theta0"], values["delta"], values["n"], values["variance"], alpha
-        )
-    except SgpvError as exc:
-        raise _ConfigError(str(exc)) from exc
+        values.append(value)
+    alpha = _resolve_float(args, file_cfg, "alpha", 0.05)
+    with _config_errors():
+        return DesignConfig(*values, alpha)
 
 
 def _resolve_grid(args, file_cfg) -> list[float]:
@@ -185,9 +217,13 @@ def _read_table(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
         else:
             with open(path, encoding="utf-8", newline="") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise _InputError(f"line {reader.line_num}: {exc}") from exc
     numbered = [
         (lineno, [f.strip() for f in fields])
         for lineno, fields in enumerate(rows, start=1)
@@ -199,6 +235,12 @@ def _read_table(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, numbered[1:]
 
 
+def _row_id(fields: list[str], idx: int, lineno: int) -> str:
+    if idx >= len(fields):
+        raise _InputError(f"line {lineno}: missing value for 'id'")
+    return fields[idx]
+
+
 def _row_float(fields: list[str], idx: int, name: str, lineno: int) -> float:
     try:
         return float(fields[idx])
@@ -206,31 +248,43 @@ def _row_float(fields: list[str], idx: int, name: str, lineno: int) -> float:
         raise _InputError(f"line {lineno}: bad value for {name!r}") from exc
 
 
-def _fmt(value, digits: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, f".{digits}g")
-    return str(value)
+def _row_count(fields: list[str], idx: int, name: str, lineno: int) -> int:
+    value = _row_float(fields, idx, name, lineno)
+    if not value.is_integer():
+        raise _InputError(f"line {lineno}: {name!r} must be a whole number, got {fields[idx]!r}")
+    return int(value)
 
 
-def _write_text(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """stdout, or the --out file opened for writing."""
     if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
+        yield sys.stdout
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {out}: {exc}") from exc
+    with fh:
+        yield fh
+
+
+def _emit(args, file_cfg: dict, columns: Sequence[str], rows, **extra) -> bool:
+    """Write one table to --out in the resolved --format; True if it went out as CSV.
+
+    ``extra`` entries follow the rows in JSON output; CSV holds the rows only.
+    """
+    digits = _resolve_int(args, file_cfg, "digits", 6)
+    if _resolve(args, file_cfg, "format", "csv") == "json":
+        text = _table.json_text(columns, rows, **extra)
+        with _output(args.out) as fh:
             fh.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list], digits: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v, digits) for v in row])
-    return buf.getvalue()
+        return False
+    if digits < 0:
+        raise _ConfigError(f"--digits must be >= 0, got {digits}")
+    with _output(args.out) as fh:
+        _table.write_csv(fh, columns, rows, digits)
+    return True
 
 
 # ---------------------------------------------------------------- compute
@@ -240,35 +294,28 @@ def _parse_compute_rows(
     header: list[str], rows, level: float, log10_mode: bool
 ) -> list[tuple[str, ExtendedInterval]]:
     cols = {name: i for i, name in enumerate(header)}
-    out = []
     if "lo" in cols and "hi" in cols:
-        for lineno, fields in rows:
-            row_id = fields[cols["id"]] if "id" in cols else str(len(out) + 1)
-            lo = _row_float(fields, cols["lo"], "lo", lineno)
-            hi = _row_float(fields, cols["hi"], "hi", lineno)
-            try:
-                interval = ExtendedInterval(lo, hi)
-                if log10_mode:
-                    interval = log10_interval(interval)
-            except SgpvError as exc:
-                raise _InputError(f"line {lineno}: {exc}") from exc
-            out.append((row_id, interval))
+        names, make_interval = ("lo", "hi"), ExtendedInterval
     elif "estimate" in cols and "se" in cols:
-        for lineno, fields in rows:
-            row_id = fields[cols["id"]] if "id" in cols else str(len(out) + 1)
-            estimate = _row_float(fields, cols["estimate"], "estimate", lineno)
-            se = _row_float(fields, cols["se"], "se", lineno)
-            try:
-                interval = z_interval(estimate, se, level)
-                if log10_mode:
-                    interval = log10_interval(interval)
-            except SgpvError as exc:
-                raise _InputError(f"line {lineno}: {exc}") from exc
-            out.append((row_id, interval))
+        names, make_interval = ("estimate", "se"), functools.partial(z_interval, level=level)
     else:
         raise _InputError(
             "input needs either lo,hi or estimate,se columns (id optional)"
         )
+    (a_name, b_name), id_col = names, cols.get("id")
+    a_col, b_col = cols[a_name], cols[b_name]
+    out = []
+    for lineno, fields in rows:
+        row_id = str(len(out) + 1) if id_col is None else _row_id(fields, id_col, lineno)
+        a = _row_float(fields, a_col, a_name, lineno)
+        b = _row_float(fields, b_col, b_name, lineno)
+        try:
+            interval = make_interval(a, b)
+            if log10_mode:
+                interval = log10_interval(interval)
+        except SgpvError as exc:
+            raise _InputError(f"line {lineno}: {exc}") from exc
+        out.append((row_id, interval))
     return out
 
 
@@ -276,108 +323,45 @@ def _cmd_compute(args) -> int:
     file_cfg = _load_config(args.config)
     log10_mode = bool(_resolve(args, file_cfg, "log10", False))
     null_spec = _resolve_null(args, file_cfg, allow_fold_change_default=log10_mode)
-    level = float(_resolve(args, file_cfg, "level", 0.95))
-    if not 0.0 < level < 1.0:
-        raise _ConfigError(f"--level must be in (0, 1), got {level}")
-    digits = _resolve_int(args, file_cfg, "digits", 6)
-    out_format = _resolve(args, file_cfg, "format", "csv")
+    level = _resolve_unit(args, file_cfg, "level", 0.95)
 
     header, raw_rows = _read_table(args.input)
-    parsed = _parse_compute_rows(header, raw_rows, level, log10_mode)
-
-    results: list[tuple[str, ExtendedInterval, SgpvResult | None]] = []
-    for row_id, interval in parsed:
+    rows = []
+    for row_id, iv in _parse_compute_rows(header, raw_rows, level, log10_mode):
         try:
-            results.append((row_id, interval, second_gen_p(interval, null_spec)))
+            res = second_gen_p(iv, null_spec)
         except UnboundedEstimate:
-            results.append((row_id, interval, None))
-
-    columns = [
-        "id", "lo", "hi", "p_delta", "classification",
-        "correction_applied", "delta_gap", "flags",
-    ]
-    if out_format == "json":
-        payload = []
-        for row_id, interval, res in results:
-            payload.append(
-                {
-                    "id": row_id,
-                    "lo": interval.lo,
-                    "hi": interval.hi,
-                    "p_delta": None if res is None else res.p_delta,
-                    "classification": None if res is None else res.classification.value,
-                    "correction_applied": None if res is None else res.correction_applied,
-                    "delta_gap": None if res is None else res.delta_gap,
-                    "flags": "unbounded_estimate" if res is None else "",
-                }
-            )
-        _write_text(json.dumps({"rows": payload}, indent=2) + "\n", args.out)
-    else:
-        rows_out = []
-        for row_id, interval, res in results:
-            if res is None:
-                rows_out.append([row_id, interval.lo, interval.hi, None, None, None, None,
-                                 "unbounded_estimate"])
-            else:
-                rows_out.append(
-                    [
-                        row_id, interval.lo, interval.hi, res.p_delta,
-                        res.classification.value, res.correction_applied,
-                        res.delta_gap, "",
-                    ]
-                )
-        _write_text(_csv_text(columns, rows_out, digits), args.out)
+            rows.append((row_id, iv.lo, iv.hi, None, None, None, None, "unbounded_estimate"))
+        else:
+            rows.append((row_id, iv.lo, iv.hi, res.p_delta, res.classification,
+                         res.correction_applied, res.delta_gap, ""))
+    _emit(args, file_cfg, COMPUTE_COLUMNS, rows)
     return EXIT_OK
 
 
-# ----------------------------------------------------------------- design
+# ----------------------------------------------------- design, reliability
 
 
 def _cmd_design(args) -> int:
     file_cfg = _load_config(args.config)
     cfg = _resolve_design(args, file_cfg)
-    grid = _resolve_grid(args, file_cfg)
-    digits = _resolve_int(args, file_cfg, "digits", 6)
-    out_format = _resolve(args, file_cfg, "format", "csv")
-    rows = emit_power_curve(cfg, grid)
-    if out_format == "json":
-        payload = [
-            {"theta": r.theta, "p_alt": r.p_alt, "p_null": r.p_null,
-             "p_inconclusive": r.p_inconclusive}
-            for r in rows
-        ]
-        _write_text(json.dumps({"rows": payload}, indent=2) + "\n", args.out)
-    else:
-        _write_text(power_curve_csv(rows, digits), args.out)
+    with _config_errors():
+        points = emit_power_curve(cfg, _resolve_grid(args, file_cfg))
+    _emit(args, file_cfg, POWER_CURVE_COLUMNS, _table.table_rows(points, POWER_CURVE_COLUMNS))
     return EXIT_OK
-
-
-# ------------------------------------------------------------ reliability
 
 
 def _cmd_reliability(args) -> int:
     file_cfg = _load_config(args.config)
     cfg = _resolve_design(args, file_cfg)
-    r = _resolve(args, file_cfg, "r")
+    r = _resolve_float(args, file_cfg, "r")
     if r is None:
         raise _ConfigError("--r (prior odds) is required")
-    try:
-        odds = PriorOdds(float(r))
-    except SgpvError as exc:
-        raise _ConfigError(str(exc)) from exc
-    grid = _resolve_grid(args, file_cfg)
-    digits = _resolve_int(args, file_cfg, "digits", 6)
-    out_format = _resolve(args, file_cfg, "format", "csv")
-    rows = emit_reliability_curve(cfg, odds, grid)
-    if out_format == "json":
-        payload = [
-            {"theta1": p.theta1, "fdr_sgpv": p.fdr_sgpv, "fcr_sgpv": p.fcr_sgpv,
-             "fdr_test": p.fdr_test, "fnr_test": p.fnr_test}
-            for p in rows
-        ]
-        _write_text(json.dumps({"rows": payload}, indent=2) + "\n", args.out)
-    else:
-        _write_text(reliability_curve_csv(rows, digits), args.out)
+    with _config_errors():
+        odds = PriorOdds(r)
+        points = emit_reliability_curve(cfg, odds, _resolve_grid(args, file_cfg))
+    columns = RELIABILITY_CURVE_COLUMNS
+    _emit(args, file_cfg, columns, _table.table_rows(points, columns))
     return EXIT_OK
 
 
@@ -399,7 +383,7 @@ def _parse_screen_rows(header, rows, level, welch, log10_mode) -> list[StudyRow]
         )
     out = []
     for lineno, fields in rows:
-        row_id = fields[cols["id"]]
+        row_id = _row_id(fields, cols["id"], lineno)
         try:
             if interval_form:
                 lo = _row_float(fields, cols["lo"], "lo", lineno)
@@ -416,22 +400,23 @@ def _parse_screen_rows(header, rows, level, welch, log10_mode) -> list[StudyRow]
                 if log10_mode:
                     interval = log10_interval(interval)
                     estimate = math.log10(estimate) if estimate > 0 else estimate
-                out.append(StudyRow(row_id, estimate, interval, p_value))
             else:
                 a = GroupSummary(
-                    int(_row_float(fields, cols["n1"], "n1", lineno)),
+                    _row_count(fields, cols["n1"], "n1", lineno),
                     _row_float(fields, cols["mean1"], "mean1", lineno),
                     _row_float(fields, cols["sd1"], "sd1", lineno),
                 )
                 b = GroupSummary(
-                    int(_row_float(fields, cols["n2"], "n2", lineno)),
+                    _row_count(fields, cols["n2"], "n2", lineno),
                     _row_float(fields, cols["mean2"], "mean2", lineno),
                     _row_float(fields, cols["sd2"], "sd2", lineno),
                 )
                 estimate, interval, p_value = two_sample_ci(a, b, level, welch)
-                out.append(StudyRow(row_id, estimate, interval, p_value))
         except SgpvError as exc:
             raise _InputError(f"line {lineno}: {exc}") from exc
+        if p_value is not None and not 0.0 < p_value <= 1.0:
+            raise _InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
+        out.append(StudyRow(row_id, estimate, interval, p_value))
     return out
 
 
@@ -439,16 +424,10 @@ def _cmd_screen(args) -> int:
     file_cfg = _load_config(args.config)
     log10_mode = bool(_resolve(args, file_cfg, "log10", False))
     null_spec = _resolve_null(args, file_cfg, allow_fold_change_default=log10_mode)
-    alpha = float(_resolve(args, file_cfg, "alpha", 0.05))
-    if not 0.0 < alpha < 1.0:
-        raise _ConfigError(f"--alpha must be in (0, 1), got {alpha}")
-    level = float(_resolve(args, file_cfg, "level", 0.95))
-    if not 0.0 < level < 1.0:
-        raise _ConfigError(f"--level must be in (0, 1), got {level}")
+    alpha = _resolve_unit(args, file_cfg, "alpha", 0.05)
+    level = _resolve_unit(args, file_cfg, "level", 0.95)
     welch = bool(_resolve(args, file_cfg, "welch", False))
     want_crosstab = bool(_resolve(args, file_cfg, "crosstab", False))
-    digits = _resolve_int(args, file_cfg, "digits", 6)
-    out_format = _resolve(args, file_cfg, "format", "csv")
 
     header, raw_rows = _read_table(args.input)
     study_rows = _parse_screen_rows(header, raw_rows, level, welch, log10_mode)
@@ -460,72 +439,26 @@ def _cmd_screen(args) -> int:
     if want_crosstab and not have_pvalues:
         raise _ConfigError("--crosstab needs a p_value column (or two-group input)")
 
-    ranks: dict[int, int] = {
-        idx: pos + 1 for pos, idx in enumerate(ranked_indices(report))
-    }
+    ranks: list[int | None] = [None] * len(report.rows)
+    for pos, idx in enumerate(ranked_indices(report), start=1):
+        ranks[idx] = pos
+    rows = [
+        (r.id, r.p_delta, r.classification, r.delta_gap, r.p_raw, r.p_bonferroni,
+         r.q_bh, rank, r.flags)
+        for r, rank in zip(report.rows, ranks)
+    ]
+    extra = {"summary": asdict(report.summary)}
     tab = cross_tab(report, alpha) if want_crosstab else None
-
-    if out_format == "json":
-        payload = {
-            "rows": [
-                {
-                    "id": row.id,
-                    "p_delta": row.p_delta,
-                    "classification": None if row.classification is None else row.classification.value,
-                    "delta_gap": row.delta_gap,
-                    "p_raw": row.p_raw,
-                    "p_bonferroni": row.p_bonferroni,
-                    "q_bh": row.q_bh,
-                    "rank": ranks.get(i),
-                    "flags": row.flags,
-                }
-                for i, row in enumerate(report.rows)
-            ],
-            "summary": report.summary.__dict__,
-        }
-        if tab is not None:
-            payload["crosstab"] = {
-                "sgpv_zero_significant": tab.sgpv_zero_significant,
-                "sgpv_positive_significant": tab.sgpv_positive_significant,
-                "sgpv_zero_not_significant": tab.sgpv_zero_not_significant,
-                "sgpv_positive_not_significant": tab.sgpv_positive_not_significant,
-            }
-        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
-        return EXIT_OK
-
-    columns = ["id", "p_delta", "classification", "delta_gap", "p_raw",
-               "p_bonferroni", "q_bh", "rank", "flags"]
-    rows_out = []
-    for i, row in enumerate(report.rows):
-        rows_out.append(
-            [
-                row.id,
-                row.p_delta,
-                None if row.classification is None else row.classification.value,
-                row.delta_gap,
-                row.p_raw,
-                row.p_bonferroni,
-                row.q_bh,
-                ranks.get(i),
-                row.flags,
-            ]
-        )
-    _write_text(_csv_text(columns, rows_out, digits), args.out)
     if tab is not None:
-        block = _csv_text(
-            ["crosstab", "p_delta_zero", "p_delta_positive"],
-            [
-                ["bonferroni_significant", tab.sgpv_zero_significant,
-                 tab.sgpv_positive_significant],
-                ["bonferroni_not_significant", tab.sgpv_zero_not_significant,
-                 tab.sgpv_positive_not_significant],
-            ],
-            digits,
-        )
-        if args.out in (None, "-"):
-            sys.stdout.write("\n" + block)
-        else:
-            sys.stdout.write(block)
+        extra["crosstab"] = asdict(tab)
+    if _emit(args, file_cfg, SCREEN_COLUMNS, rows, **extra) and tab is not None:
+        block = _table.csv_text(CROSSTAB_COLUMNS, [
+            ("bonferroni_significant", tab.sgpv_zero_significant,
+             tab.sgpv_positive_significant),
+            ("bonferroni_not_significant", tab.sgpv_zero_not_significant,
+             tab.sgpv_positive_not_significant),
+        ])
+        sys.stdout.write("\n" + block if args.out in (None, "-") else block)
     return EXIT_OK
 
 
@@ -535,8 +468,6 @@ def _cmd_screen(args) -> int:
 def _cmd_track(args) -> int:
     file_cfg = _load_config(args.config)
     null_spec = _resolve_null(args, file_cfg, allow_fold_change_default=False)
-    digits = _resolve_int(args, file_cfg, "digits", 6)
-    out_format = _resolve(args, file_cfg, "format", "csv")
 
     header, raw_rows = _read_table(args.input)
     cols = {name: i for i, name in enumerate(header)}
@@ -555,89 +486,57 @@ def _cmd_track(args) -> int:
         points = pointwise_track(series, null_spec)
     except SgpvError as exc:
         raise _InputError(str(exc)) from exc
-
-    if out_format == "json":
-        payload = [
-            {"t": p.t, "p_delta": p.p_delta, "classification": p.classification.value,
-             "grey_level": p.grey_level}
-            for p in points
-        ]
-        _write_text(json.dumps({"rows": payload}, indent=2) + "\n", args.out)
-    else:
-        rows_out = [
-            [p.t, p.p_delta, p.classification.value, p.grey_level] for p in points
-        ]
-        _write_text(_csv_text(["t", "p_delta", "classification", "grey_level"],
-                              rows_out, digits), args.out)
+    _emit(args, file_cfg, TRACK_COLUMNS, _table.table_rows(points, TRACK_COLUMNS))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def _se_triplet(probs) -> list[float]:
-    return [probs.p_alt, probs.p_null, probs.p_inconclusive]
-
-
 def _cmd_simulate(args) -> int:
     file_cfg = _load_config(args.config)
     design = _resolve_design(args, file_cfg)
-    theta = float(_resolve(args, file_cfg, "theta", design.theta0))
+    theta = _resolve_float(args, file_cfg, "theta", design.theta0)
     replicates = _resolve_int(args, file_cfg, "replicates")
     if replicates is None:
         raise _ConfigError("--replicates is required")
     seed = _resolve_int(args, file_cfg, "seed", 0)
     chunks = _resolve_int(args, file_cfg, "chunks", 1)
-    try:
-        sim_cfg = SimConfig(design, theta, replicates, seed)
-        result = simulate_outcomes(sim_cfg, chunks=chunks)
-    except SgpvError as exc:
-        raise _ConfigError(str(exc)) from exc
-
-    closed = outcome_probs(theta, design)
-    names = ("p_alt", "p_null", "p_inconclusive")
-    payload = {
-        "empirical": dict(zip(names, _se_triplet(result.empirical))),
-        "closed_form": dict(zip(names, _se_triplet(closed))),
-        "z_scores": {},
-        "counts": {
-            "alt": result.counts[0],
-            "null": result.counts[1],
-            "inconclusive": result.counts[2],
-        },
-        "replicates": sim_cfg.replicates,
-        "seed": seed,
-    }
-    for name, emp, closed_p in zip(
-        names, _se_triplet(result.empirical), _se_triplet(closed)
-    ):
-        se = math.sqrt(closed_p * (1.0 - closed_p) / sim_cfg.replicates)
-        payload["z_scores"][name] = None if se == 0.0 else (emp - closed_p) / se
-
-    theta1 = _resolve(args, file_cfg, "theta1")
-    r = _resolve(args, file_cfg, "r")
+    theta1 = _resolve_float(args, file_cfg, "theta1")
+    r = _resolve_float(args, file_cfg, "r")
     if (theta1 is None) != (r is None):
         raise _ConfigError("--theta1 and --r must be given together")
-    if theta1 is not None:
-        try:
-            odds = PriorOdds(float(r))
-        except SgpvError as exc:
-            raise _ConfigError(str(exc)) from exc
-        rel = simulate_reliability(sim_cfg, odds, float(theta1), chunks=chunks)
-        try:
-            closed_fdr = fdr_sgpv(float(theta1), design, odds)
-        except SgpvError as exc:
-            raise _ConfigError(str(exc)) from exc
-        payload["reliability"] = {
-            "empirical_fdr": rel.empirical_fdr,
-            "empirical_fcr": rel.empirical_fcr,
-            "closed_form_fdr": closed_fdr,
-            "closed_form_fcr": fcr_sgpv(float(theta1), design, odds),
-            "n_discoveries": rel.n_discoveries,
-            "n_confirmations": rel.n_confirmations,
-        }
 
-    _write_text(json.dumps(payload, indent=2) + "\n", args.out)
+    with _config_errors():
+        sim_cfg = SimConfig(design, theta, replicates, seed)
+        result = simulate_outcomes(sim_cfg, chunks=chunks)
+        empirical = asdict(result.empirical)
+        closed = asdict(outcome_probs(theta, design))
+        z_scores = {}
+        for name, p in closed.items():
+            se = math.sqrt(p * (1.0 - p) / sim_cfg.replicates)
+            z_scores[name] = None if se == 0.0 else (empirical[name] - p) / se
+        payload = {
+            "empirical": empirical,
+            "closed_form": closed,
+            "z_scores": z_scores,
+            "counts": dict(zip(("alt", "null", "inconclusive"), result.counts)),
+            "replicates": sim_cfg.replicates,
+            "seed": seed,
+        }
+        if theta1 is not None:
+            odds = PriorOdds(r)
+            rel = simulate_reliability(sim_cfg, odds, theta1, chunks=chunks)
+            payload["reliability"] = {
+                "empirical_fdr": rel.empirical_fdr,
+                "empirical_fcr": rel.empirical_fcr,
+                "closed_form_fdr": fdr_sgpv(theta1, design, odds),
+                "closed_form_fcr": fcr_sgpv(theta1, design, odds),
+                "n_discoveries": rel.n_discoveries,
+                "n_confirmations": rel.n_confirmations,
+            }
+    with _output(args.out) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 

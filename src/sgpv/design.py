@@ -26,7 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import _normal
+from . import _normal, _table
+# The public names of the normal kernel (Phi and its AS 241 inverse).
+from ._normal import norm_cdf as std_normal_cdf, norm_quantile as std_normal_quantile  # noqa: F401
 from .errors import (
     InvalidInterval,
     InvalidProbability,
@@ -37,16 +39,6 @@ from .errors import (
 from .intervals import ExtendedInterval
 
 _PARTITION_TOL = 1e-10
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x), absolute error at the 1e-15 level."""
-    return _normal.norm_cdf(x)
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF; raises InvalidProbability off (0, 1)."""
-    return _normal.norm_quantile(p)
 
 
 @dataclass(frozen=True)
@@ -200,6 +192,9 @@ def correction_trigger_power(alpha: float) -> float:
     return _normal.norm_cdf(-0.5 * _normal.norm_quantile(1.0 - 0.5 * alpha))
 
 
+POWER_CURVE_COLUMNS = ("theta", "p_alt", "p_null", "p_inconclusive")
+
+
 @dataclass(frozen=True)
 class PowerCurvePoint:
     theta: float
@@ -225,12 +220,6 @@ def emit_power_curve(
 
 def power_curve_csv(rows: Sequence[PowerCurvePoint], digits: int = 6) -> str:
     """Serialize a power curve as CSV (header theta,p_alt,p_null,p_inconclusive)."""
-    lines = ["theta,p_alt,p_null,p_inconclusive"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                format(v, f".{digits}g")
-                for v in (row.theta, row.p_alt, row.p_null, row.p_inconclusive)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _table.csv_text(
+        POWER_CURVE_COLUMNS, _table.table_rows(rows, POWER_CURVE_COLUMNS), digits
+    )

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import _table
 from ._normal import norm_cdf
 from .design import DesignConfig, _cdf_diff, prob_alt, prob_null
 from .errors import (
@@ -44,6 +45,9 @@ class PriorOdds:
     def __post_init__(self) -> None:
         if not (self.r > 0 and math.isfinite(self.r)):
             raise InvalidOdds(f"prior odds must be positive and finite, got {self.r!r}")
+
+
+RELIABILITY_CURVE_COLUMNS = ("theta1", "fdr_sgpv", "fcr_sgpv", "fdr_test", "fnr_test")
 
 
 @dataclass(frozen=True)
@@ -150,18 +154,6 @@ def emit_reliability_curve(
 
 def reliability_curve_csv(rows: Sequence[ReliabilityPoint], digits: int = 6) -> str:
     """Serialize a reliability curve as CSV; an undefined FCR is an empty field."""
-    lines = ["theta1,fdr_sgpv,fcr_sgpv,fdr_test,fnr_test"]
-    for row in rows:
-        fcr = "" if row.fcr_sgpv is None else format(row.fcr_sgpv, f".{digits}g")
-        lines.append(
-            ",".join(
-                (
-                    format(row.theta1, f".{digits}g"),
-                    format(row.fdr_sgpv, f".{digits}g"),
-                    fcr,
-                    format(row.fdr_test, f".{digits}g"),
-                    format(row.fnr_test, f".{digits}g"),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _table.csv_text(
+        RELIABILITY_CURVE_COLUMNS, _table.table_rows(rows, RELIABILITY_CURVE_COLUMNS), digits
+    )

@@ -144,16 +144,20 @@ def two_sample_ci(
     if not 0.0 < level < 1.0:
         raise InvalidProbability(f"confidence level must be in (0, 1), got {level!r}")
     estimate = a.mean - b.mean
-    if welch:
-        va, vb = a.sd**2 / a.n, b.sd**2 / b.n
-        se = math.sqrt(va + vb)
-        df = (va + vb) ** 2 / (va**2 / (a.n - 1) + vb**2 / (b.n - 1))
-    else:
-        pooled = ((a.n - 1) * a.sd**2 + (b.n - 1) * b.sd**2) / (a.n + b.n - 2)
-        se = math.sqrt(pooled * (1.0 / a.n + 1.0 / b.n))
-        df = a.n + b.n - 2
+    try:
+        if welch:
+            va, vb = a.sd**2 / a.n, b.sd**2 / b.n
+            se = math.sqrt(va + vb)
+            df = (va + vb) ** 2 / (va**2 / (a.n - 1) + vb**2 / (b.n - 1))
+        else:
+            pooled = ((a.n - 1) * a.sd**2 + (b.n - 1) * b.sd**2) / (a.n + b.n - 2)
+            se = math.sqrt(pooled * (1.0 / a.n + 1.0 / b.n))
+            df = float(a.n + b.n - 2)  # scipy rejects ints beyond int64
+        t_stat = abs(estimate) / se
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InvalidSummary("the standard error of the difference under- or overflows") from exc
     t_crit = float(_scipy_stats.t.ppf(0.5 * (1.0 + level), df))
-    p_value = float(2.0 * _scipy_stats.t.sf(abs(estimate) / se, df))
+    p_value = float(2.0 * _scipy_stats.t.sf(t_stat, df))
     interval = ExtendedInterval(estimate - t_crit * se, estimate + t_crit * se)
     return estimate, interval, p_value
 
@@ -259,18 +263,23 @@ def bh_qvalues(p_values: Sequence[float]) -> list[float]:
 def cross_tab(report: ScreenReport, alpha: float) -> CrossTab:
     """Cross-tabulate definitive sgpv findings against Bonferroni decisions.
 
-    Flagged rows are excluded; all remaining rows must carry raw p-values.
+    The Bonferroni family is every row of the report: a row is significant
+    when p_raw < alpha / m with m = len(report.rows), the same m as in
+    ``p_bonferroni`` and the summary counts. Flagged rows count toward m
+    but have no verdict, so they fall in no cell; every other row must
+    carry a raw p-value.
     """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
     rows = [r for r in report.rows if not r.flags]
     if any(r.p_raw is None for r in rows):
         raise MissingComparator("cross tabulation needs raw p-values on every row")
-    if not rows:
-        return CrossTab(0, 0, 0, 0)
-    flags = bonferroni_flags([r.p_raw for r in rows], alpha)
+    _validate_pvalues([r.p_raw for r in rows])
+    m = len(report.rows)
     cells = [0, 0, 0, 0]
-    for row, significant in zip(rows, flags):
+    for row in rows:
         zero = row.p_delta == 0.0
-        if significant:
+        if row.p_raw < alpha / m:
             cells[0 if zero else 1] += 1
         else:
             cells[2 if zero else 3] += 1

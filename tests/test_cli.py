@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgpv import DesignConfig, PriorOdds, fdr_sgpv, outcome_probs
 from sgpv.cli import main
@@ -411,3 +413,242 @@ class TestConfigFile:
 
     def test_unknown_command_exit_3(self, capsys):
         assert run(capsys, "frobnicate")[0] == 3
+
+
+class TestConfigurationErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "{input}", "--null-point", "0", "--delta", "1", "--digits", "-1"),
+            ("design", "--theta0", "0", "--delta", "1", "--n", "16", "--variance", "1",
+             "--thetas", "0", "--digits", "-1"),
+            ("reliability", "--theta0", "0", "--delta", "1", "--n", "1e6", "--variance", "1",
+             "--r", "1", "--thetas", "0"),
+            ("design", "--theta0", "0", "--delta", "1", "--n", "16", "--variance", "1",
+             "--thetas", "nan"),
+        ],
+        ids=["compute-digits-negative", "design-digits-negative", "reliability-degenerate",
+             "design-nan-theta"],
+    )
+    def test_exit_3(self, tmp_path, capsys, argv):
+        src = tmp_path / "iv.csv"
+        src.write_text("id,lo,hi\na,0,1\n")
+        code, out, err = run(capsys, *(a.replace("{input}", str(src)) for a in argv))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("sgpv: configuration error: ")
+
+    @pytest.mark.parametrize(
+        "command, file_cfg",
+        [
+            ("compute", {"level": "abc"}),
+            ("compute", {"delta": "abc"}),
+            ("compute", {"null_point": [0]}),
+            ("screen", {"alpha": "abc"}),
+            ("screen", {"level": "abc"}),
+            ("design", {"alpha": "abc"}),
+            ("design", {"n": "many"}),
+            ("reliability", {"r": "abc"}),
+            ("reliability", {"variance": {"v": 1}}),
+            ("simulate", {"theta1": "abc", "r": 1}),
+            ("simulate", {"theta": "abc"}),
+            ("simulate", {"alpha": 10**400}),
+        ],
+        ids=["compute-level", "compute-delta", "compute-null-point-list", "screen-alpha",
+             "screen-level", "design-alpha", "design-n", "reliability-r",
+             "reliability-variance", "simulate-theta1", "simulate-theta", "simulate-huge-int"],
+    )
+    def test_non_numeric_config_exit_3(self, tmp_path, capsys, command, file_cfg):
+        src = tmp_path / "s.csv"
+        src.write_text("id,estimate,lo,hi,p_value\na,0.5,0.2,0.8,0.01\n")
+        cfg = tmp_path / "run.json"
+        base = {"null_point": 0, "delta": 1, "theta0": 0, "n": 16, "variance": 1,
+                "thetas": "0,1", "r": 1, "replicates": 10}
+        cfg.write_text(json.dumps({**base, **file_cfg}))
+        args = [command, "--config", str(cfg)]
+        if command in ("compute", "screen"):
+            args.insert(1, str(src))
+        code, out, err = run(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("sgpv: configuration error: ")
+
+    def test_null_in_config_means_unset(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alpha": None, "digits": None, "format": None}))
+        code, out, _ = run(
+            capsys, "design", "--theta0", "0", "--delta", "1", "--n", "16",
+            "--variance", "1", "--thetas", "0", "--config", str(cfg),
+        )
+        assert code == 0
+        assert out.startswith("theta,p_alt")
+
+    def test_negative_digits_allowed_for_json(self, tmp_path, capsys):
+        src = tmp_path / "iv.csv"
+        src.write_text("id,lo,hi\na,0,1\n")
+        code, out, _ = run(
+            capsys, "compute", str(src), "--null-point", "0", "--delta", "1",
+            "--digits", "-1", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["rows"][0]["p_delta"] == 1.0
+
+    def test_huge_digits_print_exact_values(self, tmp_path, capsys):
+        src = tmp_path / "iv.csv"
+        src.write_text("id,lo,hi\na,0.1,1e300\nb,5e-324,2\n")
+        outs = []
+        for digits in ("767", "3000000000"):
+            code, out, _ = run(
+                capsys, "compute", str(src), "--null-point", "0", "--delta", "1",
+                "--digits", digits,
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "0.1000000000000000055511151231257827021181583404541015625" in outs[0]
+
+    def test_unwritable_out_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "iv.csv"
+        src.write_text("id,lo,hi\na,0,1\n")
+        code, _, err = run(
+            capsys, "compute", str(src), "--null-point", "0", "--delta", "1",
+            "--out", str(tmp_path / "missing" / "out.csv"),
+        )
+        assert code == 3
+        assert err.startswith("sgpv: configuration error: cannot write ")
+
+
+class TestScreenInputErrors:
+    @pytest.mark.parametrize("p_value", ["0", "nan", "1e400", "1.5", "-0.2"])
+    def test_p_value_off_unit_interval_exit_2(self, tmp_path, capsys, p_value):
+        src = tmp_path / "s.csv"
+        src.write_text(f"id,estimate,lo,hi,p_value\na,0.5,0.2,0.8,0.01\nb,1,0.5,1.5,{p_value}\n")
+        code, out, err = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sgpv: input error: line 3: ")
+
+    def test_underflowing_t_test_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "g.csv"
+        src.write_text("id,n1,mean1,sd1,n2,mean2,sd2\nx,50,1000000,1,50,0,1\n")
+        code, out, err = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sgpv: input error: line 2: ")
+
+    @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "2.5", "abc"])
+    def test_group_size_must_be_whole_exit_2(self, tmp_path, capsys, n):
+        src = tmp_path / "g.csv"
+        src.write_text(f"id,n1,mean1,sd1,n2,mean2,sd2\nx,10,1,1,10,0,1\ny,{n},1,1,10,0,1\n")
+        code, out, err = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sgpv: input error: line 3: ")
+
+    def test_whole_float_group_size_accepted(self, tmp_path, capsys):
+        src = tmp_path / "g.csv"
+        src.write_text("id,n1,mean1,sd1,n2,mean2,sd2\nx,10.0,1,1,1e1,0,1\n")
+        code, out, _ = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "0.2")
+        assert code == 0
+        assert parse_csv(out)[0]["classification"] == "inconclusive"
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "data",
+        [b"id,lo,hi\na,0,\xff\n", b'id,lo,hi\na,0,"' + b"1" * 200_000 + b'"\n',
+         b"lo,hi,id\n0,1\n"],
+        ids=["not-utf8", "field-over-csv-limit", "row-missing-id"],
+    )
+    def test_exit_2(self, tmp_path, capsys, data):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(data)
+        code, out, err = run(capsys, "compute", str(src), "--null-point", "0", "--delta", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("sgpv: input error: ")
+
+    def test_config_not_utf8_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"alpha": "\xff"}')
+        code, _, err = run(
+            capsys, "design", "--theta0", "0", "--delta", "1", "--n", "16",
+            "--variance", "1", "--thetas", "0", "--config", str(cfg),
+        )
+        assert code == 3
+        assert err.startswith("sgpv: configuration error: cannot read config file ")
+
+
+class TestBonferroniDenominator:
+    def test_flagged_row_counts_toward_m_everywhere(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text("id,estimate,lo,hi,p_value\nhit,2,1.5,2.5,0.03\nwide,0,-inf,inf,0.5\n")
+        code, out, _ = run(
+            capsys, "screen", str(src), "--null-point", "0", "--delta", "1",
+            "--crosstab", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rows"][0]["p_bonferroni"] == pytest.approx(0.06)
+        assert payload["summary"]["n_bonferroni_significant"] == 0
+        assert payload["crosstab"]["sgpv_zero_significant"] == 0
+        assert payload["crosstab"]["sgpv_zero_not_significant"] == 1
+
+
+FUZZ_TOKENS = ["", "nan", "inf", "-inf", "0", "-0", "1e400", "-1e400", "2.5", "-1", "abc",
+               "1e-320", "1e-200", "1e200", "1", "3", "0.5", "50", "1e6", " 7 ", '"x,y"']
+FUZZ_HEADERS = [
+    ("compute", "id,lo,hi"),
+    ("compute", "estimate,se"),
+    ("compute", "lo,hi,id"),
+    ("screen", "id,estimate,lo,hi,p_value"),
+    ("screen", "id,lo,hi"),
+    ("screen", "p_value,hi,lo,id"),
+    ("screen", "id,n1,mean1,sd1,n2,mean2,sd2"),
+    ("track", "t,lo,hi"),
+]
+FUZZ_FLAGS = {
+    "compute": [(), ("--log10",), ("--format", "json")],
+    "screen": [(), ("--crosstab",), ("--welch",), ("--log10",), ("--format", "json")],
+    "track": [(), ("--format", "json")],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(FUZZ_HEADERS),
+    st.lists(st.lists(st.sampled_from(FUZZ_TOKENS), min_size=1, max_size=8), max_size=4),
+    st.booleans(),
+    st.data(),
+)
+def test_fuzzed_cells_never_raise(fuzz_dir, header, cells, full_rows, data):
+    """Any cell under a valid header ends in exit 0, 2 or 3, never a traceback."""
+    command, names = header
+    width = names.count(",") + 1
+    if full_rows:
+        cells = [(row * width)[:width] for row in cells]
+    src = fuzz_dir / "input.csv"
+    src.write_text("\n".join([names, *(",".join(row) for row in cells)]) + "\n")
+    flags = data.draw(st.sampled_from(FUZZ_FLAGS[command]))
+    argv = [command, str(src), "--null-point", "0", "--delta", "1", *flags,
+            "--out", str(fuzz_dir / "out.txt")]
+    assert main(argv) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("welch", [False, True])
+@pytest.mark.parametrize(
+    "row",
+    ["1,1e-320,10,0,1e-320", "1,1e-200,10,0,1e-200", "1,1e200,10,0,1", "1e308,1,10,-1e308,1"],
+)
+def test_extreme_group_summaries_exit_2(tmp_path, capsys, row, welch):
+    src = tmp_path / "g.csv"
+    src.write_text(f"id,n1,mean1,sd1,n2,mean2,sd2\nx,10,{row}\n")
+    flags = ["--welch"] if welch else []
+    code, out, err = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "1", *flags)
+    assert code == 2
+    assert err.startswith("sgpv: input error: line 2: ")

@@ -280,6 +280,18 @@ class TestCrossTab:
         with pytest.raises(MissingComparator):
             cross_tab(report, 0.05)
 
+    def test_flagged_rows_count_toward_m(self):
+        rows = [
+            interval_row("hit", 1.5, 2.5, 0.03),
+            StudyRow("wide", 0.0, ExtendedInterval(-math.inf, math.inf), 0.5),
+        ]
+        report = attach_adjustments(batch_sgpv(rows, NullSpec.symmetric(0, 1)), 0.05)
+        tab = cross_tab(report, 0.05)
+        assert report.summary.n_bonferroni_significant == 0
+        assert tab.significant_total == 0
+        assert tab.sgpv_zero_not_significant == 1
+        assert tab.total == 1
+
 
 class TestPointwiseTrack:
     def test_three_regimes(self):
