@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _table
-from .core import NullSpec, second_gen_p
+from .core import NullSpec, _verdicts
 from .design import POWER_CURVE_COLUMNS, DesignConfig, emit_power_curve, outcome_probs
-from .errors import SgpvError, UnboundedEstimate
+from .errors import SgpvError
 from .intervals import ExtendedInterval, z_interval
 from .reliability import (
     RELIABILITY_CURVE_COLUMNS,
@@ -326,15 +326,12 @@ def _cmd_compute(args) -> int:
     level = _resolve_unit(args, file_cfg, "level", 0.95)
 
     header, raw_rows = _read_table(args.input)
-    rows = []
-    for row_id, iv in _parse_compute_rows(header, raw_rows, level, log10_mode):
-        try:
-            res = second_gen_p(iv, null_spec)
-        except UnboundedEstimate:
-            rows.append((row_id, iv.lo, iv.hi, None, None, None, None, "unbounded_estimate"))
-        else:
-            rows.append((row_id, iv.lo, iv.hi, res.p_delta, res.classification,
-                         res.correction_applied, res.delta_gap, ""))
+    parsed = _parse_compute_rows(header, raw_rows, level, log10_mode)
+    verdicts = _verdicts([iv.lo for _, iv in parsed], [iv.hi for _, iv in parsed], null_spec)
+    rows = (
+        (row_id, iv.lo, iv.hi, *verdict, "" if verdict[0] is not None else "unbounded_estimate")
+        for (row_id, iv), verdict in zip(parsed, verdicts)
+    )
     _emit(args, file_cfg, COMPUTE_COLUMNS, rows)
     return EXIT_OK
 

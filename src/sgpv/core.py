@@ -14,9 +14,11 @@ covers the whole real line is rejected with an error pointing at
 ``intervals.truncate``. A one-sided estimate overlapping a finite null
 yields ``0.5 * |I ∩ H0| / |H0|``, the wide-estimate limit.
 
-``p_delta_array`` applies the same rule to arrays of endpoints with the
-same float operations, so it agrees with the scalar rule elementwise; a
-whole-line estimate there gives NaN instead of an error.
+The rule has one implementation, ``p_delta_array``, which returns
+p_delta, the reset flag and the delta-gap for arrays of endpoints and
+gives NaN for a whole-line estimate. ``second_gen_p`` and ``delta_gap``
+are one-row views of it; batches, tracks, the CLI and the simulators
+call it once per batch.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import decimal
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .errors import (
     InvalidScale,
     UnboundedEstimate,
 )
-from .intervals import ExtendedInterval, intersect, length
+from .intervals import ExtendedInterval
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -110,47 +113,26 @@ def classify(p_delta: float) -> Classification:
     return Classification.INCONCLUSIVE
 
 
-def _p_delta(i: ExtendedInterval, h: ExtendedInterval) -> tuple[float, bool]:
-    """Core computation on bare intervals: (p_delta, correction_applied)."""
-    if math.isinf(i.lo) and math.isinf(i.hi):
-        raise UnboundedEstimate(
-            "interval estimate covers the whole real line; truncate() it to "
-            "the plausible effect range first"
-        )
-    overlap = intersect(i, h)
-    if overlap is None:
-        return 0.0, False
-    if h.lo <= i.lo and i.hi <= h.hi:
-        # every data-supported hypothesis is a null hypothesis
-        return 1.0, False
-    overlap_len = length(overlap)
-    len_i = length(i)
-    len_h = length(h)
-    if math.isinf(len_i):
-        if overlap_len == 0.0:
-            return 0.0, False
-        if math.isinf(len_h):
-            # two one-sided intervals: all or nothing
-            return (1.0, False) if math.isinf(overlap_len) else (0.0, False)
-        return 0.5 * overlap_len / len_h, True
-    if len_i > 2.0 * len_h and i.lo <= h.lo and h.hi <= i.hi:
-        # estimate too imprecise to adjudicate, yet every null hypothesis
-        # is supported: strictly inconclusive
-        return 0.5, True
-    return overlap_len / len_i, False
-
-
 def p_delta_array(
-    lo: np.ndarray, hi: np.ndarray, null_lo: float, null_hi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise ``_p_delta`` of estimates [lo, hi] against [null_lo, null_hi].
+    lo: np.ndarray, hi: np.ndarray, h0: NullSpec | ExtendedInterval
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The p_delta rule, elementwise over estimates [lo, hi] against ``h0``.
 
-    Returns (p_delta, correction_applied) arrays. Every convention
-    of the scalar rule holds, with the same float operations; the only
-    difference is that an estimate covering the whole real line gives NaN
-    (uncorrected) where ``_p_delta`` raises. Endpoints are taken to form
+    Returns (p_delta, correction_applied, delta_gap) arrays. Touching
+    endpoints are a zero-length overlap; the 1/2 reset fires only for an
+    estimate both wider than twice the null and covering it; a one-sided
+    estimate against a finite null gives ``0.5 * |I ∩ H0| / |H0|``; two
+    one-sided intervals give all or nothing; an estimate covering the
+    whole real line gives NaN (uncorrected). Endpoints are taken to form
     valid intervals, as ExtendedInterval would require.
+
+    The gap is NaN wherever p_delta != 0 or ``h0`` has no delta unit.
+    The unit is ``NullSpec.delta``; a bare interval has one (half its
+    length) only when that half-length is positive and finite.
     """
+    null = h0.interval if isinstance(h0, NullSpec) else h0
+    delta = h0.delta if isinstance(h0, NullSpec) else 0.5 * (null.hi - null.lo)
+    null_lo, null_hi = null.lo, null.hi
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     len_h = null_hi - null_lo
@@ -158,7 +140,8 @@ def p_delta_array(
         len_i = hi - lo
         overlap_len = np.minimum(hi, null_hi)
         overlap_len -= np.maximum(lo, null_lo)  # negative exactly when disjoint
-        # later assignments win, mirroring the order of the scalar early returns
+        # later assignments win: wide-estimate reset, one-sided forms, then
+        # nesting, disjointness and the whole line override everything
         p = overlap_len / len_i
         corrected = (len_i > 2.0 * len_h) & (lo <= null_lo) & (null_hi <= hi)
         p[corrected] = 0.5
@@ -181,7 +164,43 @@ def p_delta_array(
         p[whole_line] = np.nan
         settled |= whole_line
         corrected[settled] = False
-    return p, corrected
+        # signed distance to the null; 0 for touching endpoints and for an
+        # overlap too small against the estimate for p_delta to resolve
+        gap = np.where(lo >= null_hi, lo - null_hi, np.where(hi <= null_lo, hi - null_lo, 0.0))
+        gap /= delta
+        has_unit = 0.0 < delta < math.inf
+        gap[(p != 0.0) | (not has_unit)] = np.nan
+    return p, corrected, gap
+
+
+_UNBOUNDED = (None, None, None, None)
+
+
+def _verdicts(
+    lo: np.ndarray, hi: np.ndarray, h0: NullSpec | ExtendedInterval
+) -> Iterator[tuple]:
+    """(p_delta, classification, correction_applied, delta_gap) per estimate.
+
+    Plain tuples in SgpvResult field order, made lazily so that a large
+    batch can stream to its output; every field is None for an estimate
+    covering the whole real line.
+    """
+    p, corrected, gap = p_delta_array(lo, hi, h0)
+    return (
+        _UNBOUNDED if math.isnan(p_k) else
+        (p_k, classify(p_k), c_k, None if math.isnan(g_k) else g_k)
+        for p_k, c_k, g_k in zip(p.tolist(), corrected.tolist(), gap.tolist())
+    )
+
+
+def _bounded(verdict: tuple) -> tuple:
+    """``verdict`` itself; a whole-line estimate raises UnboundedEstimate."""
+    if verdict[0] is None:
+        raise UnboundedEstimate(
+            "interval estimate covers the whole real line; truncate() it to "
+            "the plausible effect range first"
+        )
+    return verdict
 
 
 def second_gen_p(
@@ -193,32 +212,18 @@ def second_gen_p(
     pathological one-sided nulls, in which case no delta-gap can be
     reported (there is no delta unit).
     """
-    if isinstance(h0, NullSpec):
-        spec: NullSpec | None = h0
-    elif h0.is_finite and h0.hi > h0.lo:
-        spec = NullSpec.from_interval(h0.lo, h0.hi)
-    else:
-        spec = None
-    null_interval = h0.interval if isinstance(h0, NullSpec) else h0
-    p, corrected = _p_delta(i, null_interval)
-    gap = delta_gap(i, spec) if (p == 0.0 and spec is not None) else None
-    return SgpvResult(p, classify(p), corrected, gap)
+    return SgpvResult(*_bounded(next(_verdicts([i.lo], [i.hi], h0))))
 
 
 def delta_gap(i: ExtendedInterval, h0: NullSpec) -> float | None:
-    """Distance between a non-overlapping estimate and the null, in delta units.
+    """Distance between the estimate and the null, in delta units.
 
-    Positive when the estimate lies above the null interval, negative when
-    below, and None when the intervals properly overlap. A shared endpoint
-    yields a gap of zero.
+    Present exactly when p_delta = 0: positive when the estimate lies
+    above the null interval, negative when below, zero when they only
+    touch or overlap by too little for p_delta to register. None
+    otherwise, including for an estimate covering the whole real line.
     """
-    null = h0.interval
-    overlap = intersect(i, null)
-    if overlap is not None and length(overlap) > 0.0:
-        return None
-    if i.lo >= null.hi:
-        return (i.lo - null.hi) / h0.delta
-    return (i.hi - null.lo) / h0.delta
+    return next(_verdicts([i.lo], [i.hi], h0))[3]
 
 
 def traditional_p(estimate: float, se: float, theta0: float) -> float:

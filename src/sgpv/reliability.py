@@ -100,6 +100,8 @@ def fdr_test(odds: PriorOdds, alpha: float, beta: float) -> float:
 def fnr_test(odds: PriorOdds, alpha: float, beta: float) -> float:
     """False non-discovery rate of a classical test: [1 + (1 - alpha)/(beta r)]^-1."""
     _validate_rates(alpha, beta)
+    if beta * odds.r == 0.0:
+        return 0.0  # the limit as beta * r underflows
     return 1.0 / (1.0 + (1.0 - alpha) / (beta * odds.r))
 
 

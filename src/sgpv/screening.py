@@ -16,14 +16,13 @@ from typing import Sequence
 
 from scipy import stats as _scipy_stats
 
-from .core import Classification, NullSpec, second_gen_p
+from .core import Classification, NullSpec, _bounded, _verdicts
 from .errors import (
     InvalidInterval,
     InvalidProbability,
     InvalidSeries,
     InvalidSummary,
     MissingComparator,
-    UnboundedEstimate,
 )
 from .intervals import ExtendedInterval
 
@@ -168,18 +167,12 @@ def batch_sgpv(rows: Sequence[StudyRow], h0: NullSpec) -> ScreenReport:
     A row whose estimate interval covers the whole real line is flagged
     ("unbounded_estimate") instead of failing the batch.
     """
-    out: list[ScreenRow] = []
-    for row in rows:
-        try:
-            res = second_gen_p(row.interval, h0)
-        except UnboundedEstimate:
-            out.append(
-                ScreenRow(row.id, None, None, None, row.p_value, flags="unbounded_estimate")
-            )
-            continue
-        out.append(
-            ScreenRow(row.id, res.p_delta, res.classification, res.delta_gap, row.p_value)
-        )
+    verdicts = _verdicts([r.interval.lo for r in rows], [r.interval.hi for r in rows], h0)
+    out = [
+        ScreenRow(row.id, p, cls, gap, row.p_value,
+                  flags="" if p is not None else "unbounded_estimate")
+        for row, (p, cls, _, gap) in zip(rows, verdicts)
+    ]
     return ScreenReport(tuple(out), _summarize(out))
 
 
@@ -293,13 +286,10 @@ def pointwise_track(
     if len(series) == 0:
         raise InvalidSeries("series is empty")
     ts = [t for t, _ in series]
-    if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
+    if not all(t2 > t1 for t1, t2 in zip(ts, ts[1:])):  # NaN fails too
         raise InvalidSeries("time points must be strictly increasing")
-    out = []
-    for t, interval in series:
-        res = second_gen_p(interval, h0)
-        out.append(TrackPoint(t, res.p_delta, res.classification))
-    return out
+    verdicts = _verdicts([iv.lo for _, iv in series], [iv.hi for _, iv in series], h0)
+    return [TrackPoint(t, p, cls) for t, (p, cls, _, _) in zip(ts, map(_bounded, verdicts))]
 
 
 def ranked_indices(report: ScreenReport) -> list[int]:

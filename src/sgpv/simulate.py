@@ -9,8 +9,8 @@ accuracy to the tested kernel.
 
 Draws, transforms and classification are vectorised per chunk:
 ``norm_quantile_array`` is bitwise equal to the scalar AS 241 and
-``p_delta_array`` to the scalar p_delta rule, so the counts depend
-neither on the code path nor on ``chunks=``.
+``p_delta_array`` is the package's one p_delta rule, so the counts
+depend neither on the code path nor on ``chunks=``.
 
 Outcome runs consume lane 0 per replicate; reliability runs consume lane
 0 for the truth draw and lane 1 for the variate.
@@ -109,7 +109,7 @@ def _p_deltas(theta_hats: np.ndarray, design: DesignConfig) -> np.ndarray:
     """p_delta of each (1 - alpha) z-interval against the design's null."""
     half = design.z_crit * design.se
     null = design.null_interval  # [theta0, theta0] when delta == 0: point null
-    p, _ = p_delta_array(theta_hats - half, theta_hats + half, null.lo, null.hi)
+    p, _, _ = p_delta_array(theta_hats - half, theta_hats + half, null)
     return p
 
 

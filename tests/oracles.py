@@ -9,12 +9,22 @@ fraction for the Mills ratio in the far tail. The t CDF oracle integrates
 the density with composite Simpson after an arctangent substitution.
 Both are deliberately different algorithms from the production paths
 (erfc rational approximation, AS 241, scipy.stats.t).
+
+The p_delta oracle is the scalar rule on interval objects, ``_p_delta``
+with the intersect-based ``delta_gap``: one branch per convention,
+evaluated through ``intervals.intersect`` and ``length``, against which
+the package's only implementation, the array kernel
+``core.p_delta_array``, is checked bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, getcontext
+
+from sgpv.core import NullSpec
+from sgpv.errors import UnboundedEstimate
+from sgpv.intervals import ExtendedInterval, intersect, length
 
 getcontext().prec = 60
 
@@ -108,3 +118,49 @@ def t_quantile_oracle(p: float, df: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _p_delta(i: ExtendedInterval, h: ExtendedInterval) -> tuple[float, bool]:
+    """Core computation on bare intervals: (p_delta, correction_applied)."""
+    if math.isinf(i.lo) and math.isinf(i.hi):
+        raise UnboundedEstimate(
+            "interval estimate covers the whole real line; truncate() it to "
+            "the plausible effect range first"
+        )
+    overlap = intersect(i, h)
+    if overlap is None:
+        return 0.0, False
+    if h.lo <= i.lo and i.hi <= h.hi:
+        # every data-supported hypothesis is a null hypothesis
+        return 1.0, False
+    overlap_len = length(overlap)
+    len_i = length(i)
+    len_h = length(h)
+    if math.isinf(len_i):
+        if overlap_len == 0.0:
+            return 0.0, False
+        if math.isinf(len_h):
+            # two one-sided intervals: all or nothing
+            return (1.0, False) if math.isinf(overlap_len) else (0.0, False)
+        return 0.5 * overlap_len / len_h, True
+    if len_i > 2.0 * len_h and i.lo <= h.lo and h.hi <= i.hi:
+        # estimate too imprecise to adjudicate, yet every null hypothesis
+        # is supported: strictly inconclusive
+        return 0.5, True
+    return overlap_len / len_i, False
+
+
+def delta_gap(i: ExtendedInterval, h0: NullSpec) -> float | None:
+    """Distance between a non-overlapping estimate and the null, in delta units.
+
+    Positive when the estimate lies above the null interval, negative when
+    below, and None when the intervals properly overlap. A shared endpoint
+    yields a gap of zero.
+    """
+    null = h0.interval
+    overlap = intersect(i, null)
+    if overlap is not None and length(overlap) > 0.0:
+        return None
+    if i.lo >= null.hi:
+        return (i.lo - null.hi) / h0.delta
+    return (i.hi - null.lo) / h0.delta

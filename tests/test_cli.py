@@ -188,6 +188,14 @@ class TestReliability:
         )
         assert code == 3
 
+    def test_fnr_test_limit_when_beta_times_odds_underflows(self, capsys):
+        code, out, _ = run(
+            capsys, "reliability", "--theta0", "0", "--delta", "0.3",
+            "--n", "16", "--variance", "1", "--r", "1e-308", "--thetas", "5",
+        )
+        assert code == 0
+        assert float(parse_csv(out)[0]["fnr_test"]) == 0.0
+
     def test_undefined_fcr_serialized_empty(self, capsys):
         code, out, _ = run(
             capsys, "reliability", "--theta0", "0", "--delta", "0.5",
@@ -295,6 +303,15 @@ class TestTrack:
             capsys, "track", str(src), "--null-point", "0", "--delta", "0.05"
         )
         assert code == 2
+
+    def test_nan_t_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "t.csv"
+        src.write_text("t,lo,hi\n2,-0.1,0.1\nnan,0,0.2\n1,0,0.2\n")
+        code, _, err = run(
+            capsys, "track", str(src), "--null-point", "0", "--delta", "0.05"
+        )
+        assert code == 2
+        assert "strictly increasing" in err
 
     def test_single_point(self, tmp_path, capsys):
         src = tmp_path / "t.csv"

@@ -17,7 +17,7 @@ from sgpv import (
     traditional_p,
     z_interval,
 )
-from sgpv.core import _p_delta
+from oracles import _p_delta
 from sgpv.errors import (
     InvalidInterval,
     InvalidProportion,
@@ -220,6 +220,21 @@ class TestDeltaGap:
     def test_touching_gap_is_zero(self):
         h = NullSpec.from_interval(0.0, 1.0)
         assert delta_gap(ExtendedInterval(1.0, 2.0), h) == 0.0
+
+    @pytest.mark.parametrize("point", [0.0, 0.5, -0.5])
+    def test_point_estimate_in_null_has_no_gap(self, point):
+        h = NullSpec.symmetric(0.0, 0.5)
+        assert delta_gap(ExtendedInterval(point, point), h) is None
+        res = second_gen_p(ExtendedInterval(point, point), h)
+        assert (res.p_delta, res.delta_gap) == (1.0, None)
+
+    def test_underflowing_overlap_has_gap_zero(self):
+        # |I ∩ H0| = 2**-54 against |I| = 1.5e308: p_delta underflows to 0
+        i = ExtendedInterval(math.nextafter(0.5, 0.0), 1.5e308)
+        h = NullSpec.symmetric(0.0, 0.5)
+        res = second_gen_p(i, h)
+        assert (res.p_delta, res.delta_gap) == (0.0, 0.0)
+        assert delta_gap(i, h) == 0.0
 
 
 class TestClassify:

@@ -95,6 +95,10 @@ class TestClassicalRates:
         assert fnr_test(EVEN, 0.05, 1e-12) < 1e-10
         assert fnr_test(EVEN, 0.3, 0.7) == pytest.approx(0.5)  # beta = 1 - alpha
 
+    def test_fnr_test_limit_when_beta_times_odds_underflows(self):
+        assert fnr_test(PriorOdds(1e-308), 0.05, 1e-20) == 0.0
+        assert fnr_test(PriorOdds(1e-300), 0.05, 1e-20) == 1.0 / (1.0 + 0.95 / (1e-20 * 1e-300))
+
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.5), (1.0, 0.5), (0.05, 0.0), (0.05, 1.0)])
     def test_rejects_rates(self, alpha, beta):
         with pytest.raises(InvalidProbability):

@@ -31,6 +31,7 @@ from sgpv.errors import (
     InvalidSeries,
     InvalidSummary,
     MissingComparator,
+    UnboundedEstimate,
 )
 
 SURVIVAL_NULL = NullSpec.symmetric(0.0, 0.05)
@@ -327,6 +328,16 @@ class TestPointwiseTrack:
             pointwise_track(series, SURVIVAL_NULL)
         with pytest.raises(InvalidSeries):
             pointwise_track([], SURVIVAL_NULL)
+
+    def test_whole_line_point_raises(self):
+        series = [(1.0, ExtendedInterval(0, 1)), (2.0, ExtendedInterval(-math.inf, math.inf))]
+        with pytest.raises(UnboundedEstimate, match="truncate"):
+            pointwise_track(series, SURVIVAL_NULL)
+
+    def test_nan_time_point_rejected(self):
+        series = [(t, ExtendedInterval(0, 1)) for t in (2.0, math.nan, 1.0)]
+        with pytest.raises(InvalidSeries):
+            pointwise_track(series, SURVIVAL_NULL)
 
 
 class TestRanking:
