@@ -45,6 +45,7 @@ from .screening import (
     pointwise_track,
     ranked_indices,
     two_sample_ci,
+    two_sample_ci_array,
 )
 from .simulate import SimConfig, simulate_outcomes, simulate_reliability
 
@@ -365,7 +366,8 @@ def _cmd_reliability(args) -> int:
 # ------------------------------------------------------------------ screen
 
 
-def _parse_screen_rows(header, rows, level, welch, log10_mode) -> list[StudyRow]:
+def _parse_screen_rows(header, rows, level, welch, log10_mode) -> tuple[list[StudyRow], bool]:
+    """Study rows, and whether the input form gives every row a raw p-value."""
     cols = {name: i for i, name in enumerate(header)}
     interval_form = {"id", "lo", "hi"} <= set(cols)
     group_form = {"id", "n1", "mean1", "sd1", "n2", "mean2", "sd2"} <= set(cols)
@@ -378,43 +380,98 @@ def _parse_screen_rows(header, rows, level, welch, log10_mode) -> list[StudyRow]
             "--log10 applies to interval inputs; two-group summaries are "
             "analyzed on the scale they are given"
         )
+    if not interval_form:
+        return _parse_group_rows(cols, rows, level, welch), True
+    study_rows = _parse_interval_rows(cols, rows, log10_mode)
+    return study_rows, "p_value" in cols and all(r.p_value is not None for r in study_rows)
+
+
+def _parse_interval_rows(cols, rows, log10_mode) -> list[StudyRow]:
     out = []
     for lineno, fields in rows:
         row_id = _row_id(fields, cols["id"], lineno)
+        lo = _row_float(fields, cols["lo"], "lo", lineno)
+        hi = _row_float(fields, cols["hi"], "hi", lineno)
+        estimate = (
+            _row_float(fields, cols["estimate"], "estimate", lineno)
+            if "estimate" in cols
+            else 0.5 * (lo + hi)
+        )
+        p_value = None
+        if "p_value" in cols and cols["p_value"] < len(fields) and fields[cols["p_value"]] != "":
+            p_value = _row_float(fields, cols["p_value"], "p_value", lineno)
         try:
-            if interval_form:
-                lo = _row_float(fields, cols["lo"], "lo", lineno)
-                hi = _row_float(fields, cols["hi"], "hi", lineno)
-                estimate = (
-                    _row_float(fields, cols["estimate"], "estimate", lineno)
-                    if "estimate" in cols
-                    else 0.5 * (lo + hi)
-                )
-                p_value = None
-                if "p_value" in cols and cols["p_value"] < len(fields) and fields[cols["p_value"]] != "":
-                    p_value = _row_float(fields, cols["p_value"], "p_value", lineno)
-                interval = ExtendedInterval(lo, hi)
-                if log10_mode:
-                    interval = log10_interval(interval)
-                    estimate = math.log10(estimate) if estimate > 0 else estimate
-            else:
-                a = GroupSummary(
-                    _row_count(fields, cols["n1"], "n1", lineno),
-                    _row_float(fields, cols["mean1"], "mean1", lineno),
-                    _row_float(fields, cols["sd1"], "sd1", lineno),
-                )
-                b = GroupSummary(
-                    _row_count(fields, cols["n2"], "n2", lineno),
-                    _row_float(fields, cols["mean2"], "mean2", lineno),
-                    _row_float(fields, cols["sd2"], "sd2", lineno),
-                )
-                estimate, interval, p_value = two_sample_ci(a, b, level, welch)
+            interval = ExtendedInterval(lo, hi)
+            if log10_mode:
+                interval = log10_interval(interval)
+                estimate = math.log10(estimate) if estimate > 0 else estimate
         except SgpvError as exc:
             raise _InputError(f"line {lineno}: {exc}") from exc
-        if p_value is not None and not 0.0 < p_value <= 1.0:
-            raise _InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
+        _check_p_value(p_value, lineno)
         out.append(StudyRow(row_id, estimate, interval, p_value))
     return out
+
+
+def _group_cells(fields, group, lineno: int) -> tuple[int, float, float]:
+    """(n, mean, sd) of one group on one line; ``group`` holds (column, name) pairs."""
+    (n_col, n), (mean_col, mean), (sd_col, sd) = group
+    return (
+        _row_count(fields, n_col, n, lineno),
+        _row_float(fields, mean_col, mean, lineno),
+        _row_float(fields, sd_col, sd, lineno),
+    )
+
+
+def _parse_group_rows(cols, rows, level, welch) -> list[StudyRow]:
+    """One array t-test over every line up to the first unreadable one.
+
+    Lines are checked in order, so the earliest failing line is reported
+    whether its cells or its summaries are at fault; within a line the
+    first group's summary is checked before the second group is read.
+    """
+    first_group, second_group = (
+        [(cols[name + g], name + g) for name in ("n", "mean", "sd")] for g in "12"
+    )
+    parsed, unreadable = [], None
+    for lineno, fields in rows:
+        try:
+            row_id = _row_id(fields, cols["id"], lineno)
+            first = _group_cells(fields, first_group, lineno)
+            try:
+                second = _group_cells(fields, second_group, lineno)
+            except _InputError:
+                GroupSummary(*first)  # its summary is checked before the second group is read
+                raise
+        except _InputError as exc:
+            unreadable = exc
+            break
+        except SgpvError as exc:
+            unreadable = _InputError(f"line {lineno}: {exc}")
+            break
+        parsed.append((lineno, row_id, *first, *second))
+    _, _, *columns = zip(*parsed) if parsed else ((),) * 8
+    estimate, lo, hi, p_value, invalid = two_sample_ci_array(*columns, level, welch)
+    out = []
+    try:
+        for (lineno, row_id, *groups), est, lo_k, hi_k, p_k, bad in zip(
+            parsed, estimate.tolist(), lo.tolist(), hi.tolist(), p_value.tolist(),
+            invalid.tolist(),
+        ):
+            if bad:  # the scalar test raises this row's own message
+                two_sample_ci(GroupSummary(*groups[:3]), GroupSummary(*groups[3:]), level, welch)
+            interval = ExtendedInterval(lo_k, hi_k)
+            _check_p_value(p_k, lineno)
+            out.append(StudyRow(row_id, est, interval, p_k))
+    except SgpvError as exc:
+        raise _InputError(f"line {lineno}: {exc}") from exc
+    if unreadable is not None:
+        raise unreadable
+    return out
+
+
+def _check_p_value(p_value: float | None, lineno: int) -> None:
+    if p_value is not None and not 0.0 < p_value <= 1.0:
+        raise _InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
 
 
 def _cmd_screen(args) -> int:
@@ -427,10 +484,9 @@ def _cmd_screen(args) -> int:
     want_crosstab = bool(_resolve(args, file_cfg, "crosstab", False))
 
     header, raw_rows = _read_table(args.input)
-    study_rows = _parse_screen_rows(header, raw_rows, level, welch, log10_mode)
+    study_rows, have_pvalues = _parse_screen_rows(header, raw_rows, level, welch, log10_mode)
 
     report = batch_sgpv(study_rows, null_spec)
-    have_pvalues = bool(report.rows) and all(r.p_raw is not None for r in report.rows)
     if have_pvalues:
         report = attach_adjustments(report, alpha)
     if want_crosstab and not have_pvalues:

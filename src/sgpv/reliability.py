@@ -94,15 +94,26 @@ def fcr_sgpv(theta1: float, cfg: DesignConfig, odds: PriorOdds) -> float | None:
 def fdr_test(odds: PriorOdds, alpha: float, beta: float) -> float:
     """False discovery rate of a classical test: [1 + r(1 - beta)/alpha]^-1."""
     _validate_rates(alpha, beta)
-    return 1.0 / (1.0 + odds.r * (1.0 - beta) / alpha)
+    return _test_rates(odds, alpha, beta)[0]
 
 
 def fnr_test(odds: PriorOdds, alpha: float, beta: float) -> float:
     """False non-discovery rate of a classical test: [1 + (1 - alpha)/(beta r)]^-1."""
     _validate_rates(alpha, beta)
+    return _test_rates(odds, alpha, beta)[1]
+
+
+def _test_rates(odds: PriorOdds, alpha: float, beta: float) -> tuple[float, float]:
+    """(fdr_test, fnr_test), defined down to beta = 0.
+
+    As beta -> 0, fdr_test -> [1 + r/alpha]^-1, which the formula gives
+    as it stands, and fnr_test -> 0, which is used once beta * r
+    underflows to zero.
+    """
+    fdr = 1.0 / (1.0 + odds.r * (1.0 - beta) / alpha)
     if beta * odds.r == 0.0:
-        return 0.0  # the limit as beta * r underflows
-    return 1.0 / (1.0 + (1.0 - alpha) / (beta * odds.r))
+        return fdr, 0.0
+    return fdr, 1.0 / (1.0 + (1.0 - alpha) / (beta * odds.r))
 
 
 def _validate_rates(alpha: float, beta: float) -> None:
@@ -139,9 +150,7 @@ def emit_reliability_curve(
         raise InvalidSeries("theta1 grid is empty")
     rows = []
     for theta1 in theta1_grid:
-        beta = classical_beta(theta1, cfg)
-        test_fdr = 1.0 / (1.0 + odds.r * (1.0 - beta) / cfg.alpha)
-        test_fnr = 0.0 if beta == 0.0 else fnr_test(odds, cfg.alpha, beta)
+        test_fdr, test_fnr = _test_rates(odds, cfg.alpha, classical_beta(theta1, cfg))
         rows.append(
             ReliabilityPoint(
                 theta1,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
+import numpy as np
 
 from .core import Classification, NullSpec, _bounded, _verdicts
 from .errors import (
@@ -132,33 +132,104 @@ class TrackPoint:
         return None
 
 
+_SE_OVERFLOW = "the standard error of the difference under- or overflows"
+
+
+def two_sample_ci_array(
+    n1, mean1, sd1, n2, mean2, sd2, level: float = 0.95, welch: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two-group t intervals and tests, one row per comparison (group 1 - group 2).
+
+    Returns (estimate, lo, hi, p_value, invalid) arrays: the difference in
+    means, the ``level`` t interval around it and the two-sided t-test
+    p-value, pooled-variance by default or Welch-Satterthwaite with
+    ``welch=True``. ``invalid`` marks the rows ``two_sample_ci`` rejects
+    with InvalidSummary: a group size below 2, an sd that is not positive
+    and finite, or a standard error or df whose arithmetic under- or
+    overflows (where Python floats raise, numpy would return inf or NaN);
+    lo, hi and p_value are NaN there.
+
+    Every value is bitwise what the Python float arithmetic of the scalar
+    formulas gives: squares through ``np.float_power``, which is libm
+    ``pow`` like Python's ``x**2`` (``x*x`` differs in the last bit), and
+    the group sizes, the sizes less one and the pooled df ``n1 + n2 - 2``
+    each rounded once from the exact whole numbers. The t quantile and
+    tail come from ``scipy.special``, imported here and nowhere else, so
+    that no other command pays for loading scipy.
+    """
+    if not 0.0 < level < 1.0:
+        raise InvalidProbability(f"confidence level must be in (0, 1), got {level!r}")
+    from scipy.special import stdtr, stdtrit
+
+    f1, f1m, f2, f2m, pooled_df = _group_counts(n1, n2)
+    sd1 = np.asarray(sd1, dtype=float)
+    sd2 = np.asarray(sd2, dtype=float)
+    invalid = (f1 < 2) | (f2 < 2) | ~((sd1 > 0) & np.isfinite(sd1) & (sd2 > 0) & np.isfinite(sd2))
+    with np.errstate(all="ignore"):
+        estimate = np.asarray(mean1, dtype=float) - np.asarray(mean2, dtype=float)
+        # flag where Python floats raise: ** overflowing from a finite base, / by 0
+        sq1, sq2 = np.float_power(sd1, 2.0), np.float_power(sd2, 2.0)
+        invalid |= np.isinf(sq1) | np.isinf(sq2)
+        if welch:
+            va, vb = sq1 / f1, sq2 / f2
+            total = va + vb
+            se = np.sqrt(total)
+            num = np.float_power(total, 2.0)
+            va2, vb2 = np.float_power(va, 2.0), np.float_power(vb, 2.0)
+            den = va2 / f1m + vb2 / f2m
+            df = num / den
+            invalid |= (np.isinf(num) & np.isfinite(total)) | np.isinf(va2) | np.isinf(vb2)
+            invalid |= den == 0.0
+        else:
+            pooled = (f1m * sq1 + f2m * sq2) / pooled_df
+            se = np.sqrt(pooled * (1.0 / f1 + 1.0 / f2))
+            df = pooled_df
+        invalid |= se == 0.0
+        t_stat = np.abs(estimate) / se
+        t_crit = stdtrit(df, 0.5 * (1.0 + level))
+        p_value = 2.0 * stdtr(df, -t_stat)
+        lo = estimate - t_crit * se
+        hi = estimate + t_crit * se
+    for column in (lo, hi, p_value):
+        column[invalid] = np.nan
+    return estimate, lo, hi, p_value, invalid
+
+
+def _group_counts(n1, n2) -> tuple[np.ndarray, ...]:
+    """float(n1), float(n1 - 1), float(n2), float(n2 - 1), float(n1 + n2 - 2).
+
+    Each is the exact whole-number value rounded once. Float arithmetic is
+    exact while n1 + n2 stays below 2**53; rows that reach it are redone
+    in Python ints from the caller's own entries.
+    """
+    f1 = np.atleast_1d(np.asarray(n1, dtype=float))
+    f2 = np.atleast_1d(np.asarray(n2, dtype=float))
+    f1m, f2m, pooled_df = f1 - 1.0, f2 - 1.0, f1 + f2 - 2.0
+    big = np.isfinite(f1) & np.isfinite(f2) & (np.abs(f1) + np.abs(f2) >= 2.0**53)
+    for k in np.flatnonzero(big).tolist():
+        a, b = int(n1[k]), int(n2[k])
+        f1m[k], f2m[k], pooled_df[k] = float(a - 1), float(b - 1), float(a + b - 2)
+    return f1, f1m, f2, f2m, pooled_df
+
+
 def two_sample_ci(
     a: GroupSummary, b: GroupSummary, level: float = 0.95, welch: bool = False
 ) -> tuple[float, ExtendedInterval, float]:
     """Difference in means (a - b): t interval and two-sided t-test p-value.
 
     Pooled-variance t by default; set ``welch=True`` for the
-    Welch-Satterthwaite variant.
+    Welch-Satterthwaite variant. A one-row view of ``two_sample_ci_array``.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidProbability(f"confidence level must be in (0, 1), got {level!r}")
-    estimate = a.mean - b.mean
     try:
-        if welch:
-            va, vb = a.sd**2 / a.n, b.sd**2 / b.n
-            se = math.sqrt(va + vb)
-            df = (va + vb) ** 2 / (va**2 / (a.n - 1) + vb**2 / (b.n - 1))
-        else:
-            pooled = ((a.n - 1) * a.sd**2 + (b.n - 1) * b.sd**2) / (a.n + b.n - 2)
-            se = math.sqrt(pooled * (1.0 / a.n + 1.0 / b.n))
-            df = float(a.n + b.n - 2)  # scipy rejects ints beyond int64
-        t_stat = abs(estimate) / se
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise InvalidSummary("the standard error of the difference under- or overflows") from exc
-    t_crit = float(_scipy_stats.t.ppf(0.5 * (1.0 + level), df))
-    p_value = float(2.0 * _scipy_stats.t.sf(t_stat, df))
-    interval = ExtendedInterval(estimate - t_crit * se, estimate + t_crit * se)
-    return estimate, interval, p_value
+        estimate, lo, hi, p_value, invalid = two_sample_ci_array(
+            [a.n], [a.mean], [a.sd], [b.n], [b.mean], [b.sd], level, welch
+        )
+    except OverflowError as exc:  # a group size beyond the float range
+        raise InvalidSummary(_SE_OVERFLOW) from exc
+    if invalid[0]:
+        raise InvalidSummary(_SE_OVERFLOW)
+    interval = ExtendedInterval(lo[0], hi[0])
+    return float(estimate[0]), interval, float(p_value[0])
 
 
 def batch_sgpv(rows: Sequence[StudyRow], h0: NullSpec) -> ScreenReport:

@@ -8,13 +8,19 @@ in 60-digit decimal arithmetic, switching to a Lentz-style continued
 fraction for the Mills ratio in the far tail. The t CDF oracle integrates
 the density with composite Simpson after an arctangent substitution.
 Both are deliberately different algorithms from the production paths
-(erfc rational approximation, AS 241, scipy.stats.t).
+(erfc rational approximation, AS 241, scipy.special.stdtr/stdtrit).
 
 The p_delta oracle is the scalar rule on interval objects, ``_p_delta``
 with the intersect-based ``delta_gap``: one branch per convention,
 evaluated through ``intervals.intersect`` and ``length``, against which
 the package's only implementation, the array kernel
 ``core.p_delta_array``, is checked bit for bit.
+
+The two-group t-test oracle is the scalar ``two_sample_ci`` on
+``GroupSummary`` pairs through frozen ``scipy.stats.t`` distributions,
+with Python float arithmetic that raises where it over- or underflows;
+``screening.two_sample_ci_array`` and its one-row view must match it bit
+for bit and reject exactly the rows it rejects.
 """
 
 from __future__ import annotations
@@ -22,9 +28,12 @@ from __future__ import annotations
 import math
 from decimal import Decimal, getcontext
 
+from scipy import stats as _scipy_stats
+
 from sgpv.core import NullSpec
-from sgpv.errors import UnboundedEstimate
+from sgpv.errors import InvalidProbability, InvalidSummary, UnboundedEstimate
 from sgpv.intervals import ExtendedInterval, intersect, length
+from sgpv.screening import GroupSummary
 
 getcontext().prec = 60
 
@@ -164,3 +173,32 @@ def delta_gap(i: ExtendedInterval, h0: NullSpec) -> float | None:
     if i.lo >= null.hi:
         return (i.lo - null.hi) / h0.delta
     return (i.hi - null.lo) / h0.delta
+
+
+def two_sample_ci(
+    a: GroupSummary, b: GroupSummary, level: float = 0.95, welch: bool = False
+) -> tuple[float, ExtendedInterval, float]:
+    """Difference in means (a - b): t interval and two-sided t-test p-value.
+
+    Pooled-variance t by default; set ``welch=True`` for the
+    Welch-Satterthwaite variant.
+    """
+    if not 0.0 < level < 1.0:
+        raise InvalidProbability(f"confidence level must be in (0, 1), got {level!r}")
+    estimate = a.mean - b.mean
+    try:
+        if welch:
+            va, vb = a.sd**2 / a.n, b.sd**2 / b.n
+            se = math.sqrt(va + vb)
+            df = (va + vb) ** 2 / (va**2 / (a.n - 1) + vb**2 / (b.n - 1))
+        else:
+            pooled = ((a.n - 1) * a.sd**2 + (b.n - 1) * b.sd**2) / (a.n + b.n - 2)
+            se = math.sqrt(pooled * (1.0 / a.n + 1.0 / b.n))
+            df = float(a.n + b.n - 2)  # scipy rejects ints beyond int64
+        t_stat = abs(estimate) / se
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InvalidSummary("the standard error of the difference under- or overflows") from exc
+    t_crit = float(_scipy_stats.t.ppf(0.5 * (1.0 + level), df))
+    p_value = float(2.0 * _scipy_stats.t.sf(t_stat, df))
+    interval = ExtendedInterval(estimate - t_crit * se, estimate + t_crit * se)
+    return estimate, interval, p_value
