@@ -6,10 +6,10 @@ absolute error at the 1e-15 level across the deep tails that the design
 formulas evaluate. The quantile is Wichura's algorithm AS 241 (PPND16),
 three rational approximations accurate to full double precision.
 
-``norm_quantile_array`` is the same algorithm over a numpy array: the
-same coefficients, the same Horner order and the same branch cuts, with
-``math.log`` (not ``np.log``, which can differ in the last bit) on the
-tail elements, so it is bitwise equal to ``norm_quantile`` elementwise.
+``norm_cdf_array`` and ``norm_quantile_array`` are bitwise equal to them over
+a numpy column: one ``math.erfc`` pass (``scipy.special.erfc`` is off by an ulp
+on a third of inputs); AS 241's coefficients, Horner order and branch cuts with
+``math.log`` on the tail elements (``np.log`` can be off by an ulp).
 """
 
 from __future__ import annotations
@@ -97,6 +97,11 @@ def _poly(coeffs: tuple[float, ...], x: float) -> float:
 def norm_cdf(x: float) -> float:
     """Standard normal CDF, accurate in both tails."""
     return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def norm_cdf_array(x: np.ndarray) -> np.ndarray:
+    """``norm_cdf`` over a 1-d array, bitwise equal to the scalar kernel."""
+    return 0.5 * np.fromiter(map(math.erfc, (-np.asarray(x, dtype=float) / _SQRT2).tolist()), float)
 
 
 def norm_quantile(p: float) -> float:

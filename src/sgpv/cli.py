@@ -24,15 +24,15 @@ import numpy as np
 
 from . import _table
 from .core import NullSpec, _verdicts
-from .design import POWER_CURVE_COLUMNS, DesignConfig, emit_power_curve, outcome_probs
+from .design import POWER_CURVE_COLUMNS, DesignConfig, outcome_probs, outcome_probs_array
 from .errors import SgpvError
 from .intervals import ExtendedInterval, z_interval
 from .reliability import (
     RELIABILITY_CURVE_COLUMNS,
     PriorOdds,
-    emit_reliability_curve,
     fcr_sgpv,
     fdr_sgpv,
+    reliability_rates_array,
 )
 from .screening import (
     FOLD_CHANGE_NULL,
@@ -81,11 +81,13 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _config_errors():
-    """Report library validation errors as configuration errors."""
+    """Report library validation errors, and requests too big for memory, as configuration errors."""
     try:
         yield
     except SgpvError as exc:
         raise _ConfigError(str(exc)) from exc
+    except MemoryError as exc:
+        raise _ConfigError(f"the request does not fit in memory: {exc}") from exc
 
 
 def _load_config(path: str | None) -> dict:
@@ -182,7 +184,7 @@ def _resolve_design(args, file_cfg) -> DesignConfig:
         return DesignConfig(*values, alpha)
 
 
-def _resolve_grid(args, file_cfg) -> list[float]:
+def _resolve_grid(args, file_cfg) -> np.ndarray:
     grid = _resolve(args, file_cfg, "grid")
     thetas = _resolve(args, file_cfg, "thetas")
     if grid is not None and thetas is not None:
@@ -198,16 +200,21 @@ def _resolve_grid(args, file_cfg) -> list[float]:
             raise _ConfigError(f"malformed grid spec {grid!r}: {exc}") from exc
         if count < 1 or not math.isfinite(lo) or not math.isfinite(hi) or lo > hi:
             raise _ConfigError(f"malformed grid spec {grid!r}")
-        return [float(t) for t in np.linspace(lo, hi, count)]
-    if thetas is not None:
         try:
-            values = [float(t) for t in str(thetas).split(",") if t.strip() != ""]
-        except ValueError as exc:
-            raise _ConfigError(f"malformed theta list {thetas!r}: {exc}") from exc
-        if not values:
-            raise _ConfigError("theta list is empty")
-        return values
-    raise _ConfigError("a grid is required: --grid LO:HI:COUNT or --thetas a,b,c")
+            return np.linspace(lo, hi, count)
+        except (ValueError, IndexError) as exc:  # numpy's answers to counts beyond its index range
+            raise _ConfigError(f"cannot build a grid of {count} points: {exc}") from exc
+    if thetas is None:
+        raise _ConfigError("a grid is required: --grid LO:HI:COUNT or --thetas a,b,c")
+    try:
+        values = [float(t) for t in str(thetas).split(",") if t.strip() != ""]
+    except ValueError as exc:
+        raise _ConfigError(f"malformed theta list {thetas!r}: {exc}") from exc
+    if not values:
+        raise _ConfigError("theta list is empty")
+    if any(map(math.isnan, values)):
+        raise _ConfigError(f"theta list {thetas!r} holds a NaN")
+    return np.array(values)
 
 
 def _read_table(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -344,8 +351,10 @@ def _cmd_design(args) -> int:
     file_cfg = _load_config(args.config)
     cfg = _resolve_design(args, file_cfg)
     with _config_errors():
-        points = emit_power_curve(cfg, _resolve_grid(args, file_cfg))
-    _emit(args, file_cfg, POWER_CURVE_COLUMNS, _table.table_rows(points, POWER_CURVE_COLUMNS))
+        grid = _resolve_grid(args, file_cfg)
+        values = outcome_probs_array(grid, cfg)
+        rows = zip(grid.tolist(), *(column.tolist() for column in values))
+    _emit(args, file_cfg, POWER_CURVE_COLUMNS, rows)
     return EXIT_OK
 
 
@@ -357,9 +366,10 @@ def _cmd_reliability(args) -> int:
         raise _ConfigError("--r (prior odds) is required")
     with _config_errors():
         odds = PriorOdds(r)
-        points = emit_reliability_curve(cfg, odds, _resolve_grid(args, file_cfg))
-    columns = RELIABILITY_CURVE_COLUMNS
-    _emit(args, file_cfg, columns, _table.table_rows(points, columns))
+        grid = _resolve_grid(args, file_cfg)
+        values = reliability_rates_array(grid, cfg, odds)
+        rows = zip(grid.tolist(), *(column.tolist() for column in values))
+    _emit(args, file_cfg, RELIABILITY_CURVE_COLUMNS, rows)
     return EXIT_OK
 
 

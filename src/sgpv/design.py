@@ -18,6 +18,11 @@ exact equality the nesting event has probability zero and the value is 0.
 Note that V is the variance of the *scaled* estimator (the sqrt(n)
 convention), so the standard error of theta_hat is sqrt(V / n), not
 sqrt(V).
+
+The array kernel ``outcome_probs_array`` computes se and z once and each Phi
+term as one erfc pass over the theta column. ``prob_alt``, ``prob_null``,
+``prob_inconclusive`` and ``outcome_probs`` are one-row views of it: about
+90 us a call, so a curve belongs in the kernel or ``emit_power_curve``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import _normal, _table
 # The public names of the normal kernel (Phi and its AS 241 inverse).
@@ -66,6 +73,8 @@ class DesignConfig:
             raise InvalidScale(f"variance must be positive, got {self.variance!r}")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidProbability(f"alpha must be in (0, 1), got {self.alpha!r}")
+        if self.se == 0.0:
+            raise InvalidScale("the standard error sqrt(variance / n) underflows to 0")
 
     @property
     def se(self) -> float:
@@ -89,36 +98,54 @@ class OutcomeProbs:
     p_inconclusive: float
 
     def __post_init__(self) -> None:
-        for name, p in (
-            ("p_alt", self.p_alt),
-            ("p_null", self.p_null),
-            ("p_inconclusive", self.p_inconclusive),
-        ):
+        for name in ("p_alt", "p_null", "p_inconclusive"):
+            p = getattr(self, name)
             if math.isnan(p) or not 0.0 <= p <= 1.0:
                 raise InvalidProportion(f"{name} must lie in [0, 1], got {p!r}")
         total = self.p_alt + self.p_null + self.p_inconclusive
         if abs(total - 1.0) > _PARTITION_TOL:
-            raise InvalidProportion(
-                f"outcome probabilities sum to {total!r}, not 1"
-            )
+            raise InvalidProportion(f"outcome probabilities sum to {total!r}, not 1")
 
 
-def _cdf_diff(upper: float, lower: float) -> float:
-    """Phi(upper) - Phi(lower) without cancellation in the upper tail."""
-    if upper <= lower:
-        return 0.0
-    if upper + lower > 0.0:
-        value = _normal.norm_cdf(-lower) - _normal.norm_cdf(-upper)
-    else:
-        value = _normal.norm_cdf(upper) - _normal.norm_cdf(lower)
-    return max(0.0, value)
+def _cdf_diff(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Phi(upper) - Phi(lower) without upper-tail cancellation; 0 where not positive."""
+    phi, flip = _normal.norm_cdf_array, upper + lower > 0.0
+    value = phi(np.where(flip, -lower, upper)) - phi(np.where(flip, -upper, lower))
+    return np.where((upper > lower) & (value > 0.0), value, 0.0)
 
 
-def _standardized_edges(theta: float, cfg: DesignConfig) -> tuple[float, float]:
-    se = cfg.se
-    a = (cfg.theta0 - cfg.delta - theta) / se
-    b = (cfg.theta0 + cfg.delta - theta) / se
-    return a, b
+def _outcome_columns(theta: np.ndarray, cfg: DesignConfig) -> tuple[np.ndarray, ...]:
+    """(p_alt, p_null, p_inconclusive) over a float array, unchecked."""
+    se, z = cfg.se, cfg.z_crit
+    with np.errstate(all="ignore"):  # 1e308 / se -> inf and inf + -inf -> NaN are handled
+        a = (cfg.theta0 - cfg.delta - theta) / se
+        b = (cfg.theta0 + cfg.delta - theta) / se
+        p_alt = _normal.norm_cdf_array(a - z) + _normal.norm_cdf_array(-b - z)
+        not_alt = _cdf_diff(b + z, a - z)  # 1 - p_alt by tail symmetry
+        if cfg.delta <= z * se:  # nesting is impossible
+            return p_alt, np.zeros_like(p_alt), not_alt
+        p_null = _cdf_diff(b - z, a + z)
+        rest = not_alt - p_null
+        return p_alt, p_null, np.where(rest > 0.0, rest, 0.0)
+
+
+def outcome_probs_array(theta: np.ndarray, cfg: DesignConfig) -> tuple[np.ndarray, ...]:
+    """(p_alt, p_null, p_inconclusive) over an array of true values theta.
+
+    The first point that fails the ``OutcomeProbs`` range or partition
+    check raises that check's InvalidProportion.
+    """
+    columns = _outcome_columns(np.asarray(theta, dtype=float), cfg)
+    bad = np.abs(sum(columns) - 1.0) > _PARTITION_TOL
+    for p in columns:
+        bad |= ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():  # the first failing point raises its own error
+        OutcomeProbs(*(p[bad.argmax()].item() for p in columns))
+    return columns
+
+
+def _one_row(theta: float, cfg: DesignConfig) -> list[float]:
+    return [p.item() for p in _outcome_columns(np.array([theta], dtype=float), cfg)]
 
 
 def prob_alt(theta: float, cfg: DesignConfig) -> float:
@@ -127,9 +154,7 @@ def prob_alt(theta: float, cfg: DesignConfig) -> float:
     Plays the role of power; inside the null interval it is the error
     rate, bounded above by alpha and vanishing with n in the interior.
     """
-    a, b = _standardized_edges(theta, cfg)
-    z = cfg.z_crit
-    return _normal.norm_cdf(a - z) + _normal.norm_cdf(-b - z)
+    return _one_row(theta, cfg)[0]
 
 
 def prob_null(theta: float, cfg: DesignConfig) -> float:
@@ -138,30 +163,17 @@ def prob_null(theta: float, cfg: DesignConfig) -> float:
     Exactly zero when delta <= z * se (including equality), where nesting
     is impossible.
     """
-    z = cfg.z_crit
-    if cfg.delta <= z * cfg.se:
-        return 0.0
-    a, b = _standardized_edges(theta, cfg)
-    return _cdf_diff(b - z, a + z)
+    return _one_row(theta, cfg)[1]
 
 
 def prob_inconclusive(theta: float, cfg: DesignConfig) -> float:
     """P(0 < p_delta < 1 | theta): the interval straddles a null boundary."""
-    a, b = _standardized_edges(theta, cfg)
-    z = cfg.z_crit
-    not_alt = _cdf_diff(b + z, a - z)  # 1 - prob_alt by tail symmetry
-    if cfg.delta <= z * cfg.se:
-        return min(1.0, not_alt)
-    return max(0.0, not_alt - _cdf_diff(b - z, a + z))
+    return _one_row(theta, cfg)[2]
 
 
 def outcome_probs(theta: float, cfg: DesignConfig) -> OutcomeProbs:
     """Bundle the three outcome probabilities; they sum to one."""
-    return OutcomeProbs(
-        prob_alt(theta, cfg),
-        prob_null(theta, cfg),
-        prob_inconclusive(theta, cfg),
-    )
+    return OutcomeProbs(*_one_row(theta, cfg))
 
 
 def required_interval_ratio(alpha: float, power: float) -> float:
@@ -209,13 +221,8 @@ def emit_power_curve(
     """Outcome probabilities over a grid of true hypotheses, in grid order."""
     if len(theta_grid) == 0:
         raise InvalidSeries("theta grid is empty")
-    rows = []
-    for theta in theta_grid:
-        probs = outcome_probs(theta, cfg)
-        rows.append(
-            PowerCurvePoint(theta, probs.p_alt, probs.p_null, probs.p_inconclusive)
-        )
-    return rows
+    columns = (p.tolist() for p in outcome_probs_array(theta_grid, cfg))
+    return list(map(PowerCurvePoint, theta_grid, *columns))
 
 
 def power_curve_csv(rows: Sequence[PowerCurvePoint], digits: int = 6) -> str:

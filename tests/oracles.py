@@ -21,6 +21,14 @@ The two-group t-test oracle is the scalar ``two_sample_ci`` on
 with Python float arithmetic that raises where it over- or underflows;
 ``screening.two_sample_ci_array`` and its one-row view must match it bit
 for bit and reject exactly the rows it rejects.
+
+The closed-form curve oracle is the scalar design and reliability code:
+one Python call per grid point through ``_normal.norm_cdf``, the gate
+``delta <= z * se`` and the Bayes ratios, with ``max``/``min`` clamps
+that turn NaN into 0 or 1. ``design.outcome_probs_array``,
+``reliability.reliability_rates_array`` and their one-row views must
+match it bit for bit, the sign of zero included, and raise the same
+error at the same first point.
 """
 
 from __future__ import annotations
@@ -30,8 +38,20 @@ from decimal import Decimal, getcontext
 
 from scipy import stats as _scipy_stats
 
+from typing import Sequence
+
+from sgpv import _normal
+from sgpv._normal import norm_cdf
 from sgpv.core import NullSpec
-from sgpv.errors import InvalidProbability, InvalidSummary, UnboundedEstimate
+from sgpv.design import DesignConfig, OutcomeProbs, PowerCurvePoint
+from sgpv.errors import (
+    DegenerateDesign,
+    InvalidProbability,
+    InvalidSeries,
+    InvalidSummary,
+    UnboundedEstimate,
+)
+from sgpv.reliability import PriorOdds, ReliabilityPoint
 from sgpv.intervals import ExtendedInterval, intersect, length
 from sgpv.screening import GroupSummary
 
@@ -202,3 +222,158 @@ def two_sample_ci(
     p_value = float(2.0 * _scipy_stats.t.sf(t_stat, df))
     interval = ExtendedInterval(estimate - t_crit * se, estimate + t_crit * se)
     return estimate, interval, p_value
+
+
+def _cdf_diff(upper: float, lower: float) -> float:
+    """Phi(upper) - Phi(lower) without cancellation in the upper tail."""
+    if upper <= lower:
+        return 0.0
+    if upper + lower > 0.0:
+        value = _normal.norm_cdf(-lower) - _normal.norm_cdf(-upper)
+    else:
+        value = _normal.norm_cdf(upper) - _normal.norm_cdf(lower)
+    return max(0.0, value)
+
+
+def _standardized_edges(theta: float, cfg: DesignConfig) -> tuple[float, float]:
+    se = cfg.se
+    a = (cfg.theta0 - cfg.delta - theta) / se
+    b = (cfg.theta0 + cfg.delta - theta) / se
+    return a, b
+
+
+def prob_alt(theta: float, cfg: DesignConfig) -> float:
+    """P(p_delta = 0 | theta): the interval estimate clears the null interval.
+
+    Plays the role of power; inside the null interval it is the error
+    rate, bounded above by alpha and vanishing with n in the interior.
+    """
+    a, b = _standardized_edges(theta, cfg)
+    z = cfg.z_crit
+    return _normal.norm_cdf(a - z) + _normal.norm_cdf(-b - z)
+
+
+def prob_null(theta: float, cfg: DesignConfig) -> float:
+    """P(p_delta = 1 | theta): the interval estimate nests inside the null.
+
+    Exactly zero when delta <= z * se (including equality), where nesting
+    is impossible.
+    """
+    z = cfg.z_crit
+    if cfg.delta <= z * cfg.se:
+        return 0.0
+    a, b = _standardized_edges(theta, cfg)
+    return _cdf_diff(b - z, a + z)
+
+
+def prob_inconclusive(theta: float, cfg: DesignConfig) -> float:
+    """P(0 < p_delta < 1 | theta): the interval straddles a null boundary."""
+    a, b = _standardized_edges(theta, cfg)
+    z = cfg.z_crit
+    not_alt = _cdf_diff(b + z, a - z)  # 1 - prob_alt by tail symmetry
+    if cfg.delta <= z * cfg.se:
+        return min(1.0, not_alt)
+    return max(0.0, not_alt - _cdf_diff(b - z, a + z))
+
+
+def outcome_probs(theta: float, cfg: DesignConfig) -> OutcomeProbs:
+    """Bundle the three outcome probabilities; they sum to one."""
+    return OutcomeProbs(
+        prob_alt(theta, cfg),
+        prob_null(theta, cfg),
+        prob_inconclusive(theta, cfg),
+    )
+
+
+def emit_power_curve(
+    cfg: DesignConfig, theta_grid: Sequence[float]
+) -> list[PowerCurvePoint]:
+    """Outcome probabilities over a grid of true hypotheses, in grid order."""
+    if len(theta_grid) == 0:
+        raise InvalidSeries("theta grid is empty")
+    rows = []
+    for theta in theta_grid:
+        probs = outcome_probs(theta, cfg)
+        rows.append(
+            PowerCurvePoint(theta, probs.p_alt, probs.p_null, probs.p_inconclusive)
+        )
+    return rows
+
+
+def fdr_sgpv(theta1: float, cfg: DesignConfig, odds: PriorOdds) -> float:
+    """False discovery rate of p_delta = 0 against the alternative theta1."""
+    p_alt_null = prob_alt(cfg.theta0, cfg)
+    if p_alt_null <= 0.0:
+        raise DegenerateDesign(
+            "P(p_delta = 0 | theta0) underflowed to zero; the Bayes ratio "
+            "is undefined at this design"
+        )
+    ratio = prob_alt(theta1, cfg) / p_alt_null
+    return 1.0 / (1.0 + ratio * odds.r)
+
+
+def fcr_sgpv(theta1: float, cfg: DesignConfig, odds: PriorOdds) -> float | None:
+    """False confirmation rate of p_delta = 1, or None when undefined.
+
+    None signals that the interval estimate is too wide to ever nest in
+    the null interval, so confirmation events cannot occur.
+    """
+    if cfg.delta <= cfg.z_crit * cfg.se:
+        return None
+    p_null_alt = prob_null(theta1, cfg)
+    if p_null_alt <= 0.0:
+        return 0.0  # limit as the alternative's nesting probability vanishes
+    return 1.0 / (1.0 + (prob_null(cfg.theta0, cfg) / p_null_alt) / odds.r)
+
+
+def _test_rates(odds: PriorOdds, alpha: float, beta: float) -> tuple[float, float]:
+    """(fdr_test, fnr_test), defined down to beta = 0.
+
+    As beta -> 0, fdr_test -> [1 + r/alpha]^-1, which the formula gives
+    as it stands, and fnr_test -> 0, which is used once beta * r
+    underflows to zero.
+    """
+    fdr = 1.0 / (1.0 + odds.r * (1.0 - beta) / alpha)
+    if beta * odds.r == 0.0:
+        return fdr, 0.0
+    return fdr, 1.0 / (1.0 + (1.0 - alpha) / (beta * odds.r))
+
+
+def classical_power(theta1: float, cfg: DesignConfig) -> float:
+    """Two-sided z-test power at theta1 under the same (n, V, alpha)."""
+    shift = (theta1 - cfg.theta0) / cfg.se
+    z = cfg.z_crit
+    return norm_cdf(-z - shift) + norm_cdf(-z + shift)
+
+
+def classical_beta(theta1: float, cfg: DesignConfig) -> float:
+    """Type II rate of the two-sided z-test, evaluated tail-stably."""
+    shift = (theta1 - cfg.theta0) / cfg.se
+    z = cfg.z_crit
+    return _cdf_diff(z - shift, -z - shift)
+
+
+def emit_reliability_curve(
+    cfg: DesignConfig, odds: PriorOdds, theta1_grid: Sequence[float]
+) -> list[ReliabilityPoint]:
+    """Compare sgpv and test error rates over a grid of alternatives.
+
+    The comparator's beta is the classical two-sided Type II rate at each
+    theta1; when it underflows to zero the test limits are used
+    (fnr_test -> 0, fdr_test -> [1 + r/alpha]^-1).
+    """
+    if len(theta1_grid) == 0:
+        raise InvalidSeries("theta1 grid is empty")
+    rows = []
+    for theta1 in theta1_grid:
+        test_fdr, test_fnr = _test_rates(odds, cfg.alpha, classical_beta(theta1, cfg))
+        rows.append(
+            ReliabilityPoint(
+                theta1,
+                fdr_sgpv(theta1, cfg, odds),
+                fcr_sgpv(theta1, cfg, odds),
+                test_fdr,
+                test_fnr,
+            )
+        )
+    return rows

@@ -443,9 +443,24 @@ class TestConfigurationErrors:
              "--r", "1", "--thetas", "0"),
             ("design", "--theta0", "0", "--delta", "1", "--n", "16", "--variance", "1",
              "--thetas", "nan"),
+            ("reliability", "--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1",
+             "--r", "1", "--thetas", "0,nan,1"),
+            # counts whose allocation is refused outright, or beyond numpy's index range
+            ("design", "--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1",
+             "--grid=0:1:1000000000000000"),
+            ("reliability", "--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1",
+             "--r", "1", "--grid=0:1:1000000000000000"),
+            ("design", "--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1",
+             "--grid=0:1:100000000000000000000"),
+            ("design", "--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1",
+             "--grid=0:1:9223372036854775808"),
+            ("design", "--theta0", "0", "--delta", "0.5", "--n", "1e300", "--variance",
+             "5e-324", "--thetas", "0"),
         ],
         ids=["compute-digits-negative", "design-digits-negative", "reliability-degenerate",
-             "design-nan-theta"],
+             "design-nan-theta", "reliability-nan-theta", "design-huge-grid",
+             "reliability-huge-grid", "design-grid-beyond-size", "design-grid-beyond-index",
+             "design-zero-se"],
     )
     def test_exit_3(self, tmp_path, capsys, argv):
         src = tmp_path / "iv.csv"
@@ -454,6 +469,18 @@ class TestConfigurationErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("sgpv: configuration error: ")
+
+    def test_nan_theta_is_one_message(self, capsys):
+        design = ("--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1",
+                  "--thetas", "0,nan,1")
+        errs = {run(capsys, *cmd, *design)[2] for cmd in (("design",), ("reliability", "--r", "1"))}
+        assert errs == {"sgpv: configuration error: theta list '0,nan,1' holds a NaN\n"}
+
+    def test_unallocatable_grid_says_so(self, capsys):
+        code, _, err = run(capsys, "design", "--theta0", "0", "--delta", "0.5", "--n", "16",
+                           "--variance", "1", "--grid=0:1:1000000000000000")
+        assert code == 3
+        assert err.startswith("sgpv: configuration error: the request does not fit in memory: ")
 
     @pytest.mark.parametrize(
         "command, file_cfg",

@@ -4,11 +4,21 @@ Each case runs ``sgpv.cli.main`` on a 2-4 row input and compares stdout
 with the text the command printed when the case was recorded. The cases
 cover CSV and JSON, a quoted id, an unbounded row, one-sided rows, an
 undefined FCR, ``--digits 3``/``17``, the ``screen --crosstab`` CSV block
-and a seeded ``simulate``.
+and a seeded ``simulate``. The design and reliability curves are also
+pinned at the limits theta = +-inf and +-1e308, at delta = 0, and (by
+digest) on a 2001-point grid whose prior odds 1e-300 reach subnormal
+rates; the benchmark's own curve must leave stderr empty.
 """
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgpv
 from sgpv.cli import main
 
 COMPUTE_IV = 'id,lo,hi\n"q,uoted",0.05,1.19\nwhole,-inf,inf\nright,0.5,inf\ngap,2,3\n'
@@ -18,6 +28,8 @@ SCREEN_P = ("id,estimate,lo,hi,p_value\n"
 SCREEN_U = "id,estimate,lo,hi,p_value\nwide,0,-inf,inf,0.5\nhit,0.9,0.6,1.2,0.03\n"
 SCREEN_G = "id,n1,mean1,sd1,n2,mean2,sd2\nx,10,1,1,10,0,1\ny,25,3.2,1.5,20,1.1,1.2\n"
 TRACK = "t,lo,hi\n100,-0.01,0.01\n200,0.02,0.10\n300,0.07,0.20\n"
+BENCH_DESIGN = ("--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1")
+DELTA0_DESIGN = ("--theta0", "0", "--delta", "0", "--alpha", "0.01", "--n", "16", "--variance", "1")
 
 CASES = [
     (
@@ -619,6 +631,114 @@ t,p_delta,classification,grey_level
 }
 """,
     ),
+    (
+        "design-limits-csv",
+        None,
+        ("design", *BENCH_DESIGN, "--thetas=0,inf,1e308,-1e308,0.5,-0.5"),
+        """\
+theta,p_alt,p_null,p_inconclusive
+0,7.49611e-05,0.0319356,0.967989
+inf,1,0,0
+1e+308,1,0,0
+-1e+308,1,0,0
+0.5,0.025,0.00432663,0.970673
+-0.5,0.025,0.00432663,0.970673
+""",
+    ),
+    (
+        "reliability-limits-csv",
+        None,
+        ("reliability", *BENCH_DESIGN, "--r", "1", "--thetas=0,inf,1e308,-1e308,0.5,-0.5"),
+        """\
+theta1,fdr_sgpv,fcr_sgpv,fdr_test,fnr_test
+0,0.5,0.5,0.5,0.5
+inf,7.49554e-05,0,0.047619,0
+1e+308,7.49554e-05,0,0.047619,0
+-1e+308,7.49554e-05,0,0.047619,0
+0.5,0.00298948,0.119315,0.0883384,0.337515
+-0.5,0.00298948,0.119315,0.0883384,0.337515
+""",
+    ),
+    (
+        "reliability-limits-json",
+        None,
+        ("reliability", *BENCH_DESIGN, "--r", "1", "--thetas=0,inf,1e308,-1e308,0.5,-0.5",
+         "--format", "json"),
+        """\
+{
+  "rows": [
+    {
+      "theta1": 0.0,
+      "fdr_sgpv": 0.5,
+      "fcr_sgpv": 0.5,
+      "fdr_test": 0.4999999999999998,
+      "fnr_test": 0.5
+    },
+    {
+      "theta1": Infinity,
+      "fdr_sgpv": 7.495544894553689e-05,
+      "fcr_sgpv": 0.0,
+      "fdr_test": 0.047619047619047616,
+      "fnr_test": 0.0
+    },
+    {
+      "theta1": 1e+308,
+      "fdr_sgpv": 7.495544894553689e-05,
+      "fcr_sgpv": 0.0,
+      "fdr_test": 0.047619047619047616,
+      "fnr_test": 0.0
+    },
+    {
+      "theta1": -1e+308,
+      "fdr_sgpv": 7.495544894553689e-05,
+      "fcr_sgpv": 0.0,
+      "fdr_test": 0.047619047619047616,
+      "fnr_test": 0.0
+    },
+    {
+      "theta1": 0.5,
+      "fdr_sgpv": 0.002989478775761283,
+      "fcr_sgpv": 0.1193151146377928,
+      "fdr_test": 0.08833839947948025,
+      "fnr_test": 0.33751499725933004
+    },
+    {
+      "theta1": -0.5,
+      "fdr_sgpv": 0.002989478775761283,
+      "fcr_sgpv": 0.1193151146377928,
+      "fdr_test": 0.08833839947948025,
+      "fnr_test": 0.33751499725933004
+    }
+  ]
+}
+""",
+    ),
+    (
+        "design-delta0-digits17",
+        None,
+        ("design", *DELTA0_DESIGN, "--thetas=-1,0,0.25,1,inf", "--digits", "17"),
+        """\
+theta,p_alt,p_null,p_inconclusive
+-1,0.9228014673372622,0,0.07719853266273774
+0,0.010000000000000028,0,0.98999999999999999
+0.25,0.057707133279027954,0,0.94229286672097201
+1,0.9228014673372622,0,0.07719853266273774
+inf,1,0,0
+""",
+    ),
+    (
+        "reliability-delta0-csv",
+        None,
+        ("reliability", *DELTA0_DESIGN, "--r", "1", "--thetas=-1,0,0.25,1,inf"),
+        """\
+theta1,fdr_sgpv,fcr_sgpv,fdr_test,fnr_test
+-1,0.0107204,,0.0107204,0.0723376
+0,0.5,,0.5,0.5
+0.25,0.147695,,0.147695,0.487655
+1,0.0107204,,0.0107204,0.0723376
+inf,0.00990099,,0.00990099,0
+""",
+    ),
 ]
 
 
@@ -633,3 +753,41 @@ def test_stdout_is_pinned(tmp_path, capsys, fixture, argv, expected):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == expected
+
+
+# Too long to pin inline: a 2001-point reliability curve at --digits 17 whose
+# prior odds 1e-300 push fcr_sgpv and fnr_test through the subnormal range.
+WIDE_RELIABILITY = (
+    "reliability", "--theta0", "-3", "--delta", "2", "--n", "3", "--variance", "0.5",
+    "--alpha", "0.2", "--r", "1e-300", "--digits", "17", "--grid=-400:400:2001",
+)
+
+
+def test_wide_reliability_digest_is_pinned(capsys):
+    code = main(list(WIDE_RELIABILITY))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    lines = captured.out.splitlines()
+    assert len(captured.out) == 49696
+    assert lines[1000:1003] == [
+        "-0.39999999999997726,1,2.9693408979025317e-303,1,2.2721151321041088e-307",
+        "0,1,9.5373352961595537e-305,1,0",
+        "0.40000000000003411,1,1.2338733561431448e-306,1,0",
+    ]
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == "cfd30a637fdd41bab00ede367ae8c6c49843983d6a83dff185c048ff28d4f8df"
+
+
+@pytest.mark.parametrize("command", [("design",), ("reliability", "--r", "1")])
+def test_benchmark_curve_leaves_stderr_empty(command):
+    # -12:12:50000 reaches |theta| > 10, where the test's beta underflows and
+    # the Bayes ratios divide by tiny or huge values; a fresh interpreter
+    # shows every RuntimeWarning once on stderr.
+    src = Path(sgpv.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgpv.cli", *command, *BENCH_DESIGN, "--grid=-12:12:50000"],
+        capture_output=True, env=env, check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.count(b"\n") == 50001
