@@ -2,9 +2,10 @@
 
 Subcommands: compute, design, reliability, screen, track, simulate.
 Exit codes: 0 on success, 2 for input (data) errors, 3 for configuration
-errors. A JSON config file (--config) supplies defaults; explicit flags
-win. Floats in CSV output use 6 significant digits unless --digits says
-otherwise; JSON output keeps full precision.
+errors. Every option is declared once, in OPTIONS: a flag wins over the
+same key in a JSON config file (--config), which wins over the default.
+Floats in CSV output are rounded to --digits significant digits; JSON
+output keeps full precision.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,72 +91,12 @@ def _config_errors():
         raise _ConfigError(f"the request does not fit in memory: {exc}") from exc
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise _ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise _ConfigError(f"config file {path} must hold a JSON object")
-    return cfg
-
-
-def _resolve(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
-    """The flag if given, else the config file value, else default (null is unset)."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = file_cfg.get(name)
-    return default if value is None else value
-
-
-def _resolve_int(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
-    """_resolve for an integer option; a config file value may be any JSON."""
-    value = _resolve(args, file_cfg, name, default)
-    if value is None or type(value) is int:
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise _ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _resolve_float(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
-    """_resolve for a real-valued option; a config file value may be any JSON."""
-    value = _resolve(args, file_cfg, name, default)
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
-def _resolve_unit(args, file_cfg, name: str, default: float) -> float:
-    """_resolve_float for a level or rate that must lie in (0, 1)."""
-    value = _resolve_float(args, file_cfg, name, default)
-    if not 0.0 < value < 1.0:
-        raise _ConfigError(f"--{name} must be in (0, 1), got {value}")
-    return value
-
-
-def _resolve_null(args, file_cfg, allow_fold_change_default: bool) -> NullSpec:
-    point, delta, lo, hi = (
-        _resolve_float(args, file_cfg, name)
-        for name in ("null_point", "delta", "null_lo", "null_hi")
-    )
+def _resolve_null(resolved: dict, allow_fold_change_default: bool) -> NullSpec:
+    point, delta, lo, hi = (resolved[k] for k in ("null_point", "delta", "null_lo", "null_hi"))
     point_form = point is not None or delta is not None
     range_form = lo is not None or hi is not None
     if point_form and range_form:
-        raise _ConfigError(
-            "give either --null-point/--delta or --null-lo/--null-hi, not both"
-        )
+        raise _ConfigError("give either --null-point/--delta or --null-lo/--null-hi, not both")
     with _config_errors():
         if point_form:
             if point is None or delta is None:
@@ -167,30 +108,25 @@ def _resolve_null(args, file_cfg, allow_fold_change_default: bool) -> NullSpec:
             return NullSpec.from_interval(lo, hi)
     if allow_fold_change_default:
         return FOLD_CHANGE_NULL
-    raise _ConfigError(
-        "an interval null is required: --null-point/--delta or --null-lo/--null-hi"
-    )
+    raise _ConfigError("an interval null is required: --null-point/--delta or --null-lo/--null-hi")
 
 
-def _resolve_design(args, file_cfg) -> DesignConfig:
+def _resolve_design(resolved: dict) -> DesignConfig:
     values = []
     for name in ("theta0", "delta", "n", "variance"):
-        value = _resolve_float(args, file_cfg, name)
-        if value is None:
+        if resolved[name] is None:
             raise _ConfigError(f"--{name} is required")
-        values.append(value)
-    alpha = _resolve_float(args, file_cfg, "alpha", 0.05)
+        values.append(resolved[name])
     with _config_errors():
-        return DesignConfig(*values, alpha)
+        return DesignConfig(*values, resolved["alpha"])
 
 
-def _resolve_grid(args, file_cfg) -> np.ndarray:
-    grid = _resolve(args, file_cfg, "grid")
-    thetas = _resolve(args, file_cfg, "thetas")
+def _resolve_grid(resolved: dict) -> np.ndarray:
+    grid, thetas = resolved["grid"], resolved["thetas"]
     if grid is not None and thetas is not None:
         raise _ConfigError("give either --grid or --thetas, not both")
     if grid is not None:
-        parts = str(grid).split(":")
+        parts = grid.split(":")
         if len(parts) != 3:
             raise _ConfigError(f"grid must look like LO:HI:COUNT, got {grid!r}")
         try:
@@ -206,10 +142,12 @@ def _resolve_grid(args, file_cfg) -> np.ndarray:
             raise _ConfigError(f"cannot build a grid of {count} points: {exc}") from exc
     if thetas is None:
         raise _ConfigError("a grid is required: --grid LO:HI:COUNT or --thetas a,b,c")
-    try:
-        values = [float(t) for t in str(thetas).split(",") if t.strip() != ""]
-    except ValueError as exc:
-        raise _ConfigError(f"malformed theta list {thetas!r}: {exc}") from exc
+    values = thetas  # a config file's JSON array, already numbers
+    if isinstance(thetas, str):
+        try:
+            values = [float(t) for t in thetas.split(",") if t.strip() != ""]
+        except ValueError as exc:
+            raise _ConfigError(f"malformed theta list {thetas!r}: {exc}") from exc
     if not values:
         raise _ConfigError("theta list is empty")
     if any(map(math.isnan, values)):
@@ -277,20 +215,20 @@ def _output(out: str | None):
         yield fh
 
 
-def _emit(args, file_cfg: dict, columns: Sequence[str], rows, **extra) -> bool:
+def _emit(resolved: dict, columns: Sequence[str], rows, **extra) -> bool:
     """Write one table to --out in the resolved --format; True if it went out as CSV.
 
     ``extra`` entries follow the rows in JSON output; CSV holds the rows only.
     """
-    digits = _resolve_int(args, file_cfg, "digits", 6)
-    if _resolve(args, file_cfg, "format", "csv") == "json":
+    if resolved["format"] == "json":
         text = _table.json_text(columns, rows, **extra)
-        with _output(args.out) as fh:
+        with _output(resolved["out"]) as fh:
             fh.write(text)
         return False
+    digits = resolved["digits"]
     if digits < 0:
         raise _ConfigError(f"--digits must be >= 0, got {digits}")
-    with _output(args.out) as fh:
+    with _output(resolved["out"]) as fh:
         _table.write_csv(fh, columns, rows, digits)
     return True
 
@@ -307,9 +245,7 @@ def _parse_compute_rows(
     elif "estimate" in cols and "se" in cols:
         names, make_interval = ("estimate", "se"), functools.partial(z_interval, level=level)
     else:
-        raise _InputError(
-            "input needs either lo,hi or estimate,se columns (id optional)"
-        )
+        raise _InputError("input needs either lo,hi or estimate,se columns (id optional)")
     (a_name, b_name), id_col = names, cols.get("id")
     a_col, b_col = cols[a_name], cols[b_name]
     out = []
@@ -327,50 +263,42 @@ def _parse_compute_rows(
     return out
 
 
-def _cmd_compute(args) -> int:
-    file_cfg = _load_config(args.config)
-    log10_mode = bool(_resolve(args, file_cfg, "log10", False))
-    null_spec = _resolve_null(args, file_cfg, allow_fold_change_default=log10_mode)
-    level = _resolve_unit(args, file_cfg, "level", 0.95)
+def _cmd_compute(resolved: dict) -> None:
+    log10_mode = resolved["log10"]
+    null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
-    header, raw_rows = _read_table(args.input)
-    parsed = _parse_compute_rows(header, raw_rows, level, log10_mode)
+    header, raw_rows = _read_table(resolved["input"])
+    parsed = _parse_compute_rows(header, raw_rows, resolved["level"], log10_mode)
     verdicts = _verdicts([iv.lo for _, iv in parsed], [iv.hi for _, iv in parsed], null_spec)
     rows = (
         (row_id, iv.lo, iv.hi, *verdict, "" if verdict[0] is not None else "unbounded_estimate")
         for (row_id, iv), verdict in zip(parsed, verdicts)
     )
-    _emit(args, file_cfg, COMPUTE_COLUMNS, rows)
-    return EXIT_OK
+    _emit(resolved, COMPUTE_COLUMNS, rows)
 
 
 # ----------------------------------------------------- design, reliability
 
 
-def _cmd_design(args) -> int:
-    file_cfg = _load_config(args.config)
-    cfg = _resolve_design(args, file_cfg)
+def _cmd_design(resolved: dict) -> None:
+    cfg = _resolve_design(resolved)
     with _config_errors():
-        grid = _resolve_grid(args, file_cfg)
+        grid = _resolve_grid(resolved)
         values = outcome_probs_array(grid, cfg)
         rows = zip(grid.tolist(), *(column.tolist() for column in values))
-    _emit(args, file_cfg, POWER_CURVE_COLUMNS, rows)
-    return EXIT_OK
+    _emit(resolved, POWER_CURVE_COLUMNS, rows)
 
 
-def _cmd_reliability(args) -> int:
-    file_cfg = _load_config(args.config)
-    cfg = _resolve_design(args, file_cfg)
-    r = _resolve_float(args, file_cfg, "r")
-    if r is None:
+def _cmd_reliability(resolved: dict) -> None:
+    cfg = _resolve_design(resolved)
+    if resolved["r"] is None:
         raise _ConfigError("--r (prior odds) is required")
     with _config_errors():
-        odds = PriorOdds(r)
-        grid = _resolve_grid(args, file_cfg)
+        odds = PriorOdds(resolved["r"])
+        grid = _resolve_grid(resolved)
         values = reliability_rates_array(grid, cfg, odds)
         rows = zip(grid.tolist(), *(column.tolist() for column in values))
-    _emit(args, file_cfg, RELIABILITY_CURVE_COLUMNS, rows)
-    return EXIT_OK
+    _emit(resolved, RELIABILITY_CURVE_COLUMNS, rows)
 
 
 # ------------------------------------------------------------------ screen
@@ -484,17 +412,14 @@ def _check_p_value(p_value: float | None, lineno: int) -> None:
         raise _InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
 
 
-def _cmd_screen(args) -> int:
-    file_cfg = _load_config(args.config)
-    log10_mode = bool(_resolve(args, file_cfg, "log10", False))
-    null_spec = _resolve_null(args, file_cfg, allow_fold_change_default=log10_mode)
-    alpha = _resolve_unit(args, file_cfg, "alpha", 0.05)
-    level = _resolve_unit(args, file_cfg, "level", 0.95)
-    welch = bool(_resolve(args, file_cfg, "welch", False))
-    want_crosstab = bool(_resolve(args, file_cfg, "crosstab", False))
+def _cmd_screen(resolved: dict) -> None:
+    log10_mode, alpha, want_crosstab = resolved["log10"], resolved["alpha"], resolved["crosstab"]
+    null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
-    header, raw_rows = _read_table(args.input)
-    study_rows, have_pvalues = _parse_screen_rows(header, raw_rows, level, welch, log10_mode)
+    header, raw_rows = _read_table(resolved["input"])
+    study_rows, have_pvalues = _parse_screen_rows(
+        header, raw_rows, resolved["level"], resolved["welch"], log10_mode
+    )
 
     report = batch_sgpv(study_rows, null_spec)
     if have_pvalues:
@@ -514,25 +439,23 @@ def _cmd_screen(args) -> int:
     tab = cross_tab(report, alpha) if want_crosstab else None
     if tab is not None:
         extra["crosstab"] = asdict(tab)
-    if _emit(args, file_cfg, SCREEN_COLUMNS, rows, **extra) and tab is not None:
+    if _emit(resolved, SCREEN_COLUMNS, rows, **extra) and tab is not None:
         block = _table.csv_text(CROSSTAB_COLUMNS, [
             ("bonferroni_significant", tab.sgpv_zero_significant,
              tab.sgpv_positive_significant),
             ("bonferroni_not_significant", tab.sgpv_zero_not_significant,
              tab.sgpv_positive_not_significant),
         ])
-        sys.stdout.write("\n" + block if args.out in (None, "-") else block)
-    return EXIT_OK
+        sys.stdout.write("\n" + block if resolved["out"] in (None, "-") else block)
 
 
 # ------------------------------------------------------------------- track
 
 
-def _cmd_track(args) -> int:
-    file_cfg = _load_config(args.config)
-    null_spec = _resolve_null(args, file_cfg, allow_fold_change_default=False)
+def _cmd_track(resolved: dict) -> None:
+    null_spec = _resolve_null(resolved, allow_fold_change_default=False)
 
-    header, raw_rows = _read_table(args.input)
+    header, raw_rows = _read_table(resolved["input"])
     cols = {name: i for i, name in enumerate(header)}
     if not {"t", "lo", "hi"} <= set(cols):
         raise _InputError("input needs t,lo,hi columns")
@@ -549,29 +472,23 @@ def _cmd_track(args) -> int:
         points = pointwise_track(series, null_spec)
     except SgpvError as exc:
         raise _InputError(str(exc)) from exc
-    _emit(args, file_cfg, TRACK_COLUMNS, _table.table_rows(points, TRACK_COLUMNS))
-    return EXIT_OK
+    _emit(resolved, TRACK_COLUMNS, _table.table_rows(points, TRACK_COLUMNS))
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def _cmd_simulate(args) -> int:
-    file_cfg = _load_config(args.config)
-    design = _resolve_design(args, file_cfg)
-    theta = _resolve_float(args, file_cfg, "theta", design.theta0)
-    replicates = _resolve_int(args, file_cfg, "replicates")
-    if replicates is None:
+def _cmd_simulate(resolved: dict) -> None:
+    design = _resolve_design(resolved)
+    theta = design.theta0 if resolved["theta"] is None else resolved["theta"]
+    if resolved["replicates"] is None:
         raise _ConfigError("--replicates is required")
-    seed = _resolve_int(args, file_cfg, "seed", 0)
-    chunks = _resolve_int(args, file_cfg, "chunks", 1)
-    theta1 = _resolve_float(args, file_cfg, "theta1")
-    r = _resolve_float(args, file_cfg, "r")
+    seed, chunks, theta1, r = (resolved[name] for name in ("seed", "chunks", "theta1", "r"))
     if (theta1 is None) != (r is None):
         raise _ConfigError("--theta1 and --r must be given together")
 
     with _config_errors():
-        sim_cfg = SimConfig(design, theta, replicates, seed)
+        sim_cfg = SimConfig(design, theta, resolved["replicates"], seed)
         result = simulate_outcomes(sim_cfg, chunks=chunks)
         empirical = asdict(result.empirical)
         closed = asdict(outcome_probs(theta, design))
@@ -598,102 +515,151 @@ def _cmd_simulate(args) -> int:
                 "n_discoveries": rel.n_discoveries,
                 "n_confirmations": rel.n_confirmations,
             }
-    with _output(args.out) as fh:
+    with _output(resolved["out"]) as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
 
 
-# ------------------------------------------------------------------ parser
+# ------------------------------------------------------ options and parser
 
 
-def _add_common(parser: _Parser) -> None:
-    parser.add_argument("--config", help="JSON file with default option values")
-    parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--digits", type=int, help="significant digits in CSV output")
+def _number(opt: Option, value) -> float:
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            return float(value)
+    raise _ConfigError(f"{opt.name} must be a number, got {value!r}")
 
 
-def _add_null_flags(parser: _Parser) -> None:
-    parser.add_argument("--null-point", dest="null_point", type=float,
-                        help="center of the interval null")
-    parser.add_argument("--delta", type=float, help="half-width of the interval null")
-    parser.add_argument("--null-lo", dest="null_lo", type=float,
-                        help="lower edge of the interval null")
-    parser.add_argument("--null-hi", dest="null_hi", type=float,
-                        help="upper edge of the interval null")
+def _integer(opt: Option, value) -> int:
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise _ConfigError(f"{opt.name} must be an integer, got {value!r}")
 
 
-def _add_design_flags(parser: _Parser) -> None:
-    parser.add_argument("--theta0", type=float, help="point null")
-    parser.add_argument("--delta", type=float, help="half-width of the interval null")
-    parser.add_argument("--n", type=float, help="sample size")
-    parser.add_argument("--variance", type=float,
-                        help="variance V of sqrt(n)(theta_hat - theta); se = sqrt(V/n)")
-    parser.add_argument("--alpha", type=float, help="interval-estimate miss rate")
+def _unit(opt: Option, value) -> float:
+    """A level or rate, which must lie in (0, 1)."""
+    value = _number(opt, value)
+    if not 0.0 < value < 1.0:
+        raise _ConfigError(f"--{opt.name} must be in (0, 1), got {value}")
+    return value
 
 
-def _add_grid_flags(parser: _Parser) -> None:
-    parser.add_argument("--grid", help="evaluation grid LO:HI:COUNT")
-    parser.add_argument("--thetas", help="explicit comma-separated grid")
+def _boolean(opt: Option, value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise _ConfigError(f"{opt.name} must be true or false, got {value!r}")
+
+
+def _choice(opt: Option, value) -> str:
+    if value in opt.choices:
+        return value
+    raise _ConfigError(f"{opt.name} must be one of {', '.join(opt.choices)}, got {value!r}")
+
+
+def _text(opt: Option, value) -> str:
+    if isinstance(value, str):
+        return value
+    raise _ConfigError(f"{opt.name} must be a string, got {value!r}")
+
+
+def _numbers(opt: Option, value) -> str | list[float]:
+    """A comma-separated string as given, or a number or JSON array of numbers as a list."""
+    if isinstance(value, str):
+        return value
+    return [_number(opt, v) for v in (value if isinstance(value, list) else [value])]
+
+
+class Option(NamedTuple):
+    """One option: config key ``name``, flag ``--name`` with '-' for '_'."""
+
+    name: str
+    kind: Callable  # checks and converts a flag or config value: _number, _integer, ...
+    default: object  # None: unset unless a handler requires it
+    commands: tuple[str, ...]
+    help: str
+    choices: tuple[str, ...] = ()
+
+
+_NULL = ("compute", "screen", "track")
+_DESIGN = ("design", "reliability", "simulate")
+_CURVES = ("design", "reliability")
+_TABLES = ("compute", "design", "reliability", "screen", "track")
+
+OPTIONS = (
+    Option("null_point", _number, None, _NULL, "center of the interval null"),
+    Option("delta", _number, None, _NULL + _DESIGN, "half-width of the interval null"),
+    Option("null_lo", _number, None, _NULL, "lower edge of the interval null"),
+    Option("null_hi", _number, None, _NULL, "upper edge of the interval null"),
+    Option("theta0", _number, None, _DESIGN, "point null"),
+    Option("n", _number, None, _DESIGN, "sample size"),
+    Option("variance", _number, None, _DESIGN, "V in the standard error sqrt(V / n)"),
+    Option("alpha", _unit, 0.05, ("screen",) + _DESIGN, "significance level / interval miss rate"),
+    Option("level", _unit, 0.95, ("compute", "screen"), "confidence level of z and t intervals"),
+    Option("log10", _boolean, False, ("compute", "screen"), "map intervals onto the log10 scale"),
+    Option("welch", _boolean, False, ("screen",), "Welch t instead of pooled variance"),
+    Option("crosstab", _boolean, False, ("screen",), "add the sgpv x Bonferroni cross-tab"),
+    Option("r", _number, None, ("reliability", "simulate"), "prior odds P(H1)/P(H0)"),
+    Option("grid", _text, None, _CURVES, "evaluation grid LO:HI:COUNT"),
+    Option("thetas", _numbers, None, _CURVES, "explicit comma-separated grid"),
+    Option("theta", _number, None, ("simulate",), "data-generating truth (default: theta0)"),
+    Option("replicates", _integer, None, ("simulate",), "number of replicates"),
+    Option("seed", _integer, 0, ("simulate",), "PRNG seed"),
+    Option("chunks", _integer, 1, ("simulate",), "work partitions (result-invariant)"),
+    Option("theta1", _number, None, ("simulate",), "alternative for the reliability check"),
+    Option("out", _text, None, _TABLES + ("simulate",), "output file (default: stdout)"),
+    Option("format", _choice, "csv", _TABLES, "output format", ("csv", "json")),
+    Option("format", _choice, "json", ("simulate",), "output format", ("json",)),
+    Option("digits", _integer, 6, _TABLES, "significant digits in CSV output"),
+)
+# argparse type of the flags of each kind; a boolean flag also takes a --no- form
+_FLAG_TYPES = {_number: float, _unit: float, _integer: int}
+
+
+def _load_config(path: str | None) -> dict:
+    if path is None:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise _ConfigError(f"config file {path} must hold a JSON object")
+    return cfg
+
+
+# name: (handler, help, help of the input CSV argument or None)
+_COMMANDS = {
+    "compute": (_cmd_compute, "per-row second-generation p-values",
+                "CSV with id,lo,hi or id,estimate,se columns ('-' for stdin)"),
+    "design": (_cmd_design, "outcome probability curves over true effects", None),
+    "reliability": (_cmd_reliability, "false discovery / confirmation rate curves", None),
+    "screen": (_cmd_screen, "batch screening with multiplicity comparators",
+               "CSV with id,estimate,lo,hi[,p_value] or two-group summaries"),
+    "track": (_cmd_track, "pointwise classification of an interval series",
+              "CSV with t,lo,hi columns"),
+    "simulate": (_cmd_simulate, "Monte Carlo check of the closed forms (JSON)", None),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sgpv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", parents=[], help="per-row second-generation p-values")
-    p.add_argument("input", help="CSV with id,lo,hi or id,estimate,se columns ('-' for stdin)")
-    _add_null_flags(p)
-    p.add_argument("--level", type=float, help="confidence level for estimate,se rows")
-    p.add_argument("--log10", action=argparse.BooleanOptionalAction,
-                   help="map intervals onto the log10 scale at ingestion")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_compute)
-
-    p = sub.add_parser("design", help="outcome probability curves over true effects")
-    _add_design_flags(p)
-    _add_grid_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_design)
-
-    p = sub.add_parser("reliability", help="false discovery / confirmation rate curves")
-    _add_design_flags(p)
-    p.add_argument("--r", type=float, help="prior odds P(H1)/P(H0)")
-    _add_grid_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_reliability)
-
-    p = sub.add_parser("screen", help="batch screening with multiplicity comparators")
-    p.add_argument("input", help="CSV with id,estimate,lo,hi[,p_value] or two-group summaries")
-    _add_null_flags(p)
-    p.add_argument("--alpha", type=float, help="significance level for comparators")
-    p.add_argument("--level", type=float, help="confidence level for two-group intervals")
-    p.add_argument("--welch", action=argparse.BooleanOptionalAction,
-                   help="Welch t instead of pooled variance")
-    p.add_argument("--log10", action=argparse.BooleanOptionalAction,
-                   help="map intervals onto the log10 scale at ingestion")
-    p.add_argument("--crosstab", action=argparse.BooleanOptionalAction,
-                   help="also emit the sgpv x Bonferroni cross-tabulation")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_screen)
-
-    p = sub.add_parser("track", help="pointwise classification of an interval series")
-    p.add_argument("input", help="CSV with t,lo,hi columns")
-    _add_null_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_track)
-
-    p = sub.add_parser("simulate", help="Monte Carlo check of the closed forms (JSON)")
-    _add_design_flags(p)
-    p.add_argument("--theta", type=float, help="data-generating truth (default: theta0)")
-    p.add_argument("--replicates", type=int, help="number of replicates")
-    p.add_argument("--seed", type=int, help="PRNG seed (default: 0)")
-    p.add_argument("--chunks", type=int, help="work partitions (result-invariant)")
-    p.add_argument("--theta1", type=float, help="alternative for the reliability check")
-    p.add_argument("--r", type=float, help="prior odds for the reliability check")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
+    for command, (handler, help_text, input_help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(handler=handler, input=None)
+        if input_help is not None:
+            p.add_argument("input", help=input_help)
+        for opt in (opt for opt in OPTIONS if command in opt.commands):
+            default = "" if opt.default is None else f" (default: {opt.default})"
+            p.add_argument("--" + opt.name.replace("_", "-"), help=opt.help + default,
+                           type=_FLAG_TYPES.get(opt.kind), choices=opt.choices or None,
+                           action=argparse.BooleanOptionalAction if opt.kind is _boolean else None)
+        p.add_argument("--config", help="JSON file with default option values")
     return parser
 
 
@@ -701,7 +667,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        file_cfg = _load_config(args.config)
+        resolved = {"input": args.input}
+        # flag, else config key (JSON null is unset; unread keys are ignored), else default
+        for opt in (opt for opt in OPTIONS if args.command in opt.commands):
+            value = getattr(args, opt.name)
+            if value is None:
+                value = file_cfg.get(opt.name)
+            resolved[opt.name] = opt.default if value is None else opt.kind(opt, value)
+        args.handler(resolved)
+        return EXIT_OK
     except _ConfigError as exc:
         print(f"sgpv: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
