@@ -13,18 +13,20 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import compress
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _table
-from .core import NullSpec, _verdicts
+from ._normal import norm_quantile
+from .core import CLASSES, Classification, NullSpec, classify_codes, p_delta_array
 from .design import POWER_CURVE_COLUMNS, DesignConfig, outcome_probs, outcome_probs_array
 from .errors import SgpvError
 from .intervals import ExtendedInterval, z_interval
@@ -38,13 +40,12 @@ from .reliability import (
 from .screening import (
     FOLD_CHANGE_NULL,
     GroupSummary,
-    StudyRow,
     attach_adjustments,
-    batch_sgpv,
     cross_tab,
     log10_interval,
-    pointwise_track,
     ranked_indices,
+    screen_intervals,
+    track_arrays,
     two_sample_ci,
     two_sample_ci_array,
 )
@@ -54,12 +55,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
-COMPUTE_COLUMNS = ("id", "lo", "hi", "p_delta", "classification",
-                   "correction_applied", "delta_gap", "flags")
-SCREEN_COLUMNS = ("id", "p_delta", "classification", "delta_gap", "p_raw",
-                  "p_bonferroni", "q_bh", "rank", "flags")
-CROSSTAB_COLUMNS = ("crosstab", "p_delta_zero", "p_delta_positive")
-TRACK_COLUMNS = ("t", "p_delta", "classification", "grey_level")
+# cell labels of the code columns
+CLASS_LABELS = tuple(c and c.value for c in CLASSES)
+INCONCLUSIVE = CLASSES.index(Classification.INCONCLUSIVE)
+FLAG_LABELS = ("", "unbounded_estimate")
 
 
 class _ConfigError(Exception):
@@ -155,8 +154,15 @@ def _resolve_grid(resolved: dict) -> np.ndarray:
     return np.array(values)
 
 
-def _read_table(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header plus (line_number, fields) rows; blank lines are skipped."""
+class _Table(NamedTuple):
+    """The data rows of an input CSV, fields as read, blank rows dropped."""
+
+    cols: dict[str, int]  # column index by stripped, lower-cased header name
+    rows: list[list[str]]
+    lines: list[int]  # the 1-based record number of each row
+
+
+def _read_table(path: str) -> _Table:
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -170,15 +176,89 @@ def _read_table(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
         rows = list(reader)
     except csv.Error as exc:
         raise _InputError(f"line {reader.line_num}: {exc}") from exc
-    numbered = [
-        (lineno, [f.strip() for f in fields])
-        for lineno, fields in enumerate(rows, start=1)
-        if any(f.strip() for f in fields)
-    ]
-    if not numbered:
+    # a row is blank exactly when its joined fields strip to nothing
+    kept = list(map(bool, map(str.strip, map("".join, rows))))
+    lines = list(compress(range(1, len(rows) + 1), kept))
+    if len(lines) < len(rows):
+        rows = list(compress(rows, kept))
+    if not rows:
         raise _InputError(f"{path}: empty input (a header row is required)")
-    header = [h.strip().lower() for h in numbered[0][1]]
-    return header, numbered[1:]
+    cols = {name.strip().lower(): i for i, name in enumerate(rows[0])}
+    return _Table(cols, rows[1:], lines[1:])
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """Index of the first True in ``mask``, else ``default``."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
+
+
+def _cells(rows: list[list[str]], idx: int) -> list[str]:
+    """Stripped cells of column ``idx``; every row must reach it."""
+    return list(map(str.strip, map(itemgetter(idx), rows)))
+
+
+def _floats(cells: list[str]) -> tuple[np.ndarray, int]:
+    """The values of the leading cells that read as floats, and their count."""
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells)), len(cells)
+    except ValueError:
+        values = []
+        for cell in cells:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                break
+        return np.array(values, dtype=float), len(values)
+
+
+def _float_columns(
+    table: _Table, names: Sequence[str], text_names: Sequence[str] = ()
+) -> tuple[list[np.ndarray], int]:
+    """Columns ``names`` as floats over the rows before the first unreadable one.
+
+    A row is unreadable when it is too short for any column in ``names``
+    or ``text_names``, or one of its ``names`` cells is not a number; the
+    count of rows before it is returned.
+    """
+    reach = max(table.cols[name] for name in (*names, *text_names))
+    lengths = np.fromiter(map(len, table.rows), dtype=np.intp, count=len(table.rows))
+    limit = _first(lengths <= reach, len(table.rows))
+    columns = []
+    for name in names:
+        values, limit = _floats(_cells(table.rows[:limit], table.cols[name]))
+        columns.append(values)
+    return [values[:limit] for values in columns], limit
+
+
+def _invalid_intervals(lo: np.ndarray, hi: np.ndarray, log10_mode: bool = False) -> np.ndarray:
+    """Where [lo, hi] is not an ExtendedInterval (NaN, lo > hi or a point at
+    infinity) or, under --log10, has an endpoint that is not positive."""
+    invalid = np.isnan(lo) | np.isnan(hi) | (lo > hi) | ((lo == hi) & np.isinf(lo))
+    return invalid | (lo <= 0.0) if log10_mode else invalid
+
+
+def _check_rows(table: _Table, invalid: np.ndarray, limit: int, check_row: Callable) -> None:
+    """Raise the input error of the first failing row, if any.
+
+    Rows before ``limit`` failed the array checks where ``invalid`` is
+    True; the row at ``limit`` is unreadable. ``check_row(fields,
+    lineno)`` is the per-row parse, which raises that row's own message.
+    """
+    k = _first(invalid, limit)
+    if k == len(table.rows):
+        return
+    lineno = table.lines[k]
+    try:
+        check_row([f.strip() for f in table.rows[k]], lineno)
+    except SgpvError as exc:
+        raise _InputError(f"line {lineno}: {exc}") from exc
+    raise _InputError(f"line {lineno}: unreadable row")  # the checks agree: not reached
+
+
+def _log10(values: np.ndarray) -> np.ndarray:
+    """math.log10 per element, which np.log10 can miss by the last bit."""
+    return np.fromiter(map(math.log10, values.tolist()), dtype=float, count=len(values))
 
 
 def _row_id(fields: list[str], idx: int, lineno: int) -> str:
@@ -215,13 +295,13 @@ def _output(out: str | None):
         yield fh
 
 
-def _emit(resolved: dict, columns: Sequence[str], rows, **extra) -> bool:
+def _emit(resolved: dict, columns: Sequence[_table.Column], **extra) -> bool:
     """Write one table to --out in the resolved --format; True if it went out as CSV.
 
     ``extra`` entries follow the rows in JSON output; CSV holds the rows only.
     """
     if resolved["format"] == "json":
-        text = _table.json_text(columns, rows, **extra)
+        text = _table.json_text(columns, **extra)
         with _output(resolved["out"]) as fh:
             fh.write(text)
         return False
@@ -229,55 +309,88 @@ def _emit(resolved: dict, columns: Sequence[str], rows, **extra) -> bool:
     if digits < 0:
         raise _ConfigError(f"--digits must be >= 0, got {digits}")
     with _output(resolved["out"]) as fh:
-        _table.write_csv(fh, columns, rows, digits)
+        _table.write_csv(fh, columns, digits)
     return True
+
+
+def _verdict_columns(p_delta: np.ndarray, delta_gap: np.ndarray) -> list[_table.Column]:
+    """p_delta and classification, empty on a whole-line estimate, and the delta-gap."""
+    return [
+        _table.floats("p_delta", p_delta, np.isnan(p_delta)),
+        _table.codes("classification", classify_codes(p_delta), CLASS_LABELS),
+        _table.floats("delta_gap", delta_gap, np.isnan(delta_gap)),
+    ]
+
+
+def _flags(p_delta: np.ndarray) -> _table.Column:
+    return _table.codes("flags", np.isnan(p_delta), FLAG_LABELS)
 
 
 # ---------------------------------------------------------------- compute
 
 
-def _parse_compute_rows(
-    header: list[str], rows, level: float, log10_mode: bool
-) -> list[tuple[str, ExtendedInterval]]:
-    cols = {name: i for i, name in enumerate(header)}
+def _compute_intervals(table: _Table, level: float, log10_mode: bool):
+    """ids and interval endpoints of a compute input.
+
+    Every row is checked at once with array masks; the first failing row
+    is parsed again on its own for its error message.
+    """
+    cols = table.cols
     if "lo" in cols and "hi" in cols:
-        names, make_interval = ("lo", "hi"), ExtendedInterval
+        names = ("lo", "hi")
     elif "estimate" in cols and "se" in cols:
-        names, make_interval = ("estimate", "se"), functools.partial(z_interval, level=level)
+        names = ("estimate", "se")
     else:
         raise _InputError("input needs either lo,hi or estimate,se columns (id optional)")
-    (a_name, b_name), id_col = names, cols.get("id")
-    a_col, b_col = cols[a_name], cols[b_name]
-    out = []
-    for lineno, fields in rows:
-        row_id = str(len(out) + 1) if id_col is None else _row_id(fields, id_col, lineno)
-        a = _row_float(fields, a_col, a_name, lineno)
-        b = _row_float(fields, b_col, b_name, lineno)
-        try:
-            interval = make_interval(a, b)
-            if log10_mode:
-                interval = log10_interval(interval)
-        except SgpvError as exc:
-            raise _InputError(f"line {lineno}: {exc}") from exc
-        out.append((row_id, interval))
-    return out
+    id_name = ("id",) if "id" in cols else ()
+
+    def check_row(fields: list[str], lineno: int) -> None:
+        if id_name:
+            _row_id(fields, cols["id"], lineno)
+        a, b = (_row_float(fields, cols[name], name, lineno) for name in names)
+        interval = ExtendedInterval(a, b) if names == ("lo", "hi") else z_interval(a, b, level)
+        if log10_mode:
+            log10_interval(interval)
+
+    (lo, hi), limit = _float_columns(table, names, id_name)
+    invalid = np.zeros(limit, dtype=bool)
+    if names == ("estimate", "se"):
+        invalid = ~(hi > 0.0)  # hi holds se; z_interval's own arithmetic follows
+        with np.errstate(invalid="ignore", over="ignore"):
+            half = norm_quantile(0.5 * (1.0 + level)) * hi
+            lo, hi = lo - half, lo + half
+    invalid |= _invalid_intervals(lo, hi, log10_mode)
+    _check_rows(table, invalid, limit, check_row)
+    if log10_mode:
+        lo, hi = _log10(lo), _log10(hi)
+    ids = _cells(table.rows, cols["id"]) if id_name else list(map(str, range(1, limit + 1)))
+    return ids, lo, hi
 
 
 def _cmd_compute(resolved: dict) -> None:
     log10_mode = resolved["log10"]
     null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
-    header, raw_rows = _read_table(resolved["input"])
-    parsed = _parse_compute_rows(header, raw_rows, resolved["level"], log10_mode)
-    verdicts = _verdicts([iv.lo for _, iv in parsed], [iv.hi for _, iv in parsed], null_spec)
-    rows = (
-        (row_id, iv.lo, iv.hi, *verdict, "" if verdict[0] is not None else "unbounded_estimate")
-        for (row_id, iv), verdict in zip(parsed, verdicts)
-    )
-    _emit(resolved, COMPUTE_COLUMNS, rows)
+    ids, lo, hi = _compute_intervals(_read_table(resolved["input"]), resolved["level"], log10_mode)
+    p_delta, corrected, gap = p_delta_array(lo, hi, null_spec)
+    p_col, class_col, gap_col = _verdict_columns(p_delta, gap)
+    corrected = np.where(np.isnan(p_delta), 2, corrected)  # code 2: an empty cell
+    _emit(resolved, [
+        _table.texts("id", ids), _table.floats("lo", lo), _table.floats("hi", hi),
+        p_col, class_col, _table.codes("correction_applied", corrected, _table.BOOL_LABELS),
+        gap_col, _flags(p_delta),
+    ])
 
 
 # ----------------------------------------------------- design, reliability
+
+
+def _curve_columns(names: Sequence[str], grid: np.ndarray, values) -> list[_table.Column]:
+    """The grid and its curves; an all-None curve (an undefined FCR) is a blank column."""
+    return [
+        _table.blank(name) if column.dtype == object else _table.floats(name, column)
+        for name, column in zip(names, (grid, *values))
+    ]
 
 
 def _cmd_design(resolved: dict) -> None:
@@ -285,8 +398,7 @@ def _cmd_design(resolved: dict) -> None:
     with _config_errors():
         grid = _resolve_grid(resolved)
         values = outcome_probs_array(grid, cfg)
-        rows = zip(grid.tolist(), *(column.tolist() for column in values))
-    _emit(resolved, POWER_CURVE_COLUMNS, rows)
+    _emit(resolved, _curve_columns(POWER_CURVE_COLUMNS, grid, values))
 
 
 def _cmd_reliability(resolved: dict) -> None:
@@ -297,16 +409,15 @@ def _cmd_reliability(resolved: dict) -> None:
         odds = PriorOdds(resolved["r"])
         grid = _resolve_grid(resolved)
         values = reliability_rates_array(grid, cfg, odds)
-        rows = zip(grid.tolist(), *(column.tolist() for column in values))
-    _emit(resolved, RELIABILITY_CURVE_COLUMNS, rows)
+    _emit(resolved, _curve_columns(RELIABILITY_CURVE_COLUMNS, grid, values))
 
 
 # ------------------------------------------------------------------ screen
 
 
-def _parse_screen_rows(header, rows, level, welch, log10_mode) -> tuple[list[StudyRow], bool]:
-    """Study rows, and whether the input form gives every row a raw p-value."""
-    cols = {name: i for i, name in enumerate(header)}
+def _screen_report(table: _Table, null_spec: NullSpec, level, welch, log10_mode):
+    """The screen of an input, and whether its form gives every row a raw p-value."""
+    cols = table.cols
     interval_form = {"id", "lo", "hi"} <= set(cols)
     group_form = {"id", "n1", "mean1", "sd1", "n2", "mean2", "sd2"} <= set(cols)
     if not interval_form and not group_form:
@@ -319,35 +430,64 @@ def _parse_screen_rows(header, rows, level, welch, log10_mode) -> tuple[list[Stu
             "analyzed on the scale they are given"
         )
     if not interval_form:
-        return _parse_group_rows(cols, rows, level, welch), True
-    study_rows = _parse_interval_rows(cols, rows, log10_mode)
-    return study_rows, "p_value" in cols and all(r.p_value is not None for r in study_rows)
+        lo, hi, p_raw = _group_intervals(table, level, welch)
+        has_p_raw = np.ones(len(p_raw), dtype=bool)
+    else:
+        lo, hi, p_raw, has_p_raw = _screen_intervals(table, log10_mode)
+    ids = _cells(table.rows, cols["id"])
+    report = screen_intervals(ids, lo, hi, p_raw, has_p_raw, null_spec)
+    return report, not interval_form or ("p_value" in cols and bool(has_p_raw.all()))
 
 
-def _parse_interval_rows(cols, rows, log10_mode) -> list[StudyRow]:
-    out = []
-    for lineno, fields in rows:
-        row_id = _row_id(fields, cols["id"], lineno)
+def _optional_floats(table: _Table, name: str, limit: int):
+    """Column ``name`` of the first ``limit`` rows, where present and not blank.
+
+    Returns the values (NaN where absent), the presence mask and the count
+    of rows before the first unreadable cell.
+    """
+    idx = table.cols[name]
+    cells = [fields[idx].strip() if idx < len(fields) else "" for fields in table.rows[:limit]]
+    present = np.array(list(map(bool, cells)), dtype=bool)
+    at = np.flatnonzero(present)
+    read, count = _floats(list(compress(cells, present)))
+    limit = limit if count == len(at) else int(at[count])
+    values = np.full(len(cells), np.nan)
+    values[at[:count]] = read
+    return values[:limit], present[:limit], limit
+
+
+def _screen_intervals(table: _Table, log10_mode: bool):
+    """lo, hi, p_raw and its presence mask of an id,[estimate,]lo,hi[,p_value] input."""
+    cols = table.cols
+    has_estimate = "estimate" in cols
+    has_p_column = "p_value" in cols
+
+    def check_row(fields: list[str], lineno: int) -> None:
+        _row_id(fields, cols["id"], lineno)
         lo = _row_float(fields, cols["lo"], "lo", lineno)
         hi = _row_float(fields, cols["hi"], "hi", lineno)
-        estimate = (
+        if has_estimate:
             _row_float(fields, cols["estimate"], "estimate", lineno)
-            if "estimate" in cols
-            else 0.5 * (lo + hi)
-        )
         p_value = None
-        if "p_value" in cols and cols["p_value"] < len(fields) and fields[cols["p_value"]] != "":
+        if has_p_column and cols["p_value"] < len(fields) and fields[cols["p_value"]] != "":
             p_value = _row_float(fields, cols["p_value"], "p_value", lineno)
-        try:
-            interval = ExtendedInterval(lo, hi)
-            if log10_mode:
-                interval = log10_interval(interval)
-                estimate = math.log10(estimate) if estimate > 0 else estimate
-        except SgpvError as exc:
-            raise _InputError(f"line {lineno}: {exc}") from exc
+        interval = ExtendedInterval(lo, hi)
+        if log10_mode:
+            log10_interval(interval)
         _check_p_value(p_value, lineno)
-        out.append(StudyRow(row_id, estimate, interval, p_value))
-    return out
+
+    names = ("lo", "hi", "estimate") if has_estimate else ("lo", "hi")
+    (lo, hi, *_), limit = _float_columns(table, names, ("id",))
+    p_raw, has_p_raw = np.full(limit, np.nan), np.zeros(limit, dtype=bool)
+    if has_p_column:
+        p_raw, has_p_raw, limit = _optional_floats(table, "p_value", limit)
+        lo, hi = lo[:limit], hi[:limit]
+    invalid = _invalid_intervals(lo, hi, log10_mode)
+    invalid |= has_p_raw & ~((p_raw > 0.0) & (p_raw <= 1.0))
+    _check_rows(table, invalid, limit, check_row)
+    if log10_mode:
+        lo, hi = _log10(lo), _log10(hi)
+    return lo, hi, p_raw, has_p_raw
 
 
 def _group_cells(fields, group, lineno: int) -> tuple[int, float, float]:
@@ -360,51 +500,35 @@ def _group_cells(fields, group, lineno: int) -> tuple[int, float, float]:
     )
 
 
-def _parse_group_rows(cols, rows, level, welch) -> list[StudyRow]:
-    """One array t-test over every line up to the first unreadable one.
-
-    Lines are checked in order, so the earliest failing line is reported
-    whether its cells or its summaries are at fault; within a line the
-    first group's summary is checked before the second group is read.
-    """
+def _group_intervals(table: _Table, level: float, welch: bool):
+    """lo, hi and p_raw of a two-group input: one array t-test over every row."""
+    cols = table.cols
     first_group, second_group = (
         [(cols[name + g], name + g) for name in ("n", "mean", "sd")] for g in "12"
     )
-    parsed, unreadable = [], None
-    for lineno, fields in rows:
+
+    def check_row(fields: list[str], lineno: int) -> None:
+        # within a line the first group's summary is checked before the
+        # second group is read
+        _row_id(fields, cols["id"], lineno)
+        first = _group_cells(fields, first_group, lineno)
         try:
-            row_id = _row_id(fields, cols["id"], lineno)
-            first = _group_cells(fields, first_group, lineno)
-            try:
-                second = _group_cells(fields, second_group, lineno)
-            except _InputError:
-                GroupSummary(*first)  # its summary is checked before the second group is read
-                raise
-        except _InputError as exc:
-            unreadable = exc
-            break
-        except SgpvError as exc:
-            unreadable = _InputError(f"line {lineno}: {exc}")
-            break
-        parsed.append((lineno, row_id, *first, *second))
-    _, _, *columns = zip(*parsed) if parsed else ((),) * 8
-    estimate, lo, hi, p_value, invalid = two_sample_ci_array(*columns, level, welch)
-    out = []
-    try:
-        for (lineno, row_id, *groups), est, lo_k, hi_k, p_k, bad in zip(
-            parsed, estimate.tolist(), lo.tolist(), hi.tolist(), p_value.tolist(),
-            invalid.tolist(),
-        ):
-            if bad:  # the scalar test raises this row's own message
-                two_sample_ci(GroupSummary(*groups[:3]), GroupSummary(*groups[3:]), level, welch)
-            interval = ExtendedInterval(lo_k, hi_k)
-            _check_p_value(p_k, lineno)
-            out.append(StudyRow(row_id, est, interval, p_k))
-    except SgpvError as exc:
-        raise _InputError(f"line {lineno}: {exc}") from exc
-    if unreadable is not None:
-        raise unreadable
-    return out
+            second = _group_cells(fields, second_group, lineno)
+        except _InputError:
+            GroupSummary(*first)
+            raise
+        _, _, p_value = two_sample_ci(GroupSummary(*first), GroupSummary(*second), level, welch)
+        _check_p_value(p_value, lineno)
+
+    names = ("n1", "mean1", "sd1", "n2", "mean2", "sd2")
+    columns, limit = _float_columns(table, names, ("id",))
+    n1, n2 = columns[0], columns[3]
+    whole = np.isfinite(n1) & (n1 == np.floor(n1)) & np.isfinite(n2) & (n2 == np.floor(n2))
+    limit = _first(~whole, limit)  # a count that is not whole makes the row unreadable
+    _, lo, hi, p_raw, invalid = two_sample_ci_array(*(c[:limit] for c in columns), level, welch)
+    invalid |= _invalid_intervals(lo, hi) | ~((p_raw > 0.0) & (p_raw <= 1.0))
+    _check_rows(table, invalid, limit, check_row)
+    return lo, hi, p_raw
 
 
 def _check_p_value(p_value: float | None, lineno: int) -> None:
@@ -416,35 +540,38 @@ def _cmd_screen(resolved: dict) -> None:
     log10_mode, alpha, want_crosstab = resolved["log10"], resolved["alpha"], resolved["crosstab"]
     null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
-    header, raw_rows = _read_table(resolved["input"])
-    study_rows, have_pvalues = _parse_screen_rows(
-        header, raw_rows, resolved["level"], resolved["welch"], log10_mode
+    report, have_pvalues = _screen_report(
+        _read_table(resolved["input"]), null_spec, resolved["level"], resolved["welch"],
+        log10_mode,
     )
-
-    report = batch_sgpv(study_rows, null_spec)
     if have_pvalues:
         report = attach_adjustments(report, alpha)
     if want_crosstab and not have_pvalues:
         raise _ConfigError("--crosstab needs a p_value column (or two-group input)")
 
-    ranks: list[int | None] = [None] * len(report.rows)
-    for pos, idx in enumerate(ranked_indices(report), start=1):
-        ranks[idx] = pos
-    rows = [
-        (r.id, r.p_delta, r.classification, r.delta_gap, r.p_raw, r.p_bonferroni,
-         r.q_bh, rank, r.flags)
-        for r, rank in zip(report.rows, ranks)
+    rank = np.zeros(len(report.ids), dtype=np.int64)  # 0: not ranked
+    order = ranked_indices(report)
+    rank[order] = np.arange(1, len(order) + 1)
+    p_col, class_col, gap_col = _verdict_columns(report.p_delta, report.delta_gap)
+    adjusted = [
+        _table.blank(name) if column is None else _table.floats(name, column)
+        for name, column in (("p_bonferroni", report.p_bonferroni), ("q_bh", report.q_bh))
+    ]
+    columns = [
+        _table.texts("id", report.ids), p_col, class_col, gap_col,
+        _table.floats("p_raw", report.p_raw, ~report.has_p_raw), *adjusted,
+        _table.ints("rank", rank, rank == 0), _flags(report.p_delta),
     ]
     extra = {"summary": asdict(report.summary)}
     tab = cross_tab(report, alpha) if want_crosstab else None
     if tab is not None:
         extra["crosstab"] = asdict(tab)
-    if _emit(resolved, SCREEN_COLUMNS, rows, **extra) and tab is not None:
-        block = _table.csv_text(CROSSTAB_COLUMNS, [
-            ("bonferroni_significant", tab.sgpv_zero_significant,
-             tab.sgpv_positive_significant),
-            ("bonferroni_not_significant", tab.sgpv_zero_not_significant,
-             tab.sgpv_positive_not_significant),
+    if _emit(resolved, columns, **extra) and tab is not None:
+        block = _table.csv_text([
+            _table.texts("crosstab", ["bonferroni_significant", "bonferroni_not_significant"]),
+            _table.ints("p_delta_zero", [tab.sgpv_zero_significant, tab.sgpv_zero_not_significant]),
+            _table.ints("p_delta_positive",
+                        [tab.sgpv_positive_significant, tab.sgpv_positive_not_significant]),
         ])
         sys.stdout.write("\n" + block if resolved["out"] in (None, "-") else block)
 
@@ -455,24 +582,29 @@ def _cmd_screen(resolved: dict) -> None:
 def _cmd_track(resolved: dict) -> None:
     null_spec = _resolve_null(resolved, allow_fold_change_default=False)
 
-    header, raw_rows = _read_table(resolved["input"])
-    cols = {name: i for i, name in enumerate(header)}
+    table = _read_table(resolved["input"])
+    cols = table.cols
     if not {"t", "lo", "hi"} <= set(cols):
         raise _InputError("input needs t,lo,hi columns")
-    series = []
-    for lineno, fields in raw_rows:
-        t = _row_float(fields, cols["t"], "t", lineno)
+
+    def check_row(fields: list[str], lineno: int) -> None:
+        _row_float(fields, cols["t"], "t", lineno)
         lo = _row_float(fields, cols["lo"], "lo", lineno)
         hi = _row_float(fields, cols["hi"], "hi", lineno)
-        try:
-            series.append((t, ExtendedInterval(lo, hi)))
-        except SgpvError as exc:
-            raise _InputError(f"line {lineno}: {exc}") from exc
+        ExtendedInterval(lo, hi)
+
+    (t, lo, hi), limit = _float_columns(table, ("t", "lo", "hi"))
+    _check_rows(table, _invalid_intervals(lo, hi), limit, check_row)
+    del table
     try:
-        points = pointwise_track(series, null_spec)
+        p_delta, code = track_arrays(t, lo, hi, null_spec)
     except SgpvError as exc:
         raise _InputError(str(exc)) from exc
-    _emit(resolved, TRACK_COLUMNS, _table.table_rows(points, TRACK_COLUMNS))
+    _emit(resolved, [
+        _table.floats("t", t), _table.floats("p_delta", p_delta),
+        _table.codes("classification", code, CLASS_LABELS),
+        _table.floats("grey_level", p_delta, code != INCONCLUSIVE),
+    ])
 
 
 # ---------------------------------------------------------------- simulate

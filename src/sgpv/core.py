@@ -27,7 +27,6 @@ import decimal
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -113,6 +112,23 @@ def classify(p_delta: float) -> Classification:
     return Classification.INCONCLUSIVE
 
 
+#: The verdict of each code ``classify_codes`` returns; code 3 (None) marks
+#: an estimate covering the whole real line.
+CLASSES = (*Classification, None)
+
+
+def classify_codes(p_delta: np.ndarray) -> np.ndarray:
+    """``classify`` over an array of p_delta values, as indices into CLASSES.
+
+    NaN, the value ``p_delta_array`` gives a whole-line estimate, is code 3.
+    """
+    code = np.full(np.shape(p_delta), 2, dtype=np.intp)
+    code[p_delta == 0.0] = 0
+    code[p_delta == 1.0] = 1
+    code[np.isnan(p_delta)] = 3
+    return code
+
+
 def p_delta_array(
     lo: np.ndarray, hi: np.ndarray, h0: NullSpec | ExtendedInterval
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,34 +189,18 @@ def p_delta_array(
     return p, corrected, gap
 
 
-_UNBOUNDED = (None, None, None, None)
-
-
-def _verdicts(
-    lo: np.ndarray, hi: np.ndarray, h0: NullSpec | ExtendedInterval
-) -> Iterator[tuple]:
-    """(p_delta, classification, correction_applied, delta_gap) per estimate.
-
-    Plain tuples in SgpvResult field order, made lazily so that a large
-    batch can stream to its output; every field is None for an estimate
-    covering the whole real line.
-    """
-    p, corrected, gap = p_delta_array(lo, hi, h0)
-    return (
-        _UNBOUNDED if math.isnan(p_k) else
-        (p_k, classify(p_k), c_k, None if math.isnan(g_k) else g_k)
-        for p_k, c_k, g_k in zip(p.tolist(), corrected.tolist(), gap.tolist())
-    )
-
-
-def _bounded(verdict: tuple) -> tuple:
-    """``verdict`` itself; a whole-line estimate raises UnboundedEstimate."""
-    if verdict[0] is None:
+def _check_bounded(p_delta: np.ndarray) -> None:
+    """Raise UnboundedEstimate if any estimate covered the whole real line."""
+    if np.isnan(p_delta).any():
         raise UnboundedEstimate(
             "interval estimate covers the whole real line; truncate() it to "
             "the plausible effect range first"
         )
-    return verdict
+
+
+def _gap_or_none(gap: np.ndarray) -> float | None:
+    value = gap.item()
+    return None if math.isnan(value) else value
 
 
 def second_gen_p(
@@ -212,7 +212,9 @@ def second_gen_p(
     pathological one-sided nulls, in which case no delta-gap can be
     reported (there is no delta unit).
     """
-    return SgpvResult(*_bounded(next(_verdicts([i.lo], [i.hi], h0))))
+    p, corrected, gap = p_delta_array([i.lo], [i.hi], h0)
+    _check_bounded(p)
+    return SgpvResult(p.item(), classify(p.item()), corrected.item(), _gap_or_none(gap))
 
 
 def delta_gap(i: ExtendedInterval, h0: NullSpec) -> float | None:
@@ -223,7 +225,7 @@ def delta_gap(i: ExtendedInterval, h0: NullSpec) -> float | None:
     touch or overlap by too little for p_delta to register. None
     otherwise, including for an estimate covering the whole real line.
     """
-    return next(_verdicts([i.lo], [i.hi], h0))[3]
+    return _gap_or_none(p_delta_array([i.lo], [i.hi], h0)[2])
 
 
 def traditional_p(estimate: float, se: float, theta0: float) -> float:

@@ -227,6 +227,6 @@ def emit_power_curve(
 
 def power_curve_csv(rows: Sequence[PowerCurvePoint], digits: int = 6) -> str:
     """Serialize a power curve as CSV (header theta,p_alt,p_null,p_inconclusive)."""
-    return _table.csv_text(
-        POWER_CURVE_COLUMNS, _table.table_rows(rows, POWER_CURVE_COLUMNS), digits
-    )
+    columns = [_table.floats(name, [getattr(r, name) for r in rows])
+               for name in POWER_CURVE_COLUMNS]
+    return _table.csv_text(columns, digits)

@@ -174,6 +174,6 @@ def emit_reliability_curve(
 
 def reliability_curve_csv(rows: Sequence[ReliabilityPoint], digits: int = 6) -> str:
     """Serialize a reliability curve as CSV; an undefined FCR is an empty field."""
-    return _table.csv_text(
-        RELIABILITY_CURVE_COLUMNS, _table.table_rows(rows, RELIABILITY_CURVE_COLUMNS), digits
-    )
+    columns = [_table.optional_floats(name, [getattr(r, name) for r in rows])
+               for name in RELIABILITY_CURVE_COLUMNS]
+    return _table.csv_text(columns, digits)

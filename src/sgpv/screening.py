@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import Classification, NullSpec, _bounded, _verdicts
+from .core import CLASSES, Classification, NullSpec, _check_bounded, classify_codes, p_delta_array
 from .errors import (
     InvalidInterval,
     InvalidProbability,
@@ -83,10 +84,49 @@ class ScreenSummary:
     n_raw_significant: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScreenReport:
-    rows: tuple[ScreenRow, ...]
+    """A screen kept as columns, one entry per row in input order.
+
+    p_delta is NaN on a flagged row (an estimate covering the whole real
+    line) and delta_gap NaN wherever no gap is defined; p_raw is read only
+    where has_p_raw is True. p_bonferroni and q_bh are None until
+    ``attach_adjustments`` runs. ``rows`` materialises ScreenRow views.
+    """
+
+    ids: Sequence[str]
+    p_delta: np.ndarray
+    delta_gap: np.ndarray
+    p_raw: np.ndarray
+    has_p_raw: np.ndarray
     summary: ScreenSummary
+    p_bonferroni: np.ndarray | None = None
+    q_bh: np.ndarray | None = None
+
+    @property
+    def flagged(self) -> np.ndarray:
+        return np.isnan(self.p_delta)
+
+    @cached_property
+    def rows(self) -> tuple[ScreenRow, ...]:
+        flagged = self.flagged
+        n = len(self.ids)
+        return tuple(map(
+            ScreenRow,
+            self.ids,
+            _present(self.p_delta, ~flagged),
+            map(CLASSES.__getitem__, classify_codes(self.p_delta).tolist()),
+            _present(self.delta_gap, ~np.isnan(self.delta_gap)),
+            _present(self.p_raw, self.has_p_raw),
+            [None] * n if self.p_bonferroni is None else self.p_bonferroni.tolist(),
+            [None] * n if self.q_bh is None else self.q_bh.tolist(),
+            ["unbounded_estimate" if f else "" for f in flagged.tolist()],
+        ))
+
+
+def _present(values: np.ndarray, present: np.ndarray) -> list:
+    """``values`` as Python floats, None where ``present`` is False."""
+    return [v if ok else None for v, ok in zip(values.tolist(), present.tolist())]
 
 
 @dataclass(frozen=True)
@@ -236,37 +276,54 @@ def batch_sgpv(rows: Sequence[StudyRow], h0: NullSpec) -> ScreenReport:
     """Second-generation p-values for every row, preserving input order.
 
     A row whose estimate interval covers the whole real line is flagged
-    ("unbounded_estimate") instead of failing the batch.
+    ("unbounded_estimate") instead of failing the batch. A view over
+    ``screen_intervals``.
     """
-    verdicts = _verdicts([r.interval.lo for r in rows], [r.interval.hi for r in rows], h0)
-    out = [
-        ScreenRow(row.id, p, cls, gap, row.p_value,
-                  flags="" if p is not None else "unbounded_estimate")
-        for row, (p, cls, _, gap) in zip(rows, verdicts)
-    ]
-    return ScreenReport(tuple(out), _summarize(out))
+    p_raw = [r.p_value for r in rows]
+    return screen_intervals(
+        [r.id for r in rows],
+        [r.interval.lo for r in rows],
+        [r.interval.hi for r in rows],
+        [math.nan if p is None else p for p in p_raw],
+        [p is not None for p in p_raw],
+        h0,
+    )
+
+
+def screen_intervals(ids, lo, hi, p_raw, has_p_raw, h0: NullSpec) -> ScreenReport:
+    """``batch_sgpv`` over columns: ids, interval endpoints and raw p-values.
+
+    ``p_raw`` is read only where ``has_p_raw`` is True. Endpoints are taken
+    to form valid intervals, as ExtendedInterval would require.
+    """
+    p_delta, _, gap = p_delta_array(lo, hi, h0)
+    p_raw = np.asarray(p_raw, dtype=float).reshape(p_delta.shape)
+    has_p_raw = np.asarray(has_p_raw, dtype=bool).reshape(p_delta.shape)
+    summary = _summarize(p_delta, p_raw, has_p_raw)
+    return ScreenReport(ids, p_delta, gap, p_raw, has_p_raw, summary)
+
+
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))  # a plain int, as JSON output expects
 
 
 def _summarize(
-    rows: Sequence[ScreenRow], alpha: float | None = None
+    p_delta: np.ndarray,
+    p_raw: np.ndarray,
+    has_p_raw: np.ndarray,
+    q_bh: np.ndarray | None = None,
+    alpha: float | None = None,
 ) -> ScreenSummary:
-    n_alt = sum(1 for r in rows if r.classification is Classification.ALTERNATIVE_COMPATIBLE)
-    n_null = sum(1 for r in rows if r.classification is Classification.NULL_COMPATIBLE)
-    n_inc = sum(1 for r in rows if r.classification is Classification.INCONCLUSIVE)
-    n_flagged = sum(1 for r in rows if r.flags)
-    summary = ScreenSummary(len(rows), n_alt, n_null, n_inc, n_flagged)
+    per_code = np.bincount(classify_codes(p_delta), minlength=len(CLASSES)).tolist()
+    summary = ScreenSummary(len(p_delta), *per_code)  # alternative, null, inconclusive, flagged
     if alpha is None:
         return summary
-    m = len(rows)
+    m = max(len(p_delta), 1)
     return replace(
         summary,
-        n_bonferroni_significant=sum(
-            1 for r in rows if r.p_raw is not None and r.p_raw < alpha / m
-        ),
-        n_bh_significant=sum(1 for r in rows if r.q_bh is not None and r.q_bh < alpha),
-        n_raw_significant=sum(
-            1 for r in rows if r.p_raw is not None and r.p_raw < alpha
-        ),
+        n_bonferroni_significant=_count(has_p_raw & (p_raw < alpha / m)),
+        n_bh_significant=_count(q_bh < alpha),
+        n_raw_significant=_count(has_p_raw & (p_raw < alpha)),
     )
 
 
@@ -278,22 +335,22 @@ def attach_adjustments(report: ScreenReport, alpha: float) -> ScreenReport:
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
-    p_raw = [row.p_raw for row in report.rows]
-    if any(p is None for p in p_raw):
+    if not report.has_p_raw.all():
         raise MissingComparator("every row needs a raw p-value to adjust")
-    qs = bh_qvalues(p_raw)
-    m = len(p_raw)
-    rows = tuple(
-        replace(row, p_bonferroni=min(1.0, m * row.p_raw), q_bh=q)
-        for row, q in zip(report.rows, qs)
-    )
-    return ScreenReport(rows, _summarize(rows, alpha))
+    p_raw = report.p_raw
+    _validate_pvalues(p_raw.tolist())
+    q_bh = _bh_array(p_raw)
+    summary = _summarize(report.p_delta, p_raw, report.has_p_raw, q_bh, alpha)
+    return replace(report, p_bonferroni=np.minimum(1.0, len(p_raw) * p_raw), q_bh=q_bh,
+                   summary=summary)
 
 
 def _validate_pvalues(p_values: Sequence[float]) -> None:
-    for p in p_values:
-        if p is None or math.isnan(p) or not 0.0 < p <= 1.0:
-            raise InvalidProbability(f"p-values must lie in (0, 1], got {p!r}")
+    values = np.array([math.nan if p is None else p for p in p_values], dtype=float)
+    bad = np.flatnonzero(~((values > 0.0) & (values <= 1.0)))
+    if bad.size:
+        p = p_values[int(bad[0])]
+        raise InvalidProbability(f"p-values must lie in (0, 1], got {p!r}")
 
 
 def bonferroni_flags(p_values: Sequence[float], alpha: float) -> list[bool]:
@@ -311,17 +368,18 @@ def bh_qvalues(p_values: Sequence[float]) -> list[float]:
     q at ascending rank i is min over j >= i of m * p_(j) / j, capped at 1.
     """
     _validate_pvalues(p_values)
-    m = len(p_values)
-    if m == 0:
-        return []
-    order = sorted(range(m), key=p_values.__getitem__)
-    qs = [0.0] * m
-    running = 1.0
-    for rank in range(m, 0, -1):
-        idx = order[rank - 1]
-        running = min(running, m * p_values[idx] / rank)
-        qs[idx] = running
-    return qs
+    return _bh_array(np.asarray(p_values, dtype=float)).tolist()
+
+
+def _bh_array(p: np.ndarray) -> np.ndarray:
+    """q-values of valid p-values: a stable sort, then a running minimum from
+    the largest rank down, each term rounded as ``m * p / rank``."""
+    m = len(p)
+    order = np.argsort(p, kind="stable")
+    step = m * p[order] / np.arange(1, m + 1, dtype=float)
+    q = np.empty(m)
+    q[order] = np.minimum.accumulate(np.minimum(step[::-1], 1.0))[::-1]
+    return q
 
 
 def cross_tab(report: ScreenReport, alpha: float) -> CrossTab:
@@ -335,51 +393,61 @@ def cross_tab(report: ScreenReport, alpha: float) -> CrossTab:
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
-    rows = [r for r in report.rows if not r.flags]
-    if any(r.p_raw is None for r in rows):
+    kept = ~report.flagged
+    if not report.has_p_raw[kept].all():
         raise MissingComparator("cross tabulation needs raw p-values on every row")
-    _validate_pvalues([r.p_raw for r in rows])
-    m = len(report.rows)
-    cells = [0, 0, 0, 0]
-    for row in rows:
-        zero = row.p_delta == 0.0
-        if row.p_raw < alpha / m:
-            cells[0 if zero else 1] += 1
-        else:
-            cells[2 if zero else 3] += 1
-    return CrossTab(*cells)
+    p_raw = report.p_raw[kept]
+    _validate_pvalues(p_raw.tolist())
+    significant = p_raw < alpha / max(len(report.ids), 1)
+    zero = report.p_delta[kept] == 0.0
+    return CrossTab(
+        _count(zero & significant),
+        _count(~zero & significant),
+        _count(zero & ~significant),
+        _count(~zero & ~significant),
+    )
 
 
 def pointwise_track(
     series: Sequence[tuple[float, ExtendedInterval]], h0: NullSpec
 ) -> list[TrackPoint]:
     """Classify an interval time-series point by point (rug-plot data)."""
-    if len(series) == 0:
-        raise InvalidSeries("series is empty")
     ts = [t for t, _ in series]
-    if not all(t2 > t1 for t1, t2 in zip(ts, ts[1:])):  # NaN fails too
+    p, code = track_arrays(ts, [iv.lo for _, iv in series], [iv.hi for _, iv in series], h0)
+    return list(map(TrackPoint, ts, p.tolist(), map(CLASSES.__getitem__, code.tolist())))
+
+
+def track_arrays(t, lo, hi, h0: NullSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``pointwise_track`` over columns: p_delta and classification codes.
+
+    The codes index ``core.CLASSES``. Raises InvalidSeries for an empty
+    series or time points that do not strictly increase (NaN included),
+    and UnboundedEstimate for an estimate covering the whole real line.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.size == 0:
+        raise InvalidSeries("series is empty")
+    if not np.all(t[1:] > t[:-1]):
         raise InvalidSeries("time points must be strictly increasing")
-    verdicts = _verdicts([iv.lo for _, iv in series], [iv.hi for _, iv in series], h0)
-    return [TrackPoint(t, p, cls) for t, (p, cls, _, _) in zip(ts, map(_bounded, verdicts))]
+    p, _, _ = p_delta_array(lo, hi, h0)
+    _check_bounded(p)
+    return p, classify_codes(p)
 
 
 def ranked_indices(report: ScreenReport) -> list[int]:
     """Row indices in finding order: p_delta ascending, ties at zero by
     |delta_gap| descending, remaining ties by input position. Flagged rows
     are not ranked."""
-
-    def sort_key(indexed: tuple[int, ScreenRow]) -> tuple[float, float, int]:
-        idx, row = indexed
-        gap = abs(row.delta_gap) if (row.p_delta == 0.0 and row.delta_gap is not None) else 0.0
-        return (row.p_delta, -gap, idx)
-
-    classified = [(i, r) for i, r in enumerate(report.rows) if r.p_delta is not None]
-    return [i for i, _ in sorted(classified, key=sort_key)]
+    ranked = np.flatnonzero(~report.flagged)
+    p = report.p_delta[ranked]
+    gap = report.delta_gap[ranked]
+    size = np.where((p == 0.0) & ~np.isnan(gap), np.abs(gap), 0.0)
+    return ranked[np.lexsort((-size, p))].tolist()  # lexsort is stable
 
 
 def rank_findings(report: ScreenReport) -> list[str]:
     """Order row ids: p_delta ascending, ties at zero by |delta_gap| descending."""
-    return [report.rows[i].id for i in ranked_indices(report)]
+    return [report.ids[i] for i in ranked_indices(report)]
 
 
 def log10_interval(interval: ExtendedInterval) -> ExtendedInterval:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -87,18 +88,18 @@ def _uniform_lanes(seed: int, start: int, count: int) -> np.ndarray:
     bit_gen = np.random.Philox(key=seed)
     if start:
         bit_gen.advance(start)  # one advance step == one 4-lane counter block
-    lanes = np.random.Generator(bit_gen).random((count, 4))
+    try:
+        lanes = np.random.Generator(bit_gen).random((count, 4))
+    except ValueError as exc:  # numpy refuses the shape before allocating anything
+        raise InvalidConfig(f"cannot draw {count} replicates in one chunk: {exc}") from exc
     return np.maximum(lanes, _MIN_UNIFORM)
 
 
-def _chunk_ranges(replicates: int, chunks: int) -> list[tuple[int, int]]:
+def _chunk_ranges(replicates: int, chunks: int) -> Iterator[tuple[int, int]]:
     if chunks < 1:
         raise InvalidConfig(f"chunks must be >= 1, got {chunks!r}")
     size = -(-replicates // chunks)  # ceil
-    return [
-        (start, min(size, replicates - start))
-        for start in range(0, replicates, size)
-    ]
+    return ((start, min(size, replicates - start)) for start in range(0, replicates, size))
 
 
 def _count(mask: np.ndarray) -> int:

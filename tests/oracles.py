@@ -29,12 +29,27 @@ that turn NaN into 0 or 1. ``design.outcome_probs_array``,
 ``reliability.reliability_rates_array`` and their one-row views must
 match it bit for bit, the sign of zero included, and raise the same
 error at the same first point.
+
+The CLI table oracle is the row-at-a-time pipeline: ``read_table`` keeps
+stripped fields per line, ``parse_compute_rows`` and
+``parse_interval_rows`` build one interval object per row and raise at
+the first bad line, and ``write_csv``/``json_text`` format each cell by
+its Python type. ``bh_qvalues`` and ``ranked_indices`` are the Python
+sort-and-scan versions of the screening adjustments. The columnar CLI and
+its numpy adjustments must give the same bytes, the same error lines and
+bitwise the same q-values and ranks.
 """
 
 from __future__ import annotations
 
+import csv
+import functools
+import io
+import json
 import math
 from decimal import Decimal, getcontext
+from enum import Enum
+from operator import attrgetter
 
 from scipy import stats as _scipy_stats
 
@@ -42,18 +57,20 @@ from typing import Sequence
 
 from sgpv import _normal
 from sgpv._normal import norm_cdf
-from sgpv.core import NullSpec
+from sgpv.core import NullSpec, second_gen_p
 from sgpv.design import DesignConfig, OutcomeProbs, PowerCurvePoint
 from sgpv.errors import (
     DegenerateDesign,
+    InvalidInterval,
     InvalidProbability,
     InvalidSeries,
     InvalidSummary,
+    SgpvError,
     UnboundedEstimate,
 )
 from sgpv.reliability import PriorOdds, ReliabilityPoint
-from sgpv.intervals import ExtendedInterval, intersect, length
-from sgpv.screening import GroupSummary
+from sgpv.intervals import ExtendedInterval, intersect, length, z_interval
+from sgpv.screening import GroupSummary, StudyRow
 
 getcontext().prec = 60
 
@@ -377,3 +394,237 @@ def emit_reliability_curve(
             )
         )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The row-at-a-time CLI pipeline: read, parse, classify and write one row
+# object at a time. The columnar reader, mask checks and block writer of
+# ``sgpv.cli`` and ``sgpv._table`` must give the same bytes, exit codes and
+# error lines.
+
+
+class InputError(Exception):
+    """A data error; the CLI prints it as ``sgpv: input error: <message>``."""
+
+
+def _cell(value, spec: str):
+    if isinstance(value, float):
+        return format(value, spec)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+def write_csv(fh, columns: Sequence[str], rows, digits: int) -> None:
+    """A table of row tuples as CSV, one ``_cell`` per value."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    spec = f".{min(digits, 800)}g"
+    writer.writerows([_cell(v, spec) for v in row] for row in rows)
+
+
+def csv_text(columns: Sequence[str], rows, digits: int = 6) -> str:
+    buf = io.StringIO()
+    write_csv(buf, columns, rows, digits)
+    return buf.getvalue()
+
+
+def json_text(columns: Sequence[str], rows, **extra) -> str:
+    payload = {"rows": [dict(zip(columns, row)) for row in rows], **extra}
+    return json.dumps(payload, indent=2, default=attrgetter("value")) + "\n"
+
+
+def read_table(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header plus (line_number, stripped fields) rows; blank lines are skipped."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from exc
+    numbered = [
+        (lineno, [f.strip() for f in fields])
+        for lineno, fields in enumerate(rows, start=1)
+        if any(f.strip() for f in fields)
+    ]
+    if not numbered:
+        raise InputError("empty input (a header row is required)")
+    header = [h.strip().lower() for h in numbered[0][1]]
+    return header, numbered[1:]
+
+
+def _row_id(fields: list[str], idx: int, lineno: int) -> str:
+    if idx >= len(fields):
+        raise InputError(f"line {lineno}: missing value for 'id'")
+    return fields[idx]
+
+
+def _row_float(fields: list[str], idx: int, name: str, lineno: int) -> float:
+    try:
+        return float(fields[idx])
+    except (IndexError, ValueError) as exc:
+        raise InputError(f"line {lineno}: bad value for {name!r}") from exc
+
+
+def _log10_interval(interval: ExtendedInterval) -> ExtendedInterval:
+    if interval.lo <= 0:
+        raise InvalidInterval(
+            f"log10 rescaling needs strictly positive endpoints, got {interval}"
+        )
+    return ExtendedInterval(math.log10(interval.lo), math.log10(interval.hi))
+
+
+def parse_compute_rows(
+    header: list[str], rows, level: float, log10_mode: bool
+) -> list[tuple[str, ExtendedInterval]]:
+    """(id, interval) per row of a compute input; the first bad row raises."""
+    cols = {name: i for i, name in enumerate(header)}
+    if "lo" in cols and "hi" in cols:
+        names, make_interval = ("lo", "hi"), ExtendedInterval
+    elif "estimate" in cols and "se" in cols:
+        names, make_interval = ("estimate", "se"), functools.partial(z_interval, level=level)
+    else:
+        raise InputError("input needs either lo,hi or estimate,se columns (id optional)")
+    (a_name, b_name), id_col = names, cols.get("id")
+    a_col, b_col = cols[a_name], cols[b_name]
+    out = []
+    for lineno, fields in rows:
+        row_id = str(len(out) + 1) if id_col is None else _row_id(fields, id_col, lineno)
+        a = _row_float(fields, a_col, a_name, lineno)
+        b = _row_float(fields, b_col, b_name, lineno)
+        try:
+            interval = make_interval(a, b)
+            if log10_mode:
+                interval = _log10_interval(interval)
+        except SgpvError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
+        out.append((row_id, interval))
+    return out
+
+
+def parse_interval_rows(header: list[str], rows, log10_mode: bool) -> list[StudyRow]:
+    """Study rows of an interval-form screen input; the first bad row raises."""
+    cols = {name: i for i, name in enumerate(header)}
+    out = []
+    for lineno, fields in rows:
+        row_id = _row_id(fields, cols["id"], lineno)
+        lo = _row_float(fields, cols["lo"], "lo", lineno)
+        hi = _row_float(fields, cols["hi"], "hi", lineno)
+        estimate = (
+            _row_float(fields, cols["estimate"], "estimate", lineno)
+            if "estimate" in cols
+            else 0.5 * (lo + hi)
+        )
+        p_value = None
+        if "p_value" in cols and cols["p_value"] < len(fields) and fields[cols["p_value"]] != "":
+            p_value = _row_float(fields, cols["p_value"], "p_value", lineno)
+        try:
+            interval = ExtendedInterval(lo, hi)
+            if log10_mode:
+                interval = _log10_interval(interval)
+                estimate = math.log10(estimate) if estimate > 0 else estimate
+        except SgpvError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
+        if p_value is not None and not 0.0 < p_value <= 1.0:
+            raise InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
+        out.append(StudyRow(row_id, estimate, interval, p_value))
+    return out
+
+
+def _row_count(fields: list[str], idx: int, name: str, lineno: int) -> int:
+    value = _row_float(fields, idx, name, lineno)
+    if not value.is_integer():
+        raise InputError(f"line {lineno}: {name!r} must be a whole number, got {fields[idx]!r}")
+    return int(value)
+
+
+def parse_group_rows(header: list[str], rows, level: float, welch: bool) -> list[StudyRow]:
+    """Study rows of a two-group screen input, one row at a time.
+
+    Lines are read in order and the first failing line raises; within a
+    line the first group's summary is checked before the second group is
+    read. The t-test is the scalar ``two_sample_ci`` above.
+    """
+    cols = {name: i for i, name in enumerate(header)}
+    groups = [[(cols[name + g], name + g) for name in ("n", "mean", "sd")] for g in "12"]
+    out = []
+    for lineno, fields in rows:
+        try:
+            row_id = _row_id(fields, cols["id"], lineno)
+            summaries = []
+            for group in groups:
+                (n_col, n), (mean_col, mean), (sd_col, sd) = group
+                try:
+                    cells = (_row_count(fields, n_col, n, lineno),
+                             _row_float(fields, mean_col, mean, lineno),
+                             _row_float(fields, sd_col, sd, lineno))
+                except InputError:
+                    if summaries:
+                        GroupSummary(*summaries[0])
+                    raise
+                summaries.append(cells)
+            estimate, interval, p_value = two_sample_ci(
+                GroupSummary(*summaries[0]), GroupSummary(*summaries[1]), level, welch)
+        except SgpvError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
+        if not 0.0 < p_value <= 1.0:
+            raise InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
+        out.append(StudyRow(row_id, estimate, interval, p_value))
+    return out
+
+
+COMPUTE_COLUMNS = ("id", "lo", "hi", "p_delta", "classification",
+                   "correction_applied", "delta_gap", "flags")
+
+
+def _verdict(interval: ExtendedInterval, h0: NullSpec) -> tuple:
+    """(p_delta, classification, correction_applied, delta_gap); all None for the whole line."""
+    if math.isinf(interval.lo) and math.isinf(interval.hi):
+        return None, None, None, None
+    result = second_gen_p(interval, h0)
+    return result.p_delta, result.classification, result.correction_applied, result.delta_gap
+
+
+def compute_output(
+    text: str, h0: NullSpec, level: float = 0.95, log10_mode: bool = False,
+    fmt: str = "csv", digits: int = 6,
+) -> str:
+    """What ``sgpv compute`` writes for the input ``text``; a data error raises InputError."""
+    header, rows = read_table(text)
+    rows = [
+        (row_id, iv.lo, iv.hi, *verdict, "" if verdict[0] is not None else "unbounded_estimate")
+        for row_id, iv in parse_compute_rows(header, rows, level, log10_mode)
+        for verdict in [_verdict(iv, h0)]
+    ]
+    if fmt == "json":
+        return json_text(COMPUTE_COLUMNS, rows)
+    return csv_text(COMPUTE_COLUMNS, rows, digits)
+
+
+def bh_qvalues(p_values: Sequence[float]) -> list[float]:
+    """Benjamini-Hochberg q-values by a Python sort and a running minimum."""
+    m = len(p_values)
+    order = sorted(range(m), key=p_values.__getitem__)
+    qs = [0.0] * m
+    running = 1.0
+    for rank in range(m, 0, -1):
+        idx = order[rank - 1]
+        running = min(running, m * p_values[idx] / rank)
+        qs[idx] = running
+    return qs
+
+
+def ranked_indices(rows) -> list[int]:
+    """Finding order of ScreenRow-like rows by a Python sort on
+    (p_delta, -|delta_gap| at p_delta = 0, position); flagged rows are not ranked."""
+
+    def sort_key(indexed):
+        idx, row = indexed
+        gap = abs(row.delta_gap) if (row.p_delta == 0.0 and row.delta_gap is not None) else 0.0
+        return (row.p_delta, -gap, idx)
+
+    classified = [(i, r) for i, r in enumerate(rows) if r.p_delta is not None]
+    return [i for i, _ in sorted(classified, key=sort_key)]

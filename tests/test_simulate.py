@@ -1,5 +1,6 @@
 """Monte Carlo oracle: determinism, substreams, closed-form agreement."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from sgpv import (
     simulate_outcomes,
     simulate_reliability,
 )
+from sgpv.cli import main
 from sgpv.errors import InvalidConfig
 from sgpv.simulate import _uniform_lanes
 
@@ -164,3 +166,31 @@ class TestValidation:
     def test_rejects_zero_chunks(self):
         with pytest.raises(InvalidConfig):
             simulate_outcomes(SimConfig(FIG5, 0.0, 10, 1), chunks=0)
+
+    @pytest.mark.parametrize("replicates", [10**20, 2**61])
+    def test_replicates_beyond_one_array_raise_invalid_config(self, replicates):
+        # numpy refuses both shapes before allocating anything
+        cfg = SimConfig(FIG5, 0.0, replicates, 1)
+        with pytest.raises(InvalidConfig, match="cannot draw"):
+            simulate_outcomes(cfg)
+        with pytest.raises(InvalidConfig, match="cannot draw"):
+            simulate_reliability(cfg, PriorOdds(1.0), 1.0)
+
+
+SIM_FLAGS = ["--theta0", "0", "--delta", "0.3", "--n", "100", "--variance", "1"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_replicates_beyond_one_array_exit_3(tmp_path, capsys, source):
+    huge = 100000000000000000000
+    if source == "flag":
+        extra = ["--replicates", str(huge)]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"replicates": huge}))
+        extra = ["--config", str(cfg)]
+    code = main(["simulate", *SIM_FLAGS, *extra])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("sgpv: configuration error: cannot draw 100000000000000000000 ")
