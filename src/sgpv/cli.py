@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -160,6 +161,7 @@ class _Table(NamedTuple):
     cols: dict[str, int]  # column index by stripped, lower-cased header name
     rows: list[list[str]]
     lines: list[int]  # the 1-based record number of each row
+    lengths: np.ndarray  # the field count of each row
 
 
 def _read_table(path: str) -> _Table:
@@ -184,13 +186,8 @@ def _read_table(path: str) -> _Table:
     if not rows:
         raise _InputError(f"{path}: empty input (a header row is required)")
     cols = {name.strip().lower(): i for i, name in enumerate(rows[0])}
-    return _Table(cols, rows[1:], lines[1:])
-
-
-def _first(mask: np.ndarray, default: int) -> int:
-    """Index of the first True in ``mask``, else ``default``."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else default
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    return _Table(cols, rows[1:], lines[1:], lengths[1:])
 
 
 def _cells(rows: list[list[str]], idx: int) -> list[str]:
@@ -198,87 +195,87 @@ def _cells(rows: list[list[str]], idx: int) -> list[str]:
     return list(map(str.strip, map(itemgetter(idx), rows)))
 
 
-def _floats(cells: list[str]) -> tuple[np.ndarray, int]:
-    """The values of the leading cells that read as floats, and their count."""
-    try:
-        return np.fromiter(map(float, cells), dtype=float, count=len(cells)), len(cells)
-    except ValueError:
-        values = []
-        for cell in cells:
-            try:
-                values.append(float(cell))
-            except ValueError:
-                break
-        return np.array(values, dtype=float), len(values)
+def _column(table: _Table, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Column ``name`` as floats over every row, and where its cell reads as a number.
 
-
-def _float_columns(
-    table: _Table, names: Sequence[str], text_names: Sequence[str] = ()
-) -> tuple[list[np.ndarray], int]:
-    """Columns ``names`` as floats over the rows before the first unreadable one.
-
-    A row is unreadable when it is too short for any column in ``names``
-    or ``text_names``, or one of its ``names`` cells is not a number; the
-    count of rows before it is returned.
+    A row too short for the column, or a cell that is not a number, gives
+    NaN and False.
     """
-    reach = max(table.cols[name] for name in (*names, *text_names))
-    lengths = np.fromiter(map(len, table.rows), dtype=np.intp, count=len(table.rows))
-    limit = _first(lengths <= reach, len(table.rows))
-    columns = []
-    for name in names:
-        values, limit = _floats(_cells(table.rows[:limit], table.cols[name]))
-        columns.append(values)
-    return [values[:limit] for values in columns], limit
+    idx, count = table.cols[name], len(table.rows)
+    if bool((table.lengths > idx).all()):
+        with contextlib.suppress(ValueError):
+            values = np.fromiter(map(float, _cells(table.rows, idx)), dtype=float, count=count)
+            return values, np.ones(count, dtype=bool)
+    values, readable = np.full(count, np.nan), np.zeros(count, dtype=bool)
+    for k, fields in enumerate(table.rows):
+        try:
+            values[k], readable[k] = float(fields[idx].strip()), True
+        except (IndexError, ValueError):
+            pass
+    return values, readable
 
 
-def _invalid_intervals(lo: np.ndarray, hi: np.ndarray, log10_mode: bool = False) -> np.ndarray:
-    """Where [lo, hi] is not an ExtendedInterval (NaN, lo > hi or a point at
-    infinity) or, under --log10, has an endpoint that is not positive."""
-    invalid = np.isnan(lo) | np.isnan(hi) | (lo > hi) | ((lo == hi) & np.isinf(lo))
-    return invalid | (lo <= 0.0) if log10_mode else invalid
+# An input rule is (mask, why): the mask marks the rows that fail it, and
+# why(k) returns row k's message or calls the library constructor that
+# raises it. Each input form lists its rules in the order a line is checked.
+_Rule = tuple[np.ndarray, Callable[[int], object]]
 
 
-def _check_rows(table: _Table, invalid: np.ndarray, limit: int, check_row: Callable) -> None:
-    """Raise the input error of the first failing row, if any.
+def _check(table: _Table, rules: Sequence[_Rule]) -> None:
+    """Raise the input error of the first row any rule marks, from the first rule marking it.
 
-    Rows before ``limit`` failed the array checks where ``invalid`` is
-    True; the row at ``limit`` is unreadable. ``check_row(fields,
-    lineno)`` is the per-row parse, which raises that row's own message.
+    A mask may mark anything on a row that an earlier rule marks.
     """
-    k = _first(invalid, limit)
-    if k == len(table.rows):
+    failing = np.logical_or.reduce([mask for mask, _ in rules])
+    if not failing.any():
         return
-    lineno = table.lines[k]
+    k = int(failing.argmax())
+    why = next(why for mask, why in rules if mask[k])
     try:
-        check_row([f.strip() for f in table.rows[k]], lineno)
+        message = why(k)
     except SgpvError as exc:
-        raise _InputError(f"line {lineno}: {exc}") from exc
-    raise _InputError(f"line {lineno}: unreadable row")  # the checks agree: not reached
+        message = exc
+    raise _InputError(f"line {table.lines[k]}: {message}")
+
+
+def _per_row(make: Callable, *columns: np.ndarray) -> Callable[[int], object]:
+    """Row k's ``make(...)``, called on that row's values of ``columns`` as Python floats."""
+    return lambda k: make(*(column[k].item() for column in columns))
+
+
+def _read_numbers(table: _Table, names: Sequence[str]) -> tuple[list[np.ndarray], list[_Rule]]:
+    """Columns ``names`` as floats, and for each the rule that its cells read as numbers."""
+    columns, rules = [], []
+    for name in names:
+        values, readable = _column(table, name)
+        columns.append(values)
+        rules.append((~readable, lambda k, name=name: f"bad value for {name!r}"))
+    return columns, rules
+
+
+def _id_rule(table: _Table) -> _Rule:
+    return table.lengths <= table.cols["id"], lambda k: "missing value for 'id'"
+
+
+def _interval_rules(interval: Callable, lo: np.ndarray, hi: np.ndarray, log10_mode: bool = False):
+    """The rules that row k's ``interval(k)``, which spans [lo, hi], is an
+    ExtendedInterval (no NaN, lo <= hi, no point at infinity) and, under
+    --log10, has positive endpoints."""
+    rules = [(np.isnan(lo) | np.isnan(hi) | (lo > hi) | ((lo == hi) & np.isinf(lo)), interval)]
+    if log10_mode:
+        rules.append((lo <= 0.0, lambda k: log10_interval(interval(k))))
+    return rules
+
+
+def _p_value_rule(p: np.ndarray, present=True) -> _Rule:
+    """The rule that a p-value, where ``present``, lies in (0, 1]."""
+    return (present & ~((p > 0.0) & (p <= 1.0)),
+            lambda k: f"p-value must lie in (0, 1], got {p[k].item()!r}")
 
 
 def _log10(values: np.ndarray) -> np.ndarray:
     """math.log10 per element, which np.log10 can miss by the last bit."""
     return np.fromiter(map(math.log10, values.tolist()), dtype=float, count=len(values))
-
-
-def _row_id(fields: list[str], idx: int, lineno: int) -> str:
-    if idx >= len(fields):
-        raise _InputError(f"line {lineno}: missing value for 'id'")
-    return fields[idx]
-
-
-def _row_float(fields: list[str], idx: int, name: str, lineno: int) -> float:
-    try:
-        return float(fields[idx])
-    except (IndexError, ValueError) as exc:
-        raise _InputError(f"line {lineno}: bad value for {name!r}") from exc
-
-
-def _row_count(fields: list[str], idx: int, name: str, lineno: int) -> int:
-    value = _row_float(fields, idx, name, lineno)
-    if not value.is_integer():
-        raise _InputError(f"line {lineno}: {name!r} must be a whole number, got {fields[idx]!r}")
-    return int(value)
 
 
 @contextlib.contextmanager
@@ -305,11 +302,8 @@ def _emit(resolved: dict, columns: Sequence[_table.Column], **extra) -> bool:
         with _output(resolved["out"]) as fh:
             fh.write(text)
         return False
-    digits = resolved["digits"]
-    if digits < 0:
-        raise _ConfigError(f"--digits must be >= 0, got {digits}")
     with _output(resolved["out"]) as fh:
-        _table.write_csv(fh, columns, digits)
+        _table.write_csv(fh, columns, resolved["digits"])
     return True
 
 
@@ -330,40 +324,27 @@ def _flags(p_delta: np.ndarray) -> _table.Column:
 
 
 def _compute_intervals(table: _Table, level: float, log10_mode: bool):
-    """ids and interval endpoints of a compute input.
-
-    Every row is checked at once with array masks; the first failing row
-    is parsed again on its own for its error message.
-    """
+    """ids and interval endpoints of a compute input, every row checked at once."""
     cols = table.cols
     if "lo" in cols and "hi" in cols:
-        names = ("lo", "hi")
+        names, make = ("lo", "hi"), ExtendedInterval
     elif "estimate" in cols and "se" in cols:
-        names = ("estimate", "se")
+        names, make = ("estimate", "se"), functools.partial(z_interval, level=level)
     else:
         raise _InputError("input needs either lo,hi or estimate,se columns (id optional)")
-    id_name = ("id",) if "id" in cols else ()
-
-    def check_row(fields: list[str], lineno: int) -> None:
-        if id_name:
-            _row_id(fields, cols["id"], lineno)
-        a, b = (_row_float(fields, cols[name], name, lineno) for name in names)
-        interval = ExtendedInterval(a, b) if names == ("lo", "hi") else z_interval(a, b, level)
-        if log10_mode:
-            log10_interval(interval)
-
-    (lo, hi), limit = _float_columns(table, names, id_name)
-    invalid = np.zeros(limit, dtype=bool)
-    if names == ("estimate", "se"):
-        invalid = ~(hi > 0.0)  # hi holds se; z_interval's own arithmetic follows
+    (lo, hi), rules = _read_numbers(table, names)
+    if "id" in cols:
+        rules.insert(0, _id_rule(table))
+    interval = _per_row(make, lo, hi)
+    if make is not ExtendedInterval:  # hi holds se; z_interval's own arithmetic follows
+        rules.append((~(hi > 0.0), interval))
         with np.errstate(invalid="ignore", over="ignore"):
             half = norm_quantile(0.5 * (1.0 + level)) * hi
             lo, hi = lo - half, lo + half
-    invalid |= _invalid_intervals(lo, hi, log10_mode)
-    _check_rows(table, invalid, limit, check_row)
+    _check(table, rules + _interval_rules(interval, lo, hi, log10_mode))
     if log10_mode:
         lo, hi = _log10(lo), _log10(hi)
-    ids = _cells(table.rows, cols["id"]) if id_name else list(map(str, range(1, limit + 1)))
+    ids = _cells(table.rows, cols["id"]) if "id" in cols else list(map(str, range(1, len(lo) + 1)))
     return ids, lo, hi
 
 
@@ -439,101 +420,57 @@ def _screen_report(table: _Table, null_spec: NullSpec, level, welch, log10_mode)
     return report, not interval_form or ("p_value" in cols and bool(has_p_raw.all()))
 
 
-def _optional_floats(table: _Table, name: str, limit: int):
-    """Column ``name`` of the first ``limit`` rows, where present and not blank.
-
-    Returns the values (NaN where absent), the presence mask and the count
-    of rows before the first unreadable cell.
-    """
-    idx = table.cols[name]
-    cells = [fields[idx].strip() if idx < len(fields) else "" for fields in table.rows[:limit]]
-    present = np.array(list(map(bool, cells)), dtype=bool)
-    at = np.flatnonzero(present)
-    read, count = _floats(list(compress(cells, present)))
-    limit = limit if count == len(at) else int(at[count])
-    values = np.full(len(cells), np.nan)
-    values[at[:count]] = read
-    return values[:limit], present[:limit], limit
-
-
 def _screen_intervals(table: _Table, log10_mode: bool):
     """lo, hi, p_raw and its presence mask of an id,[estimate,]lo,hi[,p_value] input."""
     cols = table.cols
-    has_estimate = "estimate" in cols
-    has_p_column = "p_value" in cols
-
-    def check_row(fields: list[str], lineno: int) -> None:
-        _row_id(fields, cols["id"], lineno)
-        lo = _row_float(fields, cols["lo"], "lo", lineno)
-        hi = _row_float(fields, cols["hi"], "hi", lineno)
-        if has_estimate:
-            _row_float(fields, cols["estimate"], "estimate", lineno)
-        p_value = None
-        if has_p_column and cols["p_value"] < len(fields) and fields[cols["p_value"]] != "":
-            p_value = _row_float(fields, cols["p_value"], "p_value", lineno)
-        interval = ExtendedInterval(lo, hi)
-        if log10_mode:
-            log10_interval(interval)
-        _check_p_value(p_value, lineno)
-
-    names = ("lo", "hi", "estimate") if has_estimate else ("lo", "hi")
-    (lo, hi, *_), limit = _float_columns(table, names, ("id",))
-    p_raw, has_p_raw = np.full(limit, np.nan), np.zeros(limit, dtype=bool)
-    if has_p_column:
-        p_raw, has_p_raw, limit = _optional_floats(table, "p_value", limit)
-        lo, hi = lo[:limit], hi[:limit]
-    invalid = _invalid_intervals(lo, hi, log10_mode)
-    invalid |= has_p_raw & ~((p_raw > 0.0) & (p_raw <= 1.0))
-    _check_rows(table, invalid, limit, check_row)
+    names = ("lo", "hi", "estimate") if "estimate" in cols else ("lo", "hi")
+    (lo, hi, *_), rules = _read_numbers(table, names)
+    p_raw, has_p_raw = np.full(len(lo), np.nan), np.zeros(len(lo), dtype=bool)
+    if "p_value" in cols:  # a missing or blank p_value cell is no p-value
+        idx = cols["p_value"]
+        p_raw, readable = _column(table, "p_value")
+        has_p_raw = np.array([len(f) > idx and f[idx].strip() != "" for f in table.rows], bool)
+        rules.append((has_p_raw & ~readable, lambda k: "bad value for 'p_value'"))
+    rules += _interval_rules(_per_row(ExtendedInterval, lo, hi), lo, hi, log10_mode)
+    _check(table, [_id_rule(table), *rules, _p_value_rule(p_raw, has_p_raw)])
     if log10_mode:
         lo, hi = _log10(lo), _log10(hi)
     return lo, hi, p_raw, has_p_raw
 
 
-def _group_cells(fields, group, lineno: int) -> tuple[int, float, float]:
-    """(n, mean, sd) of one group on one line; ``group`` holds (column, name) pairs."""
-    (n_col, n), (mean_col, mean), (sd_col, sd) = group
-    return (
-        _row_count(fields, n_col, n, lineno),
-        _row_float(fields, mean_col, mean, lineno),
-        _row_float(fields, sd_col, sd, lineno),
-    )
+def _group(table: _Table, g: str):
+    """Group ``g``'s n, mean and sd columns, its rules (cells, then the
+    summary) and its per-row GroupSummary."""
+    name = "n" + g
+    (n, mean, sd), (n_rule, *rules) = _read_numbers(table, (name, "mean" + g, "sd" + g))
+    idx = table.cols[name]
+
+    def summary(k: int) -> GroupSummary:
+        return GroupSummary(int(n[k]), mean[k].item(), sd[k].item())
+
+    whole = (~(np.isfinite(n) & (n == np.floor(n))),
+             lambda k: f"{name!r} must be a whole number, got {table.rows[k][idx].strip()!r}")
+    invalid = (n < 2.0) | ~((sd > 0.0) & np.isfinite(sd))
+    return (n, mean, sd), [n_rule, whole, *rules, (invalid, summary)], summary
 
 
 def _group_intervals(table: _Table, level: float, welch: bool):
-    """lo, hi and p_raw of a two-group input: one array t-test over every row."""
-    cols = table.cols
-    first_group, second_group = (
-        [(cols[name + g], name + g) for name in ("n", "mean", "sd")] for g in "12"
-    )
+    """lo, hi and p_raw of a two-group input: one array t-test over every row.
 
-    def check_row(fields: list[str], lineno: int) -> None:
-        # within a line the first group's summary is checked before the
-        # second group is read
-        _row_id(fields, cols["id"], lineno)
-        first = _group_cells(fields, first_group, lineno)
-        try:
-            second = _group_cells(fields, second_group, lineno)
-        except _InputError:
-            GroupSummary(*first)
-            raise
-        _, _, p_value = two_sample_ci(GroupSummary(*first), GroupSummary(*second), level, welch)
-        _check_p_value(p_value, lineno)
+    Within a line the first group's summary is checked before the second
+    group is read.
+    """
+    first, first_rules, first_summary = _group(table, "1")
+    second, second_rules, second_summary = _group(table, "2")
+    _, lo, hi, p_raw, _ = two_sample_ci_array(*first, *second, level, welch)
 
-    names = ("n1", "mean1", "sd1", "n2", "mean2", "sd2")
-    columns, limit = _float_columns(table, names, ("id",))
-    n1, n2 = columns[0], columns[3]
-    whole = np.isfinite(n1) & (n1 == np.floor(n1)) & np.isfinite(n2) & (n2 == np.floor(n2))
-    limit = _first(~whole, limit)  # a count that is not whole makes the row unreadable
-    _, lo, hi, p_raw, invalid = two_sample_ci_array(*(c[:limit] for c in columns), level, welch)
-    invalid |= _invalid_intervals(lo, hi) | ~((p_raw > 0.0) & (p_raw <= 1.0))
-    _check_rows(table, invalid, limit, check_row)
+    def t_test(k: int):
+        return two_sample_ci(first_summary(k), second_summary(k), level, welch)
+
+    rules = [_id_rule(table), *first_rules, *second_rules]
+    rules += _interval_rules(t_test, lo, hi)  # lo, hi are NaN where two_sample_ci raises
+    _check(table, [*rules, _p_value_rule(p_raw)])
     return lo, hi, p_raw
-
-
-def _check_p_value(p_value: float | None, lineno: int) -> None:
-    if p_value is not None and not 0.0 < p_value <= 1.0:
-        raise _InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
 
 
 def _cmd_screen(resolved: dict) -> None:
@@ -587,14 +524,8 @@ def _cmd_track(resolved: dict) -> None:
     if not {"t", "lo", "hi"} <= set(cols):
         raise _InputError("input needs t,lo,hi columns")
 
-    def check_row(fields: list[str], lineno: int) -> None:
-        _row_float(fields, cols["t"], "t", lineno)
-        lo = _row_float(fields, cols["lo"], "lo", lineno)
-        hi = _row_float(fields, cols["hi"], "hi", lineno)
-        ExtendedInterval(lo, hi)
-
-    (t, lo, hi), limit = _float_columns(table, ("t", "lo", "hi"))
-    _check_rows(table, _invalid_intervals(lo, hi), limit, check_row)
+    (t, lo, hi), rules = _read_numbers(table, ("t", "lo", "hi"))
+    _check(table, rules + _interval_rules(_per_row(ExtendedInterval, lo, hi), lo, hi))
     del table
     try:
         p_delta, code = track_arrays(t, lo, hi, null_spec)
@@ -807,6 +738,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             if value is None:
                 value = file_cfg.get(opt.name)
             resolved[opt.name] = opt.default if value is None else opt.kind(opt, value)
+        if resolved.get("format") == "csv" and resolved["digits"] < 0:  # JSON ignores --digits
+            raise _ConfigError(f"--digits must be >= 0, got {resolved['digits']}")
         args.handler(resolved)
         return EXIT_OK
     except _ConfigError as exc:

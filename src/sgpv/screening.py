@@ -201,11 +201,12 @@ def two_sample_ci_array(
         raise InvalidProbability(f"confidence level must be in (0, 1), got {level!r}")
     from scipy.special import stdtr, stdtrit
 
-    f1, f1m, f2, f2m, pooled_df = _group_counts(n1, n2)
     sd1 = np.asarray(sd1, dtype=float)
     sd2 = np.asarray(sd2, dtype=float)
-    invalid = (f1 < 2) | (f2 < 2) | ~((sd1 > 0) & np.isfinite(sd1) & (sd2 > 0) & np.isfinite(sd2))
     with np.errstate(all="ignore"):
+        f1, f1m, f2, f2m, pooled_df = _group_counts(n1, n2)  # inf - inf for infinite sizes
+        invalid = (f1 < 2) | (f2 < 2)
+        invalid |= ~((sd1 > 0) & np.isfinite(sd1) & (sd2 > 0) & np.isfinite(sd2))
         estimate = np.asarray(mean1, dtype=float) - np.asarray(mean2, dtype=float)
         # flag where Python floats raise: ** overflowing from a finite base, / by 0
         sq1, sq2 = np.float_power(sd1, 2.0), np.float_power(sd2, 2.0)

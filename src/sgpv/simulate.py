@@ -43,6 +43,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.theta):
+            raise InvalidConfig(f"theta must be finite, got {self.theta!r}")
         if self.replicates < 1:
             raise InvalidConfig(f"replicates must be >= 1, got {self.replicates!r}")
         if not 0 <= self.seed < 2**64:
@@ -145,6 +147,8 @@ def simulate_reliability(
     of p_delta = 1 results whose truth was theta1; either is None when no
     such results occurred.
     """
+    if not math.isfinite(theta1):
+        raise InvalidConfig(f"theta1 must be finite, got {theta1!r}")
     design = cfg.design
     se = design.se
     p_alt_truth = odds.r / (1.0 + odds.r)

@@ -31,11 +31,12 @@ match it bit for bit, the sign of zero included, and raise the same
 error at the same first point.
 
 The CLI table oracle is the row-at-a-time pipeline: ``read_table`` keeps
-stripped fields per line, ``parse_compute_rows`` and
-``parse_interval_rows`` build one interval object per row and raise at
-the first bad line, and ``write_csv``/``json_text`` format each cell by
-its Python type. ``bh_qvalues`` and ``ranked_indices`` are the Python
-sort-and-scan versions of the screening adjustments. The columnar CLI and
+stripped fields per line, ``parse_compute_rows``,
+``parse_interval_rows``, ``parse_group_rows`` and ``parse_track_rows``
+build one interval object per row and raise at the first bad line, and
+``write_csv``/``json_text`` format each cell by its Python type.
+``bh_qvalues`` and ``ranked_indices`` are the Python sort-and-scan
+versions of the screening adjustments. The columnar CLI and
 its numpy adjustments must give the same bytes, the same error lines and
 bitwise the same q-values and ranks.
 """
@@ -573,6 +574,21 @@ def parse_group_rows(header: list[str], rows, level: float, welch: bool) -> list
         if not 0.0 < p_value <= 1.0:
             raise InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
         out.append(StudyRow(row_id, estimate, interval, p_value))
+    return out
+
+
+def parse_track_rows(header: list[str], rows) -> list[tuple[float, ExtendedInterval]]:
+    """(t, interval) per row of a track input; the first bad row raises."""
+    cols = {name: i for i, name in enumerate(header)}
+    out = []
+    for lineno, fields in rows:
+        t = _row_float(fields, cols["t"], "t", lineno)
+        lo = _row_float(fields, cols["lo"], "lo", lineno)
+        hi = _row_float(fields, cols["hi"], "hi", lineno)
+        try:
+            out.append((t, ExtendedInterval(lo, hi)))
+        except SgpvError as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
     return out
 
 

@@ -348,6 +348,23 @@ class TestSimulate:
         assert block["closed_form_fdr"] == pytest.approx(want)
         assert block["n_discoveries"] > 0
 
+    @pytest.mark.parametrize(
+        "truth",
+        [("--theta", "inf"), ("--theta=-inf",), ("--theta", "nan"),
+         ("--theta1", "inf", "--r", "1"), ("--theta1=-inf", "--r", "1"),
+         ("--theta1", "nan", "--r", "1")],
+        ids=["theta-inf", "theta-negative-inf", "theta-nan", "theta1-inf",
+             "theta1-negative-inf", "theta1-nan"],
+    )
+    def test_non_finite_truth_exit_3(self, capsys, truth):
+        code, out, err = run(
+            capsys, "simulate", "--theta0", "0", "--delta", "0.5",
+            "--n", "16", "--variance", "1", "--replicates", "1000", *truth,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("sgpv: configuration error: ")
+        assert "must be finite" in err
+
     def test_zero_replicates_exit_3(self, capsys):
         code, _, _ = run(
             capsys, "simulate", "--theta0", "0", "--delta", "0",
@@ -536,6 +553,15 @@ class TestConfigurationErrors:
         )
         assert code == 0
         assert json.loads(out)["rows"][0]["p_delta"] == 1.0
+
+    def test_negative_digits_checked_before_input(self, tmp_path, capsys):
+        src = tmp_path / "iv.csv"
+        src.write_text("id,lo,hi\na,2,1\n")  # an input error, were the input read
+        code, out, err = run(
+            capsys, "compute", str(src), "--null-point", "0", "--delta", "1", "--digits", "-1",
+        )
+        assert (code, out) == (3, "")
+        assert err == "sgpv: configuration error: --digits must be >= 0, got -1\n"
 
     def test_huge_digits_print_exact_values(self, tmp_path, capsys):
         src = tmp_path / "iv.csv"

@@ -301,15 +301,44 @@ def oracle_screen_error(text: str, log10_mode: bool = False) -> tuple[int, str] 
     return None
 
 
+# faults of --log10 input: an endpoint that is not positive, alone or beside a p-value fault
+LOG10_DEFECTS = {
+    "lo_zero": lambda row: [*row[:2], "0", *row[3:]],
+    "lo_negative": lambda row: [*row[:2], "-0.5", *row[3:]],
+    "lo_negative_infinity": lambda row: [*row[:2], "-inf", *row[3:]],
+    "log10_and_p_range": lambda row: [*row[:2], "0", row[3], "1.5"],
+    "log10_and_p_unreadable": lambda row: [*row[:2], "-1", row[3], "p"],
+}
+
+
+def positive_screen_rows(seed: int, count: int) -> list[list[str]]:
+    """id,estimate,lo,hi,p_value rows whose intervals lie on the positive axis."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(count):
+        lo = float(rng.uniform(0.2, 1.5))
+        hi = lo + float(rng.uniform(0.01, 3.0))
+        p_value = "" if rng.random() < 0.2 else repr(float(rng.uniform(1e-6, 1.0)))
+        rows.append([f"r{k}", repr(float(rng.uniform(lo, hi))), repr(lo), repr(hi), p_value])
+    return rows
+
+
+SCREEN_CASES = [(False, name) for name in sorted(SCREEN_DEFECTS)] + [
+    (True, name) for name in sorted({**SCREEN_DEFECTS, **LOG10_DEFECTS})
+]
+
+
 @PROPERTY
-@given(st.integers(0, 2**32), st.integers(1, 30), st.sampled_from(sorted(SCREEN_DEFECTS)))
-def test_screen_error_line_matches_oracle(work_dir, seed, count, defect):
-    rows = screen_rows(seed, count)
+@given(st.integers(0, 2**32), st.integers(1, 30), st.sampled_from(SCREEN_CASES))
+def test_screen_error_line_matches_oracle(work_dir, seed, count, case):
+    log10_mode, defect = case
+    rows = positive_screen_rows(seed, count) if log10_mode else screen_rows(seed, count)
     at = defect_line(seed, count)
-    rows[at] = SCREEN_DEFECTS[defect](rows[at])
+    rows[at] = {**SCREEN_DEFECTS, **LOG10_DEFECTS}[defect](rows[at])
     text = csv_input("id,estimate,lo,hi,p_value", rows, seed)
-    code, _, err = run_cli(work_dir, text, ["screen", *NULL_FLAGS])
-    assert (code, err) == oracle_screen_error(text)
+    flags = ["--log10"] if log10_mode else NULL_FLAGS
+    code, _, err = run_cli(work_dir, text, ["screen", *flags])
+    assert (code, err) == oracle_screen_error(text, log10_mode)
 
 
 @PROPERTY
@@ -409,3 +438,44 @@ def test_group_error_line_matches_oracle(work_dir, seed, count, welch, short_row
     code, _, err = run_cli(work_dir, text, ["screen", *NULL_FLAGS] + (["--welch"] if welch else []))
     expected = oracle_group_error(text, welch)
     assert (code, err) == (expected or (0, ""))
+
+
+TRACK_DEFECTS = {
+    "one_field": lambda row: row[:1],
+    "short_row": lambda row: row[:2],
+    "t_non_numeric": lambda row: ["t?", *row[1:]],
+    "lo_non_numeric": lambda row: [row[0], "abc", row[2]],
+    "hi_blank": lambda row: [row[0], row[1], ""],
+    "reversed": lambda row: [row[0], "2", "1"],
+    "nan": lambda row: [row[0], "nan", row[2]],
+    "point_at_infinity": lambda row: [row[0], "inf", "inf"],
+    "negative_point_at_infinity": lambda row: [row[0], " -inf", "-inf "],
+}
+
+
+def oracle_track_error(text: str) -> tuple[int, str] | None:
+    try:
+        header, rows = oracles.read_table(text)
+        oracles.parse_track_rows(header, rows)
+    except oracles.InputError as exc:
+        return 2, f"sgpv: input error: {exc}\n"
+    return None
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.integers(1, 30), st.booleans(),
+       st.sampled_from(sorted(TRACK_DEFECTS)))
+def test_track_error_line_matches_oracle(work_dir, seed, count, late_defect, defect):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(count):
+        lo = float(rng.normal())
+        rows.append([repr(k / 4), repr(lo), repr(lo + float(rng.uniform(0.01, 2.0)))])
+    at = defect_line(seed, count)
+    rows[at] = TRACK_DEFECTS[defect](rows[at])
+    if late_defect:  # a second defect further down must not be the one reported
+        rows.append([repr(count / 4), "1", "0"])
+    text = csv_input("t,lo,hi", rows, seed)
+    code, out, err = run_cli(work_dir, text, ["track", *NULL_FLAGS])
+    assert (code, out) == (2, "")
+    assert (code, err) == oracle_track_error(text)

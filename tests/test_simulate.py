@@ -163,6 +163,16 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             SimConfig(FIG5, 0.0, 10, 2**64)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_truth(self, theta):
+        with pytest.raises(InvalidConfig, match="theta must be finite"):
+            SimConfig(FIG5, theta, 10, 1)
+
+    @pytest.mark.parametrize("theta1", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_alternative(self, theta1):
+        with pytest.raises(InvalidConfig, match="theta1 must be finite"):
+            simulate_reliability(SimConfig(FIG5, 0.0, 10, 1), PriorOdds(1.0), theta1)
+
     def test_rejects_zero_chunks(self):
         with pytest.raises(InvalidConfig):
             simulate_outcomes(SimConfig(FIG5, 0.0, 10, 1), chunks=0)
