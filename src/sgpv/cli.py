@@ -17,11 +17,12 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .screening import (
     track_arrays,
     two_sample_ci,
     two_sample_ci_array,
+    valid_p_values,
 )
 from .simulate import SimConfig, simulate_outcomes, simulate_reliability
 
@@ -80,32 +82,20 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------- helpers
 
 
-@contextlib.contextmanager
-def _config_errors():
-    """Report library validation errors, and requests too big for memory, as configuration errors."""
-    try:
-        yield
-    except SgpvError as exc:
-        raise _ConfigError(str(exc)) from exc
-    except MemoryError as exc:
-        raise _ConfigError(f"the request does not fit in memory: {exc}") from exc
-
-
 def _resolve_null(resolved: dict, allow_fold_change_default: bool) -> NullSpec:
     point, delta, lo, hi = (resolved[k] for k in ("null_point", "delta", "null_lo", "null_hi"))
     point_form = point is not None or delta is not None
     range_form = lo is not None or hi is not None
     if point_form and range_form:
         raise _ConfigError("give either --null-point/--delta or --null-lo/--null-hi, not both")
-    with _config_errors():
-        if point_form:
-            if point is None or delta is None:
-                raise _ConfigError("--null-point and --delta must be given together")
-            return NullSpec.symmetric(point, delta)
-        if range_form:
-            if lo is None or hi is None:
-                raise _ConfigError("--null-lo and --null-hi must be given together")
-            return NullSpec.from_interval(lo, hi)
+    if point_form:
+        if point is None or delta is None:
+            raise _ConfigError("--null-point and --delta must be given together")
+        return NullSpec.symmetric(point, delta)
+    if range_form:
+        if lo is None or hi is None:
+            raise _ConfigError("--null-lo and --null-hi must be given together")
+        return NullSpec.from_interval(lo, hi)
     if allow_fold_change_default:
         return FOLD_CHANGE_NULL
     raise _ConfigError("an interval null is required: --null-point/--delta or --null-lo/--null-hi")
@@ -117,8 +107,7 @@ def _resolve_design(resolved: dict) -> DesignConfig:
         if resolved[name] is None:
             raise _ConfigError(f"--{name} is required")
         values.append(resolved[name])
-    with _config_errors():
-        return DesignConfig(*values, resolved["alpha"])
+    return DesignConfig(*values, resolved["alpha"])
 
 
 def _resolve_grid(resolved: dict) -> np.ndarray:
@@ -268,9 +257,9 @@ def _interval_rules(interval: Callable, lo: np.ndarray, hi: np.ndarray, log10_mo
 
 
 def _p_value_rule(p: np.ndarray, present=True) -> _Rule:
-    """The rule that a p-value, where ``present``, lies in (0, 1]."""
-    return (present & ~((p > 0.0) & (p <= 1.0)),
-            lambda k: f"p-value must lie in (0, 1], got {p[k].item()!r}")
+    """The rule that a p-value, where ``present``, lies in [0, 1]."""
+    return (present & ~valid_p_values(p),
+            lambda k: f"p-value must lie in [0, 1], got {p[k].item()!r}")
 
 
 def _log10(values: np.ndarray) -> np.ndarray:
@@ -278,33 +267,12 @@ def _log10(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log10, values.tolist()), dtype=float, count=len(values))
 
 
-@contextlib.contextmanager
-def _output(out: str | None):
-    """stdout, or the --out file opened for writing."""
-    if out is None or out == "-":
-        yield sys.stdout
-        return
-    try:
-        fh = open(out, "w", encoding="utf-8")
-    except OSError as exc:
-        raise _ConfigError(f"cannot write {out}: {exc}") from exc
-    with fh:
-        yield fh
+class _Output(NamedTuple):
+    """A handler's table, the entries after its rows in JSON, and a CSV block for stdout."""
 
-
-def _emit(resolved: dict, columns: Sequence[_table.Column], **extra) -> bool:
-    """Write one table to --out in the resolved --format; True if it went out as CSV.
-
-    ``extra`` entries follow the rows in JSON output; CSV holds the rows only.
-    """
-    if resolved["format"] == "json":
-        text = _table.json_text(columns, **extra)
-        with _output(resolved["out"]) as fh:
-            fh.write(text)
-        return False
-    with _output(resolved["out"]) as fh:
-        _table.write_csv(fh, columns, resolved["digits"])
-    return True
+    columns: Sequence[_table.Column]
+    extra: dict = {}
+    trailer: str = ""
 
 
 def _verdict_columns(p_delta: np.ndarray, delta_gap: np.ndarray) -> list[_table.Column]:
@@ -348,7 +316,7 @@ def _compute_intervals(table: _Table, level: float, log10_mode: bool):
     return ids, lo, hi
 
 
-def _cmd_compute(resolved: dict) -> None:
+def _cmd_compute(resolved: dict) -> _Output:
     log10_mode = resolved["log10"]
     null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
@@ -356,7 +324,7 @@ def _cmd_compute(resolved: dict) -> None:
     p_delta, corrected, gap = p_delta_array(lo, hi, null_spec)
     p_col, class_col, gap_col = _verdict_columns(p_delta, gap)
     corrected = np.where(np.isnan(p_delta), 2, corrected)  # code 2: an empty cell
-    _emit(resolved, [
+    return _Output([
         _table.texts("id", ids), _table.floats("lo", lo), _table.floats("hi", hi),
         p_col, class_col, _table.codes("correction_applied", corrected, _table.BOOL_LABELS),
         gap_col, _flags(p_delta),
@@ -374,23 +342,20 @@ def _curve_columns(names: Sequence[str], grid: np.ndarray, values) -> list[_tabl
     ]
 
 
-def _cmd_design(resolved: dict) -> None:
+def _cmd_design(resolved: dict) -> _Output:
     cfg = _resolve_design(resolved)
-    with _config_errors():
-        grid = _resolve_grid(resolved)
-        values = outcome_probs_array(grid, cfg)
-    _emit(resolved, _curve_columns(POWER_CURVE_COLUMNS, grid, values))
+    grid = _resolve_grid(resolved)
+    return _Output(_curve_columns(POWER_CURVE_COLUMNS, grid, outcome_probs_array(grid, cfg)))
 
 
-def _cmd_reliability(resolved: dict) -> None:
+def _cmd_reliability(resolved: dict) -> _Output:
     cfg = _resolve_design(resolved)
     if resolved["r"] is None:
         raise _ConfigError("--r (prior odds) is required")
-    with _config_errors():
-        odds = PriorOdds(resolved["r"])
-        grid = _resolve_grid(resolved)
-        values = reliability_rates_array(grid, cfg, odds)
-    _emit(resolved, _curve_columns(RELIABILITY_CURVE_COLUMNS, grid, values))
+    odds = PriorOdds(resolved["r"])
+    grid = _resolve_grid(resolved)
+    values = reliability_rates_array(grid, cfg, odds)
+    return _Output(_curve_columns(RELIABILITY_CURVE_COLUMNS, grid, values))
 
 
 # ------------------------------------------------------------------ screen
@@ -473,7 +438,7 @@ def _group_intervals(table: _Table, level: float, welch: bool):
     return lo, hi, p_raw
 
 
-def _cmd_screen(resolved: dict) -> None:
+def _cmd_screen(resolved: dict) -> _Output:
     log10_mode, alpha, want_crosstab = resolved["log10"], resolved["alpha"], resolved["crosstab"]
     null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
@@ -500,23 +465,22 @@ def _cmd_screen(resolved: dict) -> None:
         _table.ints("rank", rank, rank == 0), _flags(report.p_delta),
     ]
     extra = {"summary": asdict(report.summary)}
-    tab = cross_tab(report, alpha) if want_crosstab else None
-    if tab is not None:
-        extra["crosstab"] = asdict(tab)
-    if _emit(resolved, columns, **extra) and tab is not None:
-        block = _table.csv_text([
-            _table.texts("crosstab", ["bonferroni_significant", "bonferroni_not_significant"]),
-            _table.ints("p_delta_zero", [tab.sgpv_zero_significant, tab.sgpv_zero_not_significant]),
-            _table.ints("p_delta_positive",
-                        [tab.sgpv_positive_significant, tab.sgpv_positive_not_significant]),
-        ])
-        sys.stdout.write("\n" + block if resolved["out"] in (None, "-") else block)
+    if not want_crosstab:
+        return _Output(columns, extra)
+    tab = cross_tab(report, alpha)
+    extra["crosstab"] = asdict(tab)
+    return _Output(columns, extra, _table.csv_text([
+        _table.texts("crosstab", ["bonferroni_significant", "bonferroni_not_significant"]),
+        _table.ints("p_delta_zero", [tab.sgpv_zero_significant, tab.sgpv_zero_not_significant]),
+        _table.ints("p_delta_positive",
+                    [tab.sgpv_positive_significant, tab.sgpv_positive_not_significant]),
+    ]))
 
 
 # ------------------------------------------------------------------- track
 
 
-def _cmd_track(resolved: dict) -> None:
+def _cmd_track(resolved: dict) -> _Output:
     null_spec = _resolve_null(resolved, allow_fold_change_default=False)
 
     table = _read_table(resolved["input"])
@@ -531,7 +495,7 @@ def _cmd_track(resolved: dict) -> None:
         p_delta, code = track_arrays(t, lo, hi, null_spec)
     except SgpvError as exc:
         raise _InputError(str(exc)) from exc
-    _emit(resolved, [
+    return _Output([
         _table.floats("t", t), _table.floats("p_delta", p_delta),
         _table.codes("classification", code, CLASS_LABELS),
         _table.floats("grey_level", p_delta, code != INCONCLUSIVE),
@@ -541,7 +505,7 @@ def _cmd_track(resolved: dict) -> None:
 # ---------------------------------------------------------------- simulate
 
 
-def _cmd_simulate(resolved: dict) -> None:
+def _cmd_simulate(resolved: dict) -> dict:
     design = _resolve_design(resolved)
     theta = design.theta0 if resolved["theta"] is None else resolved["theta"]
     if resolved["replicates"] is None:
@@ -550,36 +514,34 @@ def _cmd_simulate(resolved: dict) -> None:
     if (theta1 is None) != (r is None):
         raise _ConfigError("--theta1 and --r must be given together")
 
-    with _config_errors():
-        sim_cfg = SimConfig(design, theta, resolved["replicates"], seed)
-        result = simulate_outcomes(sim_cfg, chunks=chunks)
-        empirical = asdict(result.empirical)
-        closed = asdict(outcome_probs(theta, design))
-        z_scores = {}
-        for name, p in closed.items():
-            se = math.sqrt(p * (1.0 - p) / sim_cfg.replicates)
-            z_scores[name] = None if se == 0.0 else (empirical[name] - p) / se
-        payload = {
-            "empirical": empirical,
-            "closed_form": closed,
-            "z_scores": z_scores,
-            "counts": dict(zip(("alt", "null", "inconclusive"), result.counts)),
-            "replicates": sim_cfg.replicates,
-            "seed": seed,
+    sim_cfg = SimConfig(design, theta, resolved["replicates"], seed)
+    result = simulate_outcomes(sim_cfg, chunks=chunks)
+    empirical = asdict(result.empirical)
+    closed = asdict(outcome_probs(theta, design))
+    z_scores = {}
+    for name, p in closed.items():
+        se = math.sqrt(p * (1.0 - p) / sim_cfg.replicates)
+        z_scores[name] = None if se == 0.0 else (empirical[name] - p) / se
+    payload = {
+        "empirical": empirical,
+        "closed_form": closed,
+        "z_scores": z_scores,
+        "counts": dict(zip(("alt", "null", "inconclusive"), result.counts)),
+        "replicates": sim_cfg.replicates,
+        "seed": seed,
+    }
+    if theta1 is not None:
+        odds = PriorOdds(r)
+        rel = simulate_reliability(sim_cfg, odds, theta1, chunks=chunks)
+        payload["reliability"] = {
+            "empirical_fdr": rel.empirical_fdr,
+            "empirical_fcr": rel.empirical_fcr,
+            "closed_form_fdr": fdr_sgpv(theta1, design, odds),
+            "closed_form_fcr": fcr_sgpv(theta1, design, odds),
+            "n_discoveries": rel.n_discoveries,
+            "n_confirmations": rel.n_confirmations,
         }
-        if theta1 is not None:
-            odds = PriorOdds(r)
-            rel = simulate_reliability(sim_cfg, odds, theta1, chunks=chunks)
-            payload["reliability"] = {
-                "empirical_fdr": rel.empirical_fdr,
-                "empirical_fcr": rel.empirical_fcr,
-                "closed_form_fdr": fdr_sgpv(theta1, design, odds),
-                "closed_form_fcr": fcr_sgpv(theta1, design, odds),
-                "n_discoveries": rel.n_discoveries,
-                "n_confirmations": rel.n_confirmations,
-            }
-    with _output(resolved["out"]) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    return payload
 
 
 # ------------------------------------------------------ options and parser
@@ -726,8 +688,46 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _open_out(path: str | None) -> tuple[TextIO | None, bool]:
+    """The --out file (None for stdout), opened but left as is, and whether this run created it."""
+    if path is None or path == "-":
+        if sys.stdout is None:  # the process started with stdout closed
+            raise _ConfigError("cannot write stdout: it is closed")
+        return None, False
+    mode = "a" if os.path.lexists(path) else "x"  # "x": remove no file this run did not make
+    try:
+        return open(path, mode, encoding="utf-8"), mode == "x"
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write(result: _Output | dict, resolved: dict, out: TextIO | None) -> None:
+    """Write a handler's result (a dict is a JSON document) to ``out``, or stdout when None."""
+    fh, name = (sys.stdout, "stdout") if out is None else (out, resolved["out"])
+    try:
+        if out is not None and os.path.isfile(resolved["out"]):
+            out.truncate(0)  # opened to append, so that a failed run leaves it as it was
+        if isinstance(result, dict):
+            fh.write(json.dumps(result, indent=2) + "\n")
+        elif resolved["format"] == "json":
+            fh.write(_table.json_text(result.columns, **result.extra))
+        else:
+            _table.write_csv(fh, result.columns, resolved["digits"])
+            if result.trailer:
+                fh.flush()
+                _open_out(None)  # raises if stdout is closed
+                name, fh = "stdout", sys.stdout
+                fh.write(result.trailer if out is not None else "\n" + result.trailer)
+        fh.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # leaves nothing to flush at exit
+            fh.close()
+        raise _ConfigError(f"cannot write {name}: {exc}") from exc
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    created = False
     try:
         args = parser.parse_args(argv)
         file_cfg = _load_config(args.config)
@@ -740,14 +740,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             resolved[opt.name] = opt.default if value is None else opt.kind(opt, value)
         if resolved.get("format") == "csv" and resolved["digits"] < 0:  # JSON ignores --digits
             raise _ConfigError(f"--digits must be >= 0, got {resolved['digits']}")
-        args.handler(resolved)
+        out, created = _open_out(resolved["out"])
+        with out or contextlib.nullcontext():
+            _write(args.handler(resolved), resolved, out)
         return EXIT_OK
-    except _ConfigError as exc:
-        print(f"sgpv: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _InputError as exc:
-        print(f"sgpv: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, error = EXIT_INPUT, f"input error: {exc}"
+    except (_ConfigError, SgpvError) as exc:
+        code, error = EXIT_CONFIG, f"configuration error: {exc}"
+    except MemoryError as exc:
+        code, error = EXIT_CONFIG, f"configuration error: the request does not fit in memory: {exc}"
+    if created:  # a failed run leaves --out as it found it
+        os.remove(resolved["out"])
+    print(f"sgpv: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -300,32 +300,13 @@ def screen_intervals(ids, lo, hi, p_raw, has_p_raw, h0: NullSpec) -> ScreenRepor
     p_delta, _, gap = p_delta_array(lo, hi, h0)
     p_raw = np.asarray(p_raw, dtype=float).reshape(p_delta.shape)
     has_p_raw = np.asarray(has_p_raw, dtype=bool).reshape(p_delta.shape)
-    summary = _summarize(p_delta, p_raw, has_p_raw)
+    per_code = np.bincount(classify_codes(p_delta), minlength=len(CLASSES)).tolist()
+    summary = ScreenSummary(len(p_delta), *per_code)  # alternative, null, inconclusive, flagged
     return ScreenReport(ids, p_delta, gap, p_raw, has_p_raw, summary)
 
 
 def _count(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))  # a plain int, as JSON output expects
-
-
-def _summarize(
-    p_delta: np.ndarray,
-    p_raw: np.ndarray,
-    has_p_raw: np.ndarray,
-    q_bh: np.ndarray | None = None,
-    alpha: float | None = None,
-) -> ScreenSummary:
-    per_code = np.bincount(classify_codes(p_delta), minlength=len(CLASSES)).tolist()
-    summary = ScreenSummary(len(p_delta), *per_code)  # alternative, null, inconclusive, flagged
-    if alpha is None:
-        return summary
-    m = max(len(p_delta), 1)
-    return replace(
-        summary,
-        n_bonferroni_significant=_count(has_p_raw & (p_raw < alpha / m)),
-        n_bh_significant=_count(q_bh < alpha),
-        n_raw_significant=_count(has_p_raw & (p_raw < alpha)),
-    )
 
 
 def attach_adjustments(report: ScreenReport, alpha: float) -> ScreenReport:
@@ -340,18 +321,37 @@ def attach_adjustments(report: ScreenReport, alpha: float) -> ScreenReport:
         raise MissingComparator("every row needs a raw p-value to adjust")
     p_raw = report.p_raw
     _validate_pvalues(p_raw.tolist())
+    p_bonferroni, significant = _bonferroni(p_raw, alpha)
     q_bh = _bh_array(p_raw)
-    summary = _summarize(report.p_delta, p_raw, report.has_p_raw, q_bh, alpha)
-    return replace(report, p_bonferroni=np.minimum(1.0, len(p_raw) * p_raw), q_bh=q_bh,
-                   summary=summary)
+    summary = replace(
+        report.summary,
+        n_bonferroni_significant=_count(significant),
+        n_bh_significant=_count(q_bh < alpha),
+        n_raw_significant=_count(p_raw < alpha),
+    )
+    return replace(report, p_bonferroni=p_bonferroni, q_bh=q_bh, summary=summary)
+
+
+def valid_p_values(p: np.ndarray) -> np.ndarray:
+    """Where ``p`` holds a p-value: a number in [0, 1], where 0 stands for a
+    p-value below the smallest double (a t-test tail that underflows)."""
+    return (p >= 0.0) & (p <= 1.0)
 
 
 def _validate_pvalues(p_values: Sequence[float]) -> None:
     values = np.array([math.nan if p is None else p for p in p_values], dtype=float)
-    bad = np.flatnonzero(~((values > 0.0) & (values <= 1.0)))
+    bad = np.flatnonzero(~valid_p_values(values))
     if bad.size:
         p = p_values[int(bad[0])]
-        raise InvalidProbability(f"p-values must lie in (0, 1], got {p!r}")
+        raise InvalidProbability(f"p-values must lie in [0, 1], got {p!r}")
+
+
+def _bonferroni(p_raw: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """min(1, m p) and p < alpha / m over a family of m = len(p_raw) rows: every
+    row of a screen, flagged ones and those without a p-value (NaN) included."""
+    m = len(p_raw)
+    significant = p_raw < alpha / m if m else np.zeros(0, dtype=bool)
+    return np.minimum(1.0, m * p_raw), significant
 
 
 def bonferroni_flags(p_values: Sequence[float], alpha: float) -> list[bool]:
@@ -359,8 +359,7 @@ def bonferroni_flags(p_values: Sequence[float], alpha: float) -> list[bool]:
     if not 0.0 < alpha < 1.0:
         raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
     _validate_pvalues(p_values)
-    m = len(p_values)
-    return [p < alpha / m for p in p_values]
+    return _bonferroni(np.asarray(p_values, dtype=float), alpha)[1].tolist()
 
 
 def bh_qvalues(p_values: Sequence[float]) -> list[float]:
@@ -397,9 +396,8 @@ def cross_tab(report: ScreenReport, alpha: float) -> CrossTab:
     kept = ~report.flagged
     if not report.has_p_raw[kept].all():
         raise MissingComparator("cross tabulation needs raw p-values on every row")
-    p_raw = report.p_raw[kept]
-    _validate_pvalues(p_raw.tolist())
-    significant = p_raw < alpha / max(len(report.ids), 1)
+    _validate_pvalues(report.p_raw[kept].tolist())
+    significant = _bonferroni(report.p_raw, alpha)[1][kept]
     zero = report.p_delta[kept] == 0.0
     return CrossTab(
         _count(zero & significant),

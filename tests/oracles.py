@@ -529,8 +529,8 @@ def parse_interval_rows(header: list[str], rows, log10_mode: bool) -> list[Study
                 estimate = math.log10(estimate) if estimate > 0 else estimate
         except SgpvError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
-        if p_value is not None and not 0.0 < p_value <= 1.0:
-            raise InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
+        if p_value is not None and not 0.0 <= p_value <= 1.0:
+            raise InputError(f"line {lineno}: p-value must lie in [0, 1], got {p_value!r}")
         out.append(StudyRow(row_id, estimate, interval, p_value))
     return out
 
@@ -571,8 +571,8 @@ def parse_group_rows(header: list[str], rows, level: float, welch: bool) -> list
                 GroupSummary(*summaries[0]), GroupSummary(*summaries[1]), level, welch)
         except SgpvError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
-        if not 0.0 < p_value <= 1.0:
-            raise InputError(f"line {lineno}: p-value must lie in (0, 1], got {p_value!r}")
+        if not 0.0 <= p_value <= 1.0:
+            raise InputError(f"line {lineno}: p-value must lie in [0, 1], got {p_value!r}")
         out.append(StudyRow(row_id, estimate, interval, p_value))
     return out
 

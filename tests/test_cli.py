@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgpv
 from sgpv import DesignConfig, PriorOdds, fdr_sgpv, outcome_probs
 from sgpv.cli import main
 
@@ -580,16 +585,86 @@ class TestConfigurationErrors:
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         src = tmp_path / "iv.csv"
         src.write_text("id,lo,hi\na,0,1\n")
-        code, _, err = run(
-            capsys, "compute", str(src), "--null-point", "0", "--delta", "1",
-            "--out", str(tmp_path / "missing" / "out.csv"),
-        )
-        assert code == 3
-        assert err.startswith("sgpv: configuration error: cannot write ")
+        bad = tmp_path / "bad.csv"  # fails each input check its subcommand makes
+        bad.write_text("id,t,lo,hi\na,1,2,1\n")
+        null = ["--null-point", "0", "--delta", "1"]
+        design = ["--theta0", "0", "--delta", "1", "--n", "10", "--variance", "1"]
+        for argv in (
+            ["compute", str(src), *null],
+            ["compute", str(bad), *null],
+            ["screen", str(bad), *null],
+            ["track", str(bad), *null],
+            ["design", *design],  # no grid
+            ["reliability", *design, "--grid", "0:1:3"],  # no --r
+            ["simulate", *design],  # no --replicates
+        ):
+            code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out.csv"))
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("sgpv: configuration error: cannot write "), argv
+        if os.path.exists("/dev/full"):  # a full disk: the open works, the write fails
+            code, _, err = run(capsys, "compute", str(src), *null, "--out", "/dev/full")
+            assert (code, err) == (3, "sgpv: configuration error: cannot write /dev/full: "
+                                      "[Errno 28] No space left on device\n")
+
+    def test_failed_run_leaves_out_as_found(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,lo,hi\na,2,1\n")
+        no_p = tmp_path / "no_p.csv"
+        no_p.write_text("id,lo,hi\na,0,1\n")
+        existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+        existing.write_bytes(b"keep\r\n")
+        for argv, want in (
+            (["compute", str(bad)], 2),
+            (["screen", str(no_p), "--crosstab"], 3),  # raised inside the handler
+        ):
+            for out in (existing, new):
+                code, _, _ = run(capsys, *argv, "--null-point", "0", "--delta", "1",
+                                 "--out", str(out))
+                assert code == want, argv
+        assert existing.read_bytes() == b"keep\r\n"
+        assert not new.exists()
+
+    def test_out_may_name_the_input_or_a_device(self, tmp_path, capsys):
+        src = tmp_path / "iv.csv"
+        src.write_text("id,lo,hi\na,0,1\n")
+        code, want, _ = run(capsys, "compute", str(src), "--null-point", "0", "--delta", "1")
+        assert code == 0
+        for out in (str(src), os.devnull):
+            code, _, _ = run(capsys, "compute", str(src), "--null-point", "0", "--delta", "1",
+                             "--out", out)
+            assert code == 0
+        assert src.read_text() == want
+
+
+def test_write_failure_exit_3(tmp_path):
+    """A reader that leaves early or a closed stdout ends the run with one error line."""
+    src = tmp_path / "big.csv"
+    src.write_text("id,lo,hi\n" + "".join(f"r{k},{k},{k + 1}\n" for k in range(40000)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(sgpv.__file__).resolve().parents[1])
+    cli = [sys.executable, "-m", "sgpv.cli"]
+    proc = subprocess.Popen(
+        [*cli, "compute", str(src), "--null-point", "0", "--delta", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"id,lo,hi,")
+    proc.stdout.close()  # the output is about 2 MB, far more than a pipe holds
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 3
+    assert err == "sgpv: configuration error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    closed = subprocess.run(
+        [*cli, "simulate", "--theta0", "0", "--delta", "1", "--n", "10", "--variance", "1",
+         "--replicates", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (closed.returncode, closed.stderr) == (
+        3, b"sgpv: configuration error: cannot write stdout: it is closed\n")
 
 
 class TestScreenInputErrors:
-    @pytest.mark.parametrize("p_value", ["0", "nan", "1e400", "1.5", "-0.2"])
+    @pytest.mark.parametrize("p_value", ["nan", "1e400", "1.5", "-0.2"])
     def test_p_value_off_unit_interval_exit_2(self, tmp_path, capsys, p_value):
         src = tmp_path / "s.csv"
         src.write_text(f"id,estimate,lo,hi,p_value\na,0.5,0.2,0.8,0.01\nb,1,0.5,1.5,{p_value}\n")
@@ -598,13 +673,36 @@ class TestScreenInputErrors:
         assert out == ""
         assert err.startswith("sgpv: input error: line 3: ")
 
-    def test_underflowing_t_test_exit_2(self, tmp_path, capsys):
+    def test_zero_p_value_exit_0(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text("id,estimate,lo,hi,p_value\na,0.5,0.2,0.8,0.01\nb,1,0.5,1.5,0\n")
+        code, out, err = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "1")
+        assert (code, err) == (0, "")
+        assert [r["p_raw"] for r in parse_csv(out)] == ["0.01", "0"]
+
+    def test_underflowing_t_test_exit_0(self, tmp_path, capsys):
         src = tmp_path / "g.csv"
         src.write_text("id,n1,mean1,sd1,n2,mean2,sd2\nx,50,1000000,1,50,0,1\n")
         code, out, err = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("sgpv: input error: line 2: ")
+        assert (code, err) == (0, "")
+        assert parse_csv(out)[0]["p_raw"] == "0"
+
+    def test_underflow_changes_only_the_p_columns(self, tmp_path, capsys):
+        # sd 0.4 puts t near 56 at df 1998, where p is about 1e-680; sd 0.5
+        # gives t near 45 and p = 2.9e-303, still a double
+        rows = "id,n1,mean1,sd1,n2,mean2,sd2\na,20,0.3,1,20,0,1\nb,20,2,1,20,0,1\n"
+        screens = []
+        for sd in ("0.4", "0.5"):
+            src = tmp_path / f"g{sd}.csv"
+            src.write_text(f"{rows}g1,1000,1,{sd},1000,0,{sd}\n")
+            code, out, err = run(capsys, "screen", str(src), "--null-point", "0",
+                                 "--delta", "0.5", "--crosstab")
+            assert (code, err) == (0, "")
+            screens.append(parse_csv(out.split("\n\n")[0]))
+        underflow, tiny = screens
+        assert [underflow[2][k] for k in ("p_raw", "p_bonferroni", "q_bh")] == ["0", "0", "0"]
+        assert float(tiny[2]["p_raw"]) > 0.0
+        assert [r["rank"] for r in underflow] == [r["rank"] for r in tiny]
 
     @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "2.5", "abc"])
     def test_group_size_must_be_whole_exit_2(self, tmp_path, capsys, n):

@@ -271,7 +271,6 @@ def test_compute_log10_error_line_matches_oracle(work_dir, seed, count, bad_lo):
 
 
 SCREEN_DEFECTS = {
-    "p_zero": lambda row: [*row[:4], "0"],
     "p_above_one": lambda row: [*row[:4], "1.5"],
     "p_negative": lambda row: [*row[:4], "-0.2"],
     "p_nan": lambda row: [*row[:4], "nan"],

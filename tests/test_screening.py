@@ -183,8 +183,7 @@ class TestAdjustments:
         assert bonferroni_flags([1.0, 1.0, 1.0], 0.05) == [False, False, False]
 
     def test_bonferroni_rejects_bad_p(self):
-        with pytest.raises(InvalidProbability):
-            bonferroni_flags([0.0, 0.5], 0.05)
+        assert bonferroni_flags([0.0, 0.5], 0.05) == [True, False]
         with pytest.raises(InvalidProbability):
             bonferroni_flags([0.5], 1.5)
 

@@ -153,8 +153,8 @@ class TestScreenErrorOrder:
              "line 2: the standard error of the difference under- or overflows"),
             (["a,10,nan,1,10,0,1", "b,10,1,1,10,0,"],
              "line 2: interval endpoints must not be NaN"),
-            (["a,50,1000000,1,50,0,1", "b,10,1,1"],
-             "line 2: p-value must lie in (0, 1], got 0.0"),
+            (["a,50,1000000,1,50,0,1", "b,10,1,1"],  # line 2's p-value underflows to 0
+             "line 3: bad value for 'n2'"),
             # a cell error on an earlier line than a summary error
             (["a,10,1,1,10,0,1", "b,abc,1,1,10,0,1", "c,1,1,1,10,0,1"],
              "line 3: bad value for 'n1'"),
