@@ -3,7 +3,8 @@
 Subcommands: compute, design, reliability, screen, track, simulate.
 Exit codes: 0 on success, 2 for input (data) errors, 3 for configuration
 errors. Every option is declared once, in OPTIONS: a flag wins over the
-same key in a JSON config file (--config), which wins over the default.
+same key in a JSON config file (--config), which wins over the default,
+and both are checked by the option's kind. An input's byte-order mark is dropped.
 Floats in CSV output are rounded to --digits significant digits; JSON
 output keeps full precision.
 """
@@ -21,7 +22,6 @@ import os
 import sys
 from dataclasses import asdict
 from itertools import compress
-from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -44,6 +44,7 @@ from .screening import (
     GroupSummary,
     attach_adjustments,
     cross_tab,
+    invalid_summaries,
     log10_interval,
     ranked_indices,
     screen_intervals,
@@ -145,15 +146,14 @@ def _resolve_grid(resolved: dict) -> np.ndarray:
 
 
 class _Table(NamedTuple):
-    """The data rows of an input CSV, fields as read, blank rows dropped."""
+    """The data rows of an input CSV by column, fields as read, blank rows dropped."""
 
-    cols: dict[str, int]  # column index by stripped, lower-cased header name
-    rows: list[list[str]]
+    cells: dict[str, list[str | None]]  # by stripped, lower-cased header; None past a row's end
     lines: list[int]  # the 1-based record number of each row
-    lengths: np.ndarray  # the field count of each row
 
 
-def _read_table(path: str) -> _Table:
+def _read_table(path: str, names: Sequence[str]) -> _Table:
+    """The columns ``names`` that the header of the CSV at ``path`` ('-': stdin) holds."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -162,7 +162,7 @@ def _read_table(path: str) -> _Table:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))  # U+FEFF: byte-order mark
     try:
         rows = list(reader)
     except csv.Error as exc:
@@ -174,32 +174,25 @@ def _read_table(path: str) -> _Table:
         rows = list(compress(rows, kept))
     if not rows:
         raise _InputError(f"{path}: empty input (a header row is required)")
-    cols = {name.strip().lower(): i for i, name in enumerate(rows[0])}
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    return _Table(cols, rows[1:], lines[1:], lengths[1:])
-
-
-def _cells(rows: list[list[str]], idx: int) -> list[str]:
-    """Stripped cells of column ``idx``; every row must reach it."""
-    return list(map(str.strip, map(itemgetter(idx), rows)))
+    header = [name.strip().lower() for name in rows.pop(0)]
+    cells = {name: [row[i] if i < len(row) else None for row in rows]
+             for i, name in enumerate(header) if name in names}
+    return _Table(cells, lines[1:])
 
 
 def _column(table: _Table, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Column ``name`` as floats over every row, and where its cell reads as a number.
 
-    A row too short for the column, or a cell that is not a number, gives
-    NaN and False.
+    A missing cell, or a cell that is not a number, gives NaN and False.
     """
-    idx, count = table.cols[name], len(table.rows)
-    if bool((table.lengths > idx).all()):
-        with contextlib.suppress(ValueError):
-            values = np.fromiter(map(float, _cells(table.rows, idx)), dtype=float, count=count)
-            return values, np.ones(count, dtype=bool)
+    cells, count = table.cells[name], len(table.lines)
+    with contextlib.suppress(TypeError, ValueError):  # float(None), float("abc")
+        return np.fromiter(map(float, cells), dtype=float, count=count), np.ones(count, bool)
     values, readable = np.full(count, np.nan), np.zeros(count, dtype=bool)
-    for k, fields in enumerate(table.rows):
+    for k, cell in enumerate(cells):
         try:
-            values[k], readable[k] = float(fields[idx].strip()), True
-        except (IndexError, ValueError):
+            values[k], readable[k] = float(cell), True
+        except (TypeError, ValueError):
             pass
     return values, readable
 
@@ -243,7 +236,8 @@ def _read_numbers(table: _Table, names: Sequence[str]) -> tuple[list[np.ndarray]
 
 
 def _id_rule(table: _Table) -> _Rule:
-    return table.lengths <= table.cols["id"], lambda k: "missing value for 'id'"
+    missing = np.array([cell is None for cell in table.cells["id"]], dtype=bool)
+    return missing, lambda k: "missing value for 'id'"
 
 
 def _interval_rules(interval: Callable, lo: np.ndarray, hi: np.ndarray, log10_mode: bool = False):
@@ -291,9 +285,10 @@ def _flags(p_delta: np.ndarray) -> _table.Column:
 # ---------------------------------------------------------------- compute
 
 
-def _compute_intervals(table: _Table, level: float, log10_mode: bool):
+def _compute_intervals(path: str, level: float, log10_mode: bool):
     """ids and interval endpoints of a compute input, every row checked at once."""
-    cols = table.cols
+    table = _read_table(path, ("id", "lo", "hi", "estimate", "se"))
+    cols = table.cells
     if "lo" in cols and "hi" in cols:
         names, make = ("lo", "hi"), ExtendedInterval
     elif "estimate" in cols and "se" in cols:
@@ -312,7 +307,7 @@ def _compute_intervals(table: _Table, level: float, log10_mode: bool):
     _check(table, rules + _interval_rules(interval, lo, hi, log10_mode))
     if log10_mode:
         lo, hi = _log10(lo), _log10(hi)
-    ids = _cells(table.rows, cols["id"]) if "id" in cols else list(map(str, range(1, len(lo) + 1)))
+    ids = list(map(str.strip, cols["id"]) if "id" in cols else map(str, range(1, len(lo) + 1)))
     return ids, lo, hi
 
 
@@ -320,7 +315,7 @@ def _cmd_compute(resolved: dict) -> _Output:
     log10_mode = resolved["log10"]
     null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
-    ids, lo, hi = _compute_intervals(_read_table(resolved["input"]), resolved["level"], log10_mode)
+    ids, lo, hi = _compute_intervals(resolved["input"], resolved["level"], log10_mode)
     p_delta, corrected, gap = p_delta_array(lo, hi, null_spec)
     p_col, class_col, gap_col = _verdict_columns(p_delta, gap)
     corrected = np.where(np.isnan(p_delta), 2, corrected)  # code 2: an empty cell
@@ -361,9 +356,11 @@ def _cmd_reliability(resolved: dict) -> _Output:
 # ------------------------------------------------------------------ screen
 
 
-def _screen_report(table: _Table, null_spec: NullSpec, level, welch, log10_mode):
+def _screen_report(path: str, null_spec: NullSpec, level, welch, log10_mode):
     """The screen of an input, and whether its form gives every row a raw p-value."""
-    cols = table.cols
+    table = _read_table(path, ("id", "estimate", "lo", "hi", "p_value",
+                               "n1", "mean1", "sd1", "n2", "mean2", "sd2"))
+    cols = table.cells
     interval_form = {"id", "lo", "hi"} <= set(cols)
     group_form = {"id", "n1", "mean1", "sd1", "n2", "mean2", "sd2"} <= set(cols)
     if not interval_form and not group_form:
@@ -380,21 +377,20 @@ def _screen_report(table: _Table, null_spec: NullSpec, level, welch, log10_mode)
         has_p_raw = np.ones(len(p_raw), dtype=bool)
     else:
         lo, hi, p_raw, has_p_raw = _screen_intervals(table, log10_mode)
-    ids = _cells(table.rows, cols["id"])
+    ids = list(map(str.strip, cols["id"]))
     report = screen_intervals(ids, lo, hi, p_raw, has_p_raw, null_spec)
     return report, not interval_form or ("p_value" in cols and bool(has_p_raw.all()))
 
 
 def _screen_intervals(table: _Table, log10_mode: bool):
     """lo, hi, p_raw and its presence mask of an id,[estimate,]lo,hi[,p_value] input."""
-    cols = table.cols
+    cols = table.cells
     names = ("lo", "hi", "estimate") if "estimate" in cols else ("lo", "hi")
     (lo, hi, *_), rules = _read_numbers(table, names)
     p_raw, has_p_raw = np.full(len(lo), np.nan), np.zeros(len(lo), dtype=bool)
     if "p_value" in cols:  # a missing or blank p_value cell is no p-value
-        idx = cols["p_value"]
         p_raw, readable = _column(table, "p_value")
-        has_p_raw = np.array([len(f) > idx and f[idx].strip() != "" for f in table.rows], bool)
+        has_p_raw = np.array([c is not None and c.strip() != "" for c in cols["p_value"]], bool)
         rules.append((has_p_raw & ~readable, lambda k: "bad value for 'p_value'"))
     rules += _interval_rules(_per_row(ExtendedInterval, lo, hi), lo, hi, log10_mode)
     _check(table, [_id_rule(table), *rules, _p_value_rule(p_raw, has_p_raw)])
@@ -408,15 +404,14 @@ def _group(table: _Table, g: str):
     summary) and its per-row GroupSummary."""
     name = "n" + g
     (n, mean, sd), (n_rule, *rules) = _read_numbers(table, (name, "mean" + g, "sd" + g))
-    idx = table.cols[name]
+    cells = table.cells[name]
 
     def summary(k: int) -> GroupSummary:
         return GroupSummary(int(n[k]), mean[k].item(), sd[k].item())
 
     whole = (~(np.isfinite(n) & (n == np.floor(n))),
-             lambda k: f"{name!r} must be a whole number, got {table.rows[k][idx].strip()!r}")
-    invalid = (n < 2.0) | ~((sd > 0.0) & np.isfinite(sd))
-    return (n, mean, sd), [n_rule, whole, *rules, (invalid, summary)], summary
+             lambda k: f"{name!r} must be a whole number, got {cells[k].strip()!r}")
+    return (n, mean, sd), [n_rule, whole, *rules, (invalid_summaries(n, sd), summary)], summary
 
 
 def _group_intervals(table: _Table, level: float, welch: bool):
@@ -443,8 +438,7 @@ def _cmd_screen(resolved: dict) -> _Output:
     null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
     report, have_pvalues = _screen_report(
-        _read_table(resolved["input"]), null_spec, resolved["level"], resolved["welch"],
-        log10_mode,
+        resolved["input"], null_spec, resolved["level"], resolved["welch"], log10_mode
     )
     if have_pvalues:
         report = attach_adjustments(report, alpha)
@@ -483,9 +477,8 @@ def _cmd_screen(resolved: dict) -> _Output:
 def _cmd_track(resolved: dict) -> _Output:
     null_spec = _resolve_null(resolved, allow_fold_change_default=False)
 
-    table = _read_table(resolved["input"])
-    cols = table.cols
-    if not {"t", "lo", "hi"} <= set(cols):
+    table = _read_table(resolved["input"], ("t", "lo", "hi"))
+    if not {"t", "lo", "hi"} <= set(table.cells):
         raise _InputError("input needs t,lo,hi columns")
 
     (t, lo, hi), rules = _read_numbers(table, ("t", "lo", "hi"))
@@ -640,8 +633,6 @@ OPTIONS = (
     Option("format", _choice, "json", ("simulate",), "output format", ("json",)),
     Option("digits", _integer, 6, _TABLES, "significant digits in CSV output"),
 )
-# argparse type of the flags of each kind; a boolean flag also takes a --no- form
-_FLAG_TYPES = {_number: float, _unit: float, _integer: int}
 
 
 def _load_config(path: str | None) -> dict:
@@ -682,7 +673,7 @@ def build_parser() -> _Parser:
         for opt in (opt for opt in OPTIONS if command in opt.commands):
             default = "" if opt.default is None else f" (default: {opt.default})"
             p.add_argument("--" + opt.name.replace("_", "-"), help=opt.help + default,
-                           type=_FLAG_TYPES.get(opt.kind), choices=opt.choices or None,
+                           choices=opt.choices or None,
                            action=argparse.BooleanOptionalAction if opt.kind is _boolean else None)
         p.add_argument("--config", help="JSON file with default option values")
     return parser
@@ -701,9 +692,20 @@ def _open_out(path: str | None) -> tuple[TextIO | None, bool]:
         raise _ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _stdout() -> TextIO:
+    """sys.stdout, or when it has no buffer (PYTHONUNBUFFERED) a buffered stream on
+    its descriptor, which closing leaves open: a TextIOWrapper over a raw file drops
+    the rest of a short write, where a BufferedWriter writes on until all is out or fails."""
+    _open_out(None)  # raises if stdout is closed
+    if not isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        return sys.stdout
+    return open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                errors=sys.stdout.errors, closefd=False)
+
+
 def _write(result: _Output | dict, resolved: dict, out: TextIO | None) -> None:
     """Write a handler's result (a dict is a JSON document) to ``out``, or stdout when None."""
-    fh, name = (sys.stdout, "stdout") if out is None else (out, resolved["out"])
+    fh, name = (_stdout(), "stdout") if out is None else (out, resolved["out"])
     try:
         if out is not None and os.path.isfile(resolved["out"]):
             out.truncate(0)  # opened to append, so that a failed run leaves it as it was
@@ -715,8 +717,7 @@ def _write(result: _Output | dict, resolved: dict, out: TextIO | None) -> None:
             _table.write_csv(fh, result.columns, resolved["digits"])
             if result.trailer:
                 fh.flush()
-                _open_out(None)  # raises if stdout is closed
-                name, fh = "stdout", sys.stdout
+                name, fh = "stdout", _stdout()
                 fh.write(result.trailer if out is not None else "\n" + result.trailer)
         fh.flush()
     except OSError as exc:

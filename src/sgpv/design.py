@@ -38,10 +38,10 @@ from . import _normal, _table
 from ._normal import norm_cdf as std_normal_cdf, norm_quantile as std_normal_quantile  # noqa: F401
 from .errors import (
     InvalidInterval,
-    InvalidProbability,
     InvalidProportion,
     InvalidScale,
     InvalidSeries,
+    check_probability,
 )
 from .intervals import ExtendedInterval
 
@@ -71,8 +71,7 @@ class DesignConfig:
             raise InvalidScale(f"sample size must be positive, got {self.n!r}")
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise InvalidScale(f"variance must be positive, got {self.variance!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidProbability(f"alpha must be in (0, 1), got {self.alpha!r}")
+        check_probability("alpha", self.alpha)
         if self.se == 0.0:
             raise InvalidScale("the standard error sqrt(variance / n) underflows to 0")
 
@@ -184,10 +183,8 @@ def required_interval_ratio(alpha: float, power: float) -> float:
     z_{1-alpha/2} / (z_{1-alpha/2} + z_{power}): equal widths at 50%
     power, 0.7 at 80%, 0.6 at 90% (alpha = 0.05).
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
-    if not 0.0 < power < 1.0:
-        raise InvalidProbability(f"power must be in (0, 1), got {power!r}")
+    check_probability("alpha", alpha)
+    check_probability("power", power)
     z_a = _normal.norm_quantile(1.0 - 0.5 * alpha)
     return z_a / (z_a + _normal.norm_quantile(power))
 
@@ -199,8 +196,7 @@ def correction_trigger_power(alpha: float) -> float:
     alpha = 0.05. Designs powered above this level never trigger the
     small-sample guard.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
+    check_probability("alpha", alpha)
     return _normal.norm_cdf(-0.5 * _normal.norm_quantile(1.0 - 0.5 * alpha))
 
 

@@ -1,4 +1,4 @@
-"""Semantic exception types shared across the package."""
+"""Semantic exception types shared across the package, and the open-unit-interval check."""
 
 
 class SgpvError(Exception):
@@ -19,6 +19,12 @@ class InvalidScale(SgpvError, ValueError):
 
 class InvalidProbability(SgpvError, ValueError):
     """A probability-like argument lies outside its required range."""
+
+
+def check_probability(name: str, value: float) -> None:
+    """Raise InvalidProbability unless ``value`` lies in the open interval (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise InvalidProbability(f"{name} must be in (0, 1), got {value!r}")
 
 
 class InvalidProportion(SgpvError, ValueError):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from ._normal import norm_quantile
-from .errors import InvalidInterval, InvalidProbability, InvalidScale, TruncationEmpty
+from .errors import InvalidInterval, InvalidScale, TruncationEmpty, check_probability
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ def z_interval(estimate: float, se: float, level: float = 0.95) -> ExtendedInter
     """Normal-theory interval estimate +/- z * se at the given confidence level."""
     if not se > 0:
         raise InvalidScale(f"standard error must be positive, got {se!r}")
-    if not 0.0 < level < 1.0:
-        raise InvalidProbability(f"confidence level must be in (0, 1), got {level!r}")
+    check_probability("confidence level", level)
     half = norm_quantile(0.5 * (1.0 + level)) * se
     return ExtendedInterval(estimate - half, estimate + half)

@@ -33,12 +33,7 @@ import numpy as np
 
 from . import _table
 from .design import DesignConfig, _outcome_columns, prob_alt, prob_inconclusive
-from .errors import (
-    DegenerateDesign,
-    InvalidOdds,
-    InvalidProbability,
-    InvalidSeries,
-)
+from .errors import DegenerateDesign, InvalidOdds, InvalidSeries, check_probability
 
 
 @dataclass(frozen=True)
@@ -137,10 +132,8 @@ def _test_rates(odds: PriorOdds, alpha: float, beta: np.ndarray) -> tuple[np.nda
 
 
 def _validate_rates(alpha: float, beta: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
-    if not 0.0 < beta < 1.0:
-        raise InvalidProbability(f"beta must be in (0, 1), got {beta!r}")
+    check_probability("alpha", alpha)
+    check_probability("beta", beta)
 
 
 def _point_null(cfg: DesignConfig) -> DesignConfig:

@@ -24,6 +24,7 @@ from .errors import (
     InvalidSeries,
     InvalidSummary,
     MissingComparator,
+    check_probability,
 )
 from .intervals import ExtendedInterval
 
@@ -197,16 +198,14 @@ def two_sample_ci_array(
     tail come from ``scipy.special``, imported here and nowhere else, so
     that no other command pays for loading scipy.
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidProbability(f"confidence level must be in (0, 1), got {level!r}")
+    check_probability("confidence level", level)
     from scipy.special import stdtr, stdtrit
 
     sd1 = np.asarray(sd1, dtype=float)
     sd2 = np.asarray(sd2, dtype=float)
     with np.errstate(all="ignore"):
         f1, f1m, f2, f2m, pooled_df = _group_counts(n1, n2)  # inf - inf for infinite sizes
-        invalid = (f1 < 2) | (f2 < 2)
-        invalid |= ~((sd1 > 0) & np.isfinite(sd1) & (sd2 > 0) & np.isfinite(sd2))
+        invalid = invalid_summaries(f1, sd1) | invalid_summaries(f2, sd2)
         estimate = np.asarray(mean1, dtype=float) - np.asarray(mean2, dtype=float)
         # flag where Python floats raise: ** overflowing from a finite base, / by 0
         sq1, sq2 = np.float_power(sd1, 2.0), np.float_power(sd2, 2.0)
@@ -234,6 +233,12 @@ def two_sample_ci_array(
     for column in (lo, hi, p_value):
         column[invalid] = np.nan
     return estimate, lo, hi, p_value, invalid
+
+
+def invalid_summaries(n: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Where a group summary is one GroupSummary rejects: n below 2, or an
+    sd that is not positive and finite."""
+    return (n < 2.0) | ~((sd > 0.0) & np.isfinite(sd))
 
 
 def _group_counts(n1, n2) -> tuple[np.ndarray, ...]:
@@ -315,8 +320,7 @@ def attach_adjustments(report: ScreenReport, alpha: float) -> ScreenReport:
     Every row must carry a raw p-value; decision counts (strict ``<``
     thresholds) are added to the summary.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
+    check_probability("alpha", alpha)
     if not report.has_p_raw.all():
         raise MissingComparator("every row needs a raw p-value to adjust")
     p_raw = report.p_raw
@@ -356,8 +360,7 @@ def _bonferroni(p_raw: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray
 
 def bonferroni_flags(p_values: Sequence[float], alpha: float) -> list[bool]:
     """Family-wise significance flags: p < alpha / m."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
+    check_probability("alpha", alpha)
     _validate_pvalues(p_values)
     return _bonferroni(np.asarray(p_values, dtype=float), alpha)[1].tolist()
 
@@ -391,8 +394,7 @@ def cross_tab(report: ScreenReport, alpha: float) -> CrossTab:
     but have no verdict, so they fall in no cell; every other row must
     carry a raw p-value.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidProbability(f"alpha must be in (0, 1), got {alpha!r}")
+    check_probability("alpha", alpha)
     kept = ~report.flagged
     if not report.has_p_raw[kept].all():
         raise MissingComparator("cross tabulation needs raw p-values on every row")

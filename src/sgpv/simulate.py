@@ -29,6 +29,7 @@ from .core import p_delta_array
 from .design import DesignConfig, OutcomeProbs
 from .errors import InvalidConfig
 from .reliability import PriorOdds
+from .screening import _count
 
 _MIN_UNIFORM = 2.0**-64  # keep the inverse transform finite at u == 0
 
@@ -53,23 +54,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Tri-state tallies with their empirical frequencies and binomial SEs."""
+    """Tri-state tallies with their empirical frequencies."""
 
     counts: tuple[int, int, int]  # (n_alt, n_null, n_inconclusive)
     replicates: int
     empirical: OutcomeProbs
-    se_alt: float
-    se_null: float
-    se_inconclusive: float
 
     @classmethod
     def from_counts(cls, counts: tuple[int, int, int], replicates: int) -> SimResult:
-        empirical = OutcomeProbs(*(c / replicates for c in counts))
-        ses = [
-            math.sqrt(p * (1.0 - p) / replicates)
-            for p in (empirical.p_alt, empirical.p_null, empirical.p_inconclusive)
-        ]
-        return cls(counts, replicates, empirical, *ses)
+        return cls(counts, replicates, OutcomeProbs(*(c / replicates for c in counts)))
 
 
 @dataclass(frozen=True)
@@ -102,10 +95,6 @@ def _chunk_ranges(replicates: int, chunks: int) -> Iterator[tuple[int, int]]:
         raise InvalidConfig(f"chunks must be >= 1, got {chunks!r}")
     size = -(-replicates // chunks)  # ceil
     return ((start, min(size, replicates - start)) for start in range(0, replicates, size))
-
-
-def _count(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask))  # a plain int, as JSON output expects
 
 
 def _p_deltas(theta_hats: np.ndarray, design: DesignConfig) -> np.ndarray:

@@ -653,6 +653,17 @@ def test_write_failure_exit_3(tmp_path):
     assert proc.wait(timeout=120) == 3
     assert err == "sgpv: configuration error: cannot write stdout: [Errno 32] Broken pipe\n"
 
+    # unbuffered stdout: the JSON text goes out in one write, which the pipe takes only in part
+    proc = subprocess.Popen(
+        [*cli, "compute", str(src), "--null-point", "0", "--delta", "1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONUNBUFFERED": "1"},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 3
+    assert err == "sgpv: configuration error: cannot write stdout: [Errno 32] Broken pipe\n"
+
     closed = subprocess.run(
         [*cli, "simulate", "--theta0", "0", "--delta", "1", "--n", "10", "--variance", "1",
          "--replicates", "10"],
@@ -661,6 +672,38 @@ def test_write_failure_exit_3(tmp_path):
     )
     assert (closed.returncode, closed.stderr) == (
         3, b"sgpv: configuration error: cannot write stdout: it is closed\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        (["compute", "--null-point", "0", "--delta", "1"], "id,lo,hi\na,1,2\nb,-0.5,0.5\n", 0),
+        (["compute", "--null-point", "0", "--delta", "1"], "estimate,se\n1,0.5\n", 0),
+        (["screen", "--null-point", "0", "--delta", "0.5", "--crosstab"],
+         "id,n1,mean1,sd1,n2,mean2,sd2\nx,15,1,1,15,0,1\ny,25,3.2,1.5,20,1.1,1.2\n", 0),
+        (["screen", "--null-point", "0", "--delta", "0.5"], "id,lo,hi\na,1,2\nb,-1,1\n", 0),
+        (["track", "--null-point", "0", "--delta", "0.05"],
+         "t,lo,hi\n1,-0.01,0.01\n2,0.1,0.2\n", 0),
+        (["compute", "--null-point", "0", "--delta", "1"], "id,lo,hi\na,2,1\n", 2),
+    ],
+    ids=["compute-id", "compute-no-id", "screen-groups", "screen-intervals", "track", "exit-2"],
+)
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch, argv, text, code, source):
+    """A UTF-8 byte-order mark before the header changes nothing in the run."""
+    runs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        data = prefix + text.encode()
+        if source == "file":
+            src = tmp_path / "in.csv"
+            src.write_bytes(data)
+            path = str(src)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+            path = "-"
+        runs.append(run(capsys, argv[0], path, *argv[1:]))
+    assert runs[1] == runs[0]
+    assert runs[0][0] == code
 
 
 class TestScreenInputErrors:

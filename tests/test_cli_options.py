@@ -2,7 +2,8 @@
 
 Every (subcommand, option) pair declared in ``sgpv.cli.OPTIONS`` is run
 with its value given as a flag and as a config key, and with a flag that
-must beat a different config value.
+must beat a different config value; a malformed value must fail the same
+way in both forms.
 """
 
 import contextlib
@@ -122,6 +123,29 @@ def test_flag_and_config_agree_and_flag_wins(tmp_path, command, name):
     assert _run(tmp_path, command, _options(command, name, a), {name: b}) == as_flag
     if (command, name) not in RESULT_INVARIANT:
         assert _run(tmp_path, command, base, {name: b}) != as_flag
+
+
+# Malformed values of each kind, with the one message a flag and a config key both give.
+MALFORMED = {
+    "_number": {"abc": "{name} must be a number, got 'abc'"},
+    "_integer": {"1.5": "{name} must be an integer, got '1.5'",
+                 "1e3": "{name} must be an integer, got '1e3'"},
+    "_unit": {"2": "--{name} must be in (0, 1), got 2.0"},
+}
+BAD = [(command, opt.name, value, message.format(name=opt.name))
+       for opt in OPTIONS for command in opt.commands
+       for value, message in MALFORMED.get(opt.kind.__name__, {}).items()]
+
+
+@pytest.mark.parametrize("command, name, value, message", BAD,
+                         ids=[f"{c}-{n}-{v}" for c, n, v, _ in BAD])
+def test_malformed_flag_and_config_fail_alike(tmp_path, command, name, value, message):
+    """A flag value is checked by its option's kind, exactly as the same text in a config file."""
+    base = _options(command, name, value)
+    as_flag = _run(tmp_path, command, base)
+    del base[name]
+    assert as_flag == (3, "", f"sgpv: configuration error: {message}\n", {})
+    assert _run(tmp_path, command, base, {name: value}) == as_flag
 
 
 @pytest.mark.parametrize(
