@@ -1,15 +1,14 @@
 """The one serializer for tabular output, shared by the CLI and the library.
 
-A table is a sequence of typed columns of equal length. CSV cells follow
-one rule set: a float has ``digits`` significant digits (``nan`` and
-``inf`` included), a code cell is its label (a bool label is
-``true``/``false``), an int or a text cell is itself, and a cell is
-empty only where its column's ``empty`` mask says so or the column has
-no values at all. CSV is written in blocks of ``BLOCK_ROWS`` rows, so a
-large table is never held as text or as row objects. JSON keeps full
-precision and writes ``{"rows": [{column: value, ...}, ...], **extra}``
-with the same Python values: None for an empty cell, the label for a
-code.
+A table is a sequence of typed columns of equal length. In CSV a float
+has ``digits`` significant digits (``nan`` and ``inf`` included), a code
+cell is its label (a bool is ``true``/``false``), an int or a text is
+itself, and a cell is empty where its column's ``empty`` mask says so or
+the column is blank. JSON is ``json.dumps({"rows": [{column: value, ...},
+...], **extra}, indent=2)``, with null for an empty cell. Both writers
+stream ``BLOCK_ROWS`` rows at a time through one ``%`` row template per
+table; a ``%s`` field takes a column's cells rendered once per block, a
+``%.Ng`` field the raw values of an unmasked float column in CSV.
 """
 
 from __future__ import annotations
@@ -17,14 +16,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-#: Rows formatted per CSV write; large enough to amortise the per-block
+#: Rows formatted per write; large enough to amortise the per-block
 #: calls, small enough that a block's cell strings stay a few MB.
 BLOCK_ROWS = 8192
+
+#: The characters that can make csv.writer quote a text cell.
+_QUOTABLE = re.compile(r'[,"\r\n]')
 
 #: Labels of a bool code column: codes 0 and 1, and 2 for an empty cell.
 BOOL_LABELS = (False, True, None)
@@ -34,21 +38,15 @@ class Column(NamedTuple):
     """One output column; build it with ``floats``, ``ints``, ``texts``, ``codes`` or ``blank``."""
 
     name: str
-    kind: str  # "float", "int", "text" or "code"
+    kind: str  # "float", "int", "text", "code" or "blank"
     values: Any  # an array, a list of str, or None when every cell is empty
     empty: np.ndarray | None = None  # True where the cell is empty
     labels: tuple = ()  # a code column's value per code; None is an empty cell
 
 
 def floats(name: str, values, empty=None) -> Column:
-    """A float column; NaN prints as ``nan`` unless ``empty`` masks it."""
+    """A float column (a None value is NaN); NaN prints as ``nan`` unless ``empty`` masks it."""
     return Column(name, "float", np.asarray(values, dtype=float), _mask(empty))
-
-
-def optional_floats(name: str, values: Sequence[float | None]) -> Column:
-    """A float column from Python values, empty where a value is None."""
-    empty = np.array([v is None for v in values], dtype=bool)
-    return floats(name, [0.0 if v is None else v for v in values], empty)
 
 
 def ints(name: str, values, empty=None) -> Column:
@@ -66,7 +64,7 @@ def codes(name: str, values, labels: tuple) -> Column:
 
 def blank(name: str) -> Column:
     """A column whose every cell is empty (null in JSON)."""
-    return Column(name, "float", None)
+    return Column(name, "blank", None)
 
 
 def _mask(empty) -> np.ndarray | None:
@@ -77,69 +75,81 @@ def _length(columns: Sequence[Column]) -> int:
     return next((len(c.values) for c in columns if c.values is not None), 0)
 
 
-def _csv_label(label) -> str:
-    if label is None:
-        return ""
-    if isinstance(label, bool):
-        return "true" if label else "false"
-    return label
+def _csv_text(text: str | None, none: str) -> str:
+    """A text cell as csv.writer writes it; ``none`` when it is empty."""
+    if not text or _QUOTABLE.search(text) is None:
+        return text or none
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
-def _csv_cells(column: Column, start: int, stop: int, fmt: str):
-    """The CSV text of rows [start, stop) of one column."""
+def _cells(column: Column, rows: slice, fmt: str | None, none: str):
+    """A block of a column for its template field: text (``none`` where empty), or
+    raw floats for write_csv's %.Ng field. ``fmt`` is CSV's float format, None for JSON."""
     if column.values is None:
-        return repeat("", stop - start)
-    part = column.values[start:stop]
+        return repeat(none)
+    part = column.values[rows]
     if column.kind == "text":
-        return part
+        if fmt is None:
+            return list(map(encode_basestring_ascii, part))
+        plain = not none and _QUOTABLE.search("".join(part)) is None
+        return part if plain else [_csv_text(text, none) for text in part]
     if column.kind == "code":
-        return list(map(tuple(map(_csv_label, column.labels)).__getitem__, part.tolist()))
-    cells = list(map(fmt.__mod__ if column.kind == "float" else str, part.tolist()))
+        labels = [json.dumps(v) if fmt is None or isinstance(v, bool) else _csv_text(v, none)
+                  for v in column.labels]
+        return list(map(labels.__getitem__, part.tolist()))
+    if fmt and column.kind == "float" and column.empty is None:
+        return part.tolist()  # the same test picks the field in write_csv
+    cells = (json.dumps(part.tolist())[1:-1].split(", ") if fmt is None  # json's NaN, Infinity
+             else list(map(str if column.kind == "int" else fmt.__mod__, part.tolist())))
     if column.empty is not None:
-        for k in np.flatnonzero(column.empty[start:stop]).tolist():
-            cells[k] = ""
+        for k in np.flatnonzero(column.empty[rows]).tolist():
+            cells[k] = none
     return cells
 
 
-def _json_values(column: Column, n: int) -> list:
-    if column.values is None:
-        return [None] * n
-    if column.kind == "text":
-        return list(column.values)
-    if column.kind == "code":
-        return list(map(column.labels.__getitem__, column.values.tolist()))
-    values = column.values.tolist()
-    if column.empty is not None:
-        for k in np.flatnonzero(column.empty).tolist():
-            values[k] = None
-    return values
+def _blocks(columns: Sequence[Column], template: str, fmt: str | None, none: str):
+    """The table's rows through ``template``, one string per block of rows."""
+    for start in range(0, _length(columns), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        yield "".join(map(template.__mod__, zip(*(_cells(c, rows, fmt, none) for c in columns))))
 
 
 def write_csv(fh: TextIO, columns: Sequence[Column], digits: int) -> None:
     """Stream a table to ``fh`` as CSV with ``\\n`` line endings."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow([c.name for c in columns])
+    csv.writer(fh, lineterminator="\n").writerow([c.name for c in columns])
     # A double prints exactly within 767 significant digits, so any larger
     # precision gives the same text; the cap keeps a huge --digits valid.
     # '%.Ng' % x is the text of format(x, '.Ng') for every double.
     fmt = f"%.{min(digits, 800)}g"
-    n = _length(columns)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        writer.writerows(zip(*(_csv_cells(c, start, stop, fmt) for c in columns)))
+    none = '""' if len(columns) == 1 else ""  # csv.writer quotes a lone empty field
+    # An unmasked float column's raw values fill its field (see _cells); text fills the rest.
+    template = ",".join(fmt if c.kind == "float" and c.empty is None else "%s" for c in columns)
+    fh.writelines(_blocks(columns, template + "\n", fmt, none))
+
+
+def write_json(fh: TextIO, columns: Sequence[Column], **extra: Any) -> None:
+    """Stream a table to ``fh`` as indented JSON; ``extra`` keys follow ``rows``."""
+    # Each row opens with the comma after the row before; the first row drops it.
+    fields = ",\n".join(f'      {json.dumps(c.name).replace("%", "%%")}: %s' for c in columns)
+    template = ",\n    {\n" + fields + "\n    }"
+    fh.write('{\n  "rows": [')
+    for k, block in enumerate(_blocks(columns, template, None, "null")):
+        fh.write(block if k else block[1:])
+    fh.write("\n  ]" if _length(columns) else "]")
+    if extra:  # its keys sit at the depth of "rows", so its own layout fits as is
+        fh.write("," + json.dumps(extra, indent=2)[1:-2])
+    fh.write("\n}\n")
 
 
 def csv_text(columns: Sequence[Column], digits: int = 6) -> str:
     """A table as one CSV string."""
-    buf = io.StringIO()
-    write_csv(buf, columns, digits)
+    write_csv(buf := io.StringIO(), columns, digits)
     return buf.getvalue()
 
 
 def json_text(columns: Sequence[Column], **extra: Any) -> str:
-    """A table as an indented JSON object; ``extra`` keys follow ``rows``."""
-    n = _length(columns)
-    names = [c.name for c in columns]
-    rows = zip(*(_json_values(c, n) for c in columns))
-    payload = {"rows": [dict(zip(names, row)) for row in rows], **extra}
-    return json.dumps(payload, indent=2) + "\n"
+    """A table as one indented JSON string; ``extra`` keys follow ``rows``."""
+    write_json(buf := io.StringIO(), columns, **extra)
+    return buf.getvalue()

@@ -560,10 +560,9 @@ def _integer(opt: Option, value) -> int:
 
 def _unit(opt: Option, value) -> float:
     """A level or rate, which must lie in (0, 1)."""
-    value = _number(opt, value)
-    if not 0.0 < value < 1.0:
-        raise _ConfigError(f"--{opt.name} must be in (0, 1), got {value}")
-    return value
+    if 0.0 < _number(opt, value) < 1.0:
+        return float(value)
+    raise _ConfigError(f"{opt.name} must be in (0, 1), got {value!r}")
 
 
 def _boolean(opt: Option, value) -> bool:
@@ -712,7 +711,7 @@ def _write(result: _Output | dict, resolved: dict, out: TextIO | None) -> None:
         if isinstance(result, dict):
             fh.write(json.dumps(result, indent=2) + "\n")
         elif resolved["format"] == "json":
-            fh.write(_table.json_text(result.columns, **result.extra))
+            _table.write_json(fh, result.columns, **result.extra)
         else:
             _table.write_csv(fh, result.columns, resolved["digits"])
             if result.trailer:
@@ -740,7 +739,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 value = file_cfg.get(opt.name)
             resolved[opt.name] = opt.default if value is None else opt.kind(opt, value)
         if resolved.get("format") == "csv" and resolved["digits"] < 0:  # JSON ignores --digits
-            raise _ConfigError(f"--digits must be >= 0, got {resolved['digits']}")
+            given = file_cfg["digits"] if args.digits is None else args.digits
+            raise _ConfigError(f"digits must be >= 0, got {given!r}")
         out, created = _open_out(resolved["out"])
         with out or contextlib.nullcontext():
             _write(args.handler(resolved), resolved, out)

@@ -167,6 +167,6 @@ def emit_reliability_curve(
 
 def reliability_curve_csv(rows: Sequence[ReliabilityPoint], digits: int = 6) -> str:
     """Serialize a reliability curve as CSV; an undefined FCR is an empty field."""
-    columns = [_table.optional_floats(name, [getattr(r, name) for r in rows])
-               for name in RELIABILITY_CURVE_COLUMNS]
+    values = {name: [getattr(r, name) for r in rows] for name in RELIABILITY_CURVE_COLUMNS}
+    columns = [_table.floats(name, v, [x is None for x in v]) for name, v in values.items()]
     return _table.csv_text(columns, digits)

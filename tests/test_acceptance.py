@@ -235,6 +235,7 @@ MC_CONFIGS = [
 REPLICATES = 100_000
 
 
+@pytest.mark.slow  # about 18 s: 1e5 replicates
 def test_c08_monte_carlo_oracle_agreement():
     start = time.perf_counter()
     ok = True

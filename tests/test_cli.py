@@ -566,7 +566,7 @@ class TestConfigurationErrors:
             capsys, "compute", str(src), "--null-point", "0", "--delta", "1", "--digits", "-1",
         )
         assert (code, out) == (3, "")
-        assert err == "sgpv: configuration error: --digits must be >= 0, got -1\n"
+        assert err == "sgpv: configuration error: digits must be >= 0, got '-1'\n"
 
     def test_huge_digits_print_exact_values(self, tmp_path, capsys):
         src = tmp_path / "iv.csv"

@@ -2,9 +2,9 @@
 
 Each case runs ``sgpv.cli.main`` on a 2-4 row input and compares stdout
 with the text the command printed when the case was recorded. The cases
-cover CSV and JSON, a quoted id, an unbounded row, one-sided rows, an
-undefined FCR, ``--digits 3``/``17``, the ``screen --crosstab`` CSV block
-and a seeded ``simulate``. The design and reliability curves are also
+cover CSV and JSON, ids that need quoting or escaping, an unbounded
+row, one-sided rows, an undefined FCR, ``--digits 3``/``17``, the
+``screen --crosstab`` CSV block and a seeded ``simulate``. The design and reliability curves are also
 pinned at the limits theta = +-inf and +-1e308, at delta = 0, and (by
 digest) on a 2001-point grid whose prior odds 1e-300 reach subnormal
 rates; the benchmark's own curve must leave stderr empty.
@@ -22,6 +22,7 @@ import sgpv
 from sgpv.cli import main
 
 COMPUTE_IV = 'id,lo,hi\n"q,uoted",0.05,1.19\nwhole,-inf,inf\nright,0.5,inf\ngap,2,3\n'
+COMPUTE_QUOTED = 'id,lo,hi\n"a,b",0.1,0.7\n"say ""hi""",-2,-1.5\n"two\nlines",-0.25,3\nnaïve µ,0.5,inf\n'
 COMPUTE_SE = "estimate,se\n0.2,3\n1.5,0.1\n0.1,0.05\n"
 SCREEN_P = ("id,estimate,lo,hi,p_value\n"
             "a,2.5,2,3,0.0001\nb,0.1,-0.1,0.3,0.4\nc,1.0,0.2,1.8,0.02\nd,-1.2,-1.5,-0.9,0.001\n")
@@ -89,6 +90,70 @@ gap,2,3,0,alternative_compatible,false,1,
       "classification": "alternative_compatible",
       "correction_applied": false,
       "delta_gap": 1.0,
+      "flags": ""
+    }
+  ]
+}
+""",
+    ),
+    (
+        "compute-quoted-ids-digits17",
+        COMPUTE_QUOTED,
+        ("compute", "{input}", "--null-point", "0", "--delta", "1", "--digits", "17"),
+        """\
+id,lo,hi,p_delta,classification,correction_applied,delta_gap,flags
+"a,b",0.10000000000000001,0.69999999999999996,1,null_compatible,false,,
+"say ""hi""\",-2,-1.5,0,alternative_compatible,false,-0.5,
+"two
+lines",-0.25,3,0.38461538461538464,inconclusive,false,,
+naïve µ,0.5,inf,0.125,inconclusive,true,,
+""",
+    ),
+    (
+        "compute-quoted-ids-json",
+        COMPUTE_QUOTED,
+        ("compute", "{input}", "--null-point", "0", "--delta", "1", "--format", "json"),
+        """\
+{
+  "rows": [
+    {
+      "id": "a,b",
+      "lo": 0.1,
+      "hi": 0.7,
+      "p_delta": 1.0,
+      "classification": "null_compatible",
+      "correction_applied": false,
+      "delta_gap": null,
+      "flags": ""
+    },
+    {
+      "id": "say \\"hi\\"",
+      "lo": -2.0,
+      "hi": -1.5,
+      "p_delta": 0.0,
+      "classification": "alternative_compatible",
+      "correction_applied": false,
+      "delta_gap": -0.5,
+      "flags": ""
+    },
+    {
+      "id": "two\\nlines",
+      "lo": -0.25,
+      "hi": 3.0,
+      "p_delta": 0.38461538461538464,
+      "classification": "inconclusive",
+      "correction_applied": false,
+      "delta_gap": null,
+      "flags": ""
+    },
+    {
+      "id": "na\\u00efve \\u00b5",
+      "lo": 0.5,
+      "hi": Infinity,
+      "p_delta": 0.125,
+      "classification": "inconclusive",
+      "correction_applied": true,
+      "delta_gap": null,
       "flags": ""
     }
   ]
@@ -748,7 +813,7 @@ inf,0.00990099,,0.00990099,0
 def test_stdout_is_pinned(tmp_path, capsys, fixture, argv, expected):
     path = tmp_path / "input.csv"
     if fixture is not None:
-        path.write_text(fixture)
+        path.write_text(fixture, encoding="utf-8")
     code = main([arg.replace("{input}", str(path)) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")

@@ -130,7 +130,7 @@ MALFORMED = {
     "_number": {"abc": "{name} must be a number, got 'abc'"},
     "_integer": {"1.5": "{name} must be an integer, got '1.5'",
                  "1e3": "{name} must be an integer, got '1e3'"},
-    "_unit": {"2": "--{name} must be in (0, 1), got 2.0"},
+    "_unit": {"2": "{name} must be in (0, 1), got '2'"},
 }
 BAD = [(command, opt.name, value, message.format(name=opt.name))
        for opt in OPTIONS for command in opt.commands

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -175,14 +175,92 @@ def test_float_cells_match_format_for_special_doubles(digits):
 
 def test_blocks_join_seamlessly():
     n = 2 * _table.BLOCK_ROWS + 3
+    ids = [IDS[k % len(IDS)] for k in range(n)]
     values = np.linspace(-1.0, 1.0, n)
     empty = np.arange(n) % 5 == 0
-    columns = [_table.floats("v", values, empty),
+    columns = [_table.texts("id", ids), _table.floats("v", values, empty),
                _table.codes("c", np.arange(n) % 3, ("a", True, None)),
                _table.ints("k", np.arange(n), np.arange(n) % 7 == 0), _table.blank("b")]
-    rows = [(None if e else v, ("a", True, None)[k % 3], None if k % 7 == 0 else k, None)
-            for k, (v, e) in enumerate(zip(values.tolist(), empty.tolist()))]
-    assert _table.csv_text(columns) == oracles.csv_text(("v", "c", "k", "b"), rows)
+    rows = [(i, None if e else v, ("a", True, None)[k % 3], None if k % 7 == 0 else k, None)
+            for k, (i, v, e) in enumerate(zip(ids, values.tolist(), empty.tolist()))]
+    names = ("id", "v", "c", "k", "b")
+    assert _table.csv_text(columns) == oracles.csv_text(names, rows)
+    assert_json_matches(columns, names, rows, summary={"rows": n})
+
+
+# A table drawn column by column: (name, kind, values, empty) per column,
+# where kind is a _table constructor and empty an optional mask.
+LABELS = ("a,b", True, None, "", False, "plain")
+TEXT_CELLS = st.one_of(st.sampled_from(IDS + ("cr\rhere", "naïve µ", "%s", "\u2028")),
+                       st.text(max_size=4))
+CELLS = {
+    "floats": st.one_of(st.sampled_from(SPECIAL), st.floats()),
+    "ints": st.integers(-2**63, 2**63 - 1),
+    "texts": TEXT_CELLS,
+    "codes": st.integers(0, len(LABELS) - 1),
+    "blank": st.none(),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | CELLS["floats"] | TEXT_CELLS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT_CELLS, inner, max_size=3),
+    max_leaves=8,
+)
+EXTRA = st.dictionaries(st.sampled_from(["summary", "crosstab", "naïve key"]), JSON_VALUES,
+                        max_size=3)
+
+
+def table_case(n: int, specs) -> tuple[list, list[str], list[tuple]]:
+    """The columns, their names and the oracle's row tuples of a drawn table."""
+    columns, cells = [], []
+    for name, kind, values, empty in specs:
+        if kind == "blank":
+            columns.append(_table.blank(name))
+            values = [None] * n
+        elif kind == "codes":
+            columns.append(_table.codes(name, values, LABELS))
+            values = [LABELS[c] for c in values]
+        elif kind == "texts":
+            columns.append(_table.texts(name, values))
+        else:
+            columns.append(getattr(_table, kind)(name, values, empty))
+        if empty is not None:
+            values = [None if e else v for v, e in zip(values, empty)]
+        cells.append(values)
+    return columns, [spec[0] for spec in specs], list(zip(*cells))
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 12))
+    specs = []
+    for j in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(list(CELLS)[:-1] if j == 0 else list(CELLS)))  # rows exist
+        values = draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+        mask = st.lists(st.booleans(), min_size=n, max_size=n)
+        empty = draw(st.none() | mask) if kind in ("floats", "ints") else None
+        name = draw(st.sampled_from(["id", "näme", "a,b", 'say "x"', "50%"])) if j == 0 else f"c{j}"
+        specs.append((name, kind, values, empty))
+    return table_case(n, specs)
+
+
+def assert_json_matches(columns, names, rows, **extra):
+    expected = oracles.json_text(names, rows, **extra)
+    assert _table.json_text(columns, **extra) == expected
+    buf = io.StringIO()
+    _table.write_json(buf, columns, **extra)
+    assert buf.getvalue() == expected
+
+
+@PROPERTY
+@given(tables(), st.sampled_from([0, 6, 17, 5000]), EXTRA)
+@example(table_case(2, [("id", "texts", ["", "x"], None)]), 6, {})  # csv writes a lone "" cell
+@example(table_case(2, [("v", "floats", [1.0, math.nan], [True, False])]), 0, {})
+@example(table_case(0, [("id", "texts", [], None), ("v", "floats", [], None)]), 6,
+         {"summary": {"rows": 0, "by": [{}, []]}})  # an empty table
+def test_writers_match_row_oracle(table, digits, extra):
+    columns, names, rows = table
+    assert _table.csv_text(columns, digits) == oracles.csv_text(names, rows, digits)
+    assert_json_matches(columns, names, rows, **extra)
 
 
 # ------------------------------------------------------------- q-values, ranks
