@@ -1,9 +1,11 @@
 """Batch command line front end.
 
 Subcommands: compute, design, reliability, screen, track, simulate.
-Exit codes: 0 on success, 2 for input (data) errors, 3 for configuration
-errors. Every option is declared once, in OPTIONS: a flag wins over the
-same key in a JSON config file (--config), which wins over the default,
+Exit codes: 0 on success; 2 for an input error (_InputError), which names
+its line unless it concerns the file or its header; 3 for a configuration
+or write error: any SgpvError (the CLI raises errors.InvalidConfig) or a
+MemoryError. Every option is declared once, in OPTIONS: a flag wins over
+the same key in a JSON config file (--config), which wins over the default,
 and both are checked by the option's kind. An input's byte-order mark is dropped.
 Floats in CSV output are rounded to --digits significant digits; JSON
 output keeps full precision.
@@ -30,7 +32,7 @@ from . import _table
 from ._normal import norm_quantile
 from .core import CLASSES, Classification, NullSpec, classify_codes, p_delta_array
 from .design import POWER_CURVE_COLUMNS, DesignConfig, outcome_probs, outcome_probs_array
-from .errors import SgpvError
+from .errors import InvalidConfig, SgpvError
 from .intervals import ExtendedInterval, z_interval
 from .reliability import (
     RELIABILITY_CURVE_COLUMNS,
@@ -51,6 +53,7 @@ from .screening import (
     track_arrays,
     two_sample_ci,
     two_sample_ci_array,
+    unordered_times,
     valid_p_values,
 )
 from .simulate import SimConfig, simulate_outcomes, simulate_reliability
@@ -65,10 +68,6 @@ INCONCLUSIVE = CLASSES.index(Classification.INCONCLUSIVE)
 FLAG_LABELS = ("", "unbounded_estimate")
 
 
-class _ConfigError(Exception):
-    pass
-
-
 class _InputError(Exception):
     pass
 
@@ -77,7 +76,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as configuration errors."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _ConfigError(message)
+        raise InvalidConfig(message)
 
 
 # ----------------------------------------------------------------- helpers
@@ -88,25 +87,25 @@ def _resolve_null(resolved: dict, allow_fold_change_default: bool) -> NullSpec:
     point_form = point is not None or delta is not None
     range_form = lo is not None or hi is not None
     if point_form and range_form:
-        raise _ConfigError("give either --null-point/--delta or --null-lo/--null-hi, not both")
+        raise InvalidConfig("give either --null-point/--delta or --null-lo/--null-hi, not both")
     if point_form:
         if point is None or delta is None:
-            raise _ConfigError("--null-point and --delta must be given together")
+            raise InvalidConfig("--null-point and --delta must be given together")
         return NullSpec.symmetric(point, delta)
     if range_form:
         if lo is None or hi is None:
-            raise _ConfigError("--null-lo and --null-hi must be given together")
+            raise InvalidConfig("--null-lo and --null-hi must be given together")
         return NullSpec.from_interval(lo, hi)
     if allow_fold_change_default:
         return FOLD_CHANGE_NULL
-    raise _ConfigError("an interval null is required: --null-point/--delta or --null-lo/--null-hi")
+    raise InvalidConfig("an interval null is required: --null-point/--delta or --null-lo/--null-hi")
 
 
 def _resolve_design(resolved: dict) -> DesignConfig:
     values = []
     for name in ("theta0", "delta", "n", "variance"):
         if resolved[name] is None:
-            raise _ConfigError(f"--{name} is required")
+            raise InvalidConfig(f"--{name} is required")
         values.append(resolved[name])
     return DesignConfig(*values, resolved["alpha"])
 
@@ -114,34 +113,34 @@ def _resolve_design(resolved: dict) -> DesignConfig:
 def _resolve_grid(resolved: dict) -> np.ndarray:
     grid, thetas = resolved["grid"], resolved["thetas"]
     if grid is not None and thetas is not None:
-        raise _ConfigError("give either --grid or --thetas, not both")
+        raise InvalidConfig("give either --grid or --thetas, not both")
     if grid is not None:
         parts = grid.split(":")
         if len(parts) != 3:
-            raise _ConfigError(f"grid must look like LO:HI:COUNT, got {grid!r}")
+            raise InvalidConfig(f"grid must look like LO:HI:COUNT, got {grid!r}")
         try:
             lo, hi = float(parts[0]), float(parts[1])
             count = int(parts[2])
         except ValueError as exc:
-            raise _ConfigError(f"malformed grid spec {grid!r}: {exc}") from exc
+            raise InvalidConfig(f"malformed grid spec {grid!r}: {exc}") from exc
         if count < 1 or not math.isfinite(lo) or not math.isfinite(hi) or lo > hi:
-            raise _ConfigError(f"malformed grid spec {grid!r}")
+            raise InvalidConfig(f"malformed grid spec {grid!r}")
         try:
             return np.linspace(lo, hi, count)
         except (ValueError, IndexError) as exc:  # numpy's answers to counts beyond its index range
-            raise _ConfigError(f"cannot build a grid of {count} points: {exc}") from exc
+            raise InvalidConfig(f"cannot build a grid of {count} points: {exc}") from exc
     if thetas is None:
-        raise _ConfigError("a grid is required: --grid LO:HI:COUNT or --thetas a,b,c")
+        raise InvalidConfig("a grid is required: --grid LO:HI:COUNT or --thetas a,b,c")
     values = thetas  # a config file's JSON array, already numbers
     if isinstance(thetas, str):
         try:
             values = [float(t) for t in thetas.split(",") if t.strip() != ""]
         except ValueError as exc:
-            raise _ConfigError(f"malformed theta list {thetas!r}: {exc}") from exc
+            raise InvalidConfig(f"malformed theta list {thetas!r}: {exc}") from exc
     if not values:
-        raise _ConfigError("theta list is empty")
+        raise InvalidConfig("theta list is empty")
     if any(map(math.isnan, values)):
-        raise _ConfigError(f"theta list {thetas!r} holds a NaN")
+        raise InvalidConfig(f"theta list {thetas!r} holds a NaN")
     return np.array(values)
 
 
@@ -346,7 +345,7 @@ def _cmd_design(resolved: dict) -> _Output:
 def _cmd_reliability(resolved: dict) -> _Output:
     cfg = _resolve_design(resolved)
     if resolved["r"] is None:
-        raise _ConfigError("--r (prior odds) is required")
+        raise InvalidConfig("--r (prior odds) is required")
     odds = PriorOdds(resolved["r"])
     grid = _resolve_grid(resolved)
     values = reliability_rates_array(grid, cfg, odds)
@@ -356,34 +355,32 @@ def _cmd_reliability(resolved: dict) -> _Output:
 # ------------------------------------------------------------------ screen
 
 
-def _screen_report(path: str, null_spec: NullSpec, level, welch, log10_mode):
-    """The screen of an input, and whether its form gives every row a raw p-value."""
-    table = _read_table(path, ("id", "estimate", "lo", "hi", "p_value",
-                               "n1", "mean1", "sd1", "n2", "mean2", "sd2"))
+def _screen_report(resolved: dict, null_spec: NullSpec):
+    """The screen of the input, and whether its form gives every row a raw p-value."""
+    table = _read_table(resolved["input"], ("id", "estimate", "lo", "hi", "p_value",
+                                            "n1", "mean1", "sd1", "n2", "mean2", "sd2"))
     cols = table.cells
     interval_form = {"id", "lo", "hi"} <= set(cols)
     group_form = {"id", "n1", "mean1", "sd1", "n2", "mean2", "sd2"} <= set(cols)
     if not interval_form and not group_form:
-        raise _InputError(
-            "input needs id,estimate,lo,hi[,p_value] or id,n1,mean1,sd1,n2,mean2,sd2 columns"
-        )
-    if group_form and log10_mode:
-        raise _ConfigError(
-            "--log10 applies to interval inputs; two-group summaries are "
-            "analyzed on the scale they are given"
-        )
+        raise _InputError("input needs id,estimate,lo,hi[,p_value] or "
+                          "id,n1,mean1,sd1,n2,mean2,sd2 columns")
+    if group_form and resolved["log10"]:
+        raise InvalidConfig("--log10 applies to interval inputs; two-group summaries are "
+                            "analyzed on the scale they are given")
     if not interval_form:
-        lo, hi, p_raw = _group_intervals(table, level, welch)
+        lo, hi, p_raw = _group_intervals(table, resolved["level"], resolved["welch"])
         has_p_raw = np.ones(len(p_raw), dtype=bool)
     else:
-        lo, hi, p_raw, has_p_raw = _screen_intervals(table, log10_mode)
+        lo, hi, p_raw, has_p_raw = _screen_intervals(table, resolved["log10"], resolved["crosstab"])
     ids = list(map(str.strip, cols["id"]))
     report = screen_intervals(ids, lo, hi, p_raw, has_p_raw, null_spec)
     return report, not interval_form or ("p_value" in cols and bool(has_p_raw.all()))
 
 
-def _screen_intervals(table: _Table, log10_mode: bool):
-    """lo, hi, p_raw and its presence mask of an id,[estimate,]lo,hi[,p_value] input."""
+def _screen_intervals(table: _Table, log10_mode: bool, crosstab: bool):
+    """lo, hi, p_raw and its presence mask of an id,[estimate,]lo,hi[,p_value] input;
+    with a p_value column, --crosstab needs a p-value on every row."""
     cols = table.cells
     names = ("lo", "hi", "estimate") if "estimate" in cols else ("lo", "hi")
     (lo, hi, *_), rules = _read_numbers(table, names)
@@ -393,7 +390,11 @@ def _screen_intervals(table: _Table, log10_mode: bool):
         has_p_raw = np.array([c is not None and c.strip() != "" for c in cols["p_value"]], bool)
         rules.append((has_p_raw & ~readable, lambda k: "bad value for 'p_value'"))
     rules += _interval_rules(_per_row(ExtendedInterval, lo, hi), lo, hi, log10_mode)
-    _check(table, [_id_rule(table), *rules, _p_value_rule(p_raw, has_p_raw)])
+    rules = [_id_rule(table), *rules, _p_value_rule(p_raw, has_p_raw)]
+    if crosstab and "p_value" in cols:
+        rules.append((~has_p_raw, lambda k: "missing value for 'p_value' "
+                                            "(--crosstab needs a p-value on every row)"))
+    _check(table, rules)
     if log10_mode:
         lo, hi = _log10(lo), _log10(hi)
     return lo, hi, p_raw, has_p_raw
@@ -437,13 +438,11 @@ def _cmd_screen(resolved: dict) -> _Output:
     log10_mode, alpha, want_crosstab = resolved["log10"], resolved["alpha"], resolved["crosstab"]
     null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
-    report, have_pvalues = _screen_report(
-        resolved["input"], null_spec, resolved["level"], resolved["welch"], log10_mode
-    )
+    report, have_pvalues = _screen_report(resolved, null_spec)
     if have_pvalues:
         report = attach_adjustments(report, alpha)
     if want_crosstab and not have_pvalues:
-        raise _ConfigError("--crosstab needs a p_value column (or two-group input)")
+        raise InvalidConfig("--crosstab needs a p_value column (or two-group input)")
 
     rank = np.zeros(len(report.ids), dtype=np.int64)  # 0: not ranked
     order = ranked_indices(report)
@@ -480,14 +479,17 @@ def _cmd_track(resolved: dict) -> _Output:
     table = _read_table(resolved["input"], ("t", "lo", "hi"))
     if not {"t", "lo", "hi"} <= set(table.cells):
         raise _InputError("input needs t,lo,hi columns")
-
+    if not table.lines:
+        raise _InputError("series is empty")
     (t, lo, hi), rules = _read_numbers(table, ("t", "lo", "hi"))
-    _check(table, rules + _interval_rules(_per_row(ExtendedInterval, lo, hi), lo, hi))
+
+    def pair(k: int):  # rows k - 1 (which passes every rule) and k as a series of their own
+        return track_arrays(*(column[max(k - 1, 0):k + 1] for column in (t, lo, hi)), null_spec)
+
+    _check(table, [*rules, *_interval_rules(_per_row(ExtendedInterval, lo, hi), lo, hi),
+                   (unordered_times(t), pair), (np.isinf(lo) & np.isinf(hi), pair)])
     del table
-    try:
-        p_delta, code = track_arrays(t, lo, hi, null_spec)
-    except SgpvError as exc:
-        raise _InputError(str(exc)) from exc
+    p_delta, code = track_arrays(t, lo, hi, null_spec)
     return _Output([
         _table.floats("t", t), _table.floats("p_delta", p_delta),
         _table.codes("classification", code, CLASS_LABELS),
@@ -502,10 +504,10 @@ def _cmd_simulate(resolved: dict) -> dict:
     design = _resolve_design(resolved)
     theta = design.theta0 if resolved["theta"] is None else resolved["theta"]
     if resolved["replicates"] is None:
-        raise _ConfigError("--replicates is required")
+        raise InvalidConfig("--replicates is required")
     seed, chunks, theta1, r = (resolved[name] for name in ("seed", "chunks", "theta1", "r"))
     if (theta1 is None) != (r is None):
-        raise _ConfigError("--theta1 and --r must be given together")
+        raise InvalidConfig("--theta1 and --r must be given together")
 
     sim_cfg = SimConfig(design, theta, resolved["replicates"], seed)
     result = simulate_outcomes(sim_cfg, chunks=chunks)
@@ -544,7 +546,7 @@ def _number(opt: Option, value) -> float:
     if not isinstance(value, bool):
         with contextlib.suppress(TypeError, ValueError, OverflowError):
             return float(value)
-    raise _ConfigError(f"{opt.name} must be a number, got {value!r}")
+    raise InvalidConfig(f"{opt.name} must be a number, got {value!r}")
 
 
 def _integer(opt: Option, value) -> int:
@@ -555,32 +557,32 @@ def _integer(opt: Option, value) -> int:
     if isinstance(value, str):
         with contextlib.suppress(ValueError):
             return int(value)
-    raise _ConfigError(f"{opt.name} must be an integer, got {value!r}")
+    raise InvalidConfig(f"{opt.name} must be an integer, got {value!r}")
 
 
 def _unit(opt: Option, value) -> float:
     """A level or rate, which must lie in (0, 1)."""
     if 0.0 < _number(opt, value) < 1.0:
         return float(value)
-    raise _ConfigError(f"{opt.name} must be in (0, 1), got {value!r}")
+    raise InvalidConfig(f"{opt.name} must be in (0, 1), got {value!r}")
 
 
 def _boolean(opt: Option, value) -> bool:
     if isinstance(value, bool):
         return value
-    raise _ConfigError(f"{opt.name} must be true or false, got {value!r}")
+    raise InvalidConfig(f"{opt.name} must be true or false, got {value!r}")
 
 
 def _choice(opt: Option, value) -> str:
     if value in opt.choices:
         return value
-    raise _ConfigError(f"{opt.name} must be one of {', '.join(opt.choices)}, got {value!r}")
+    raise InvalidConfig(f"{opt.name} must be one of {', '.join(opt.choices)}, got {value!r}")
 
 
 def _text(opt: Option, value) -> str:
     if isinstance(value, str):
         return value
-    raise _ConfigError(f"{opt.name} must be a string, got {value!r}")
+    raise InvalidConfig(f"{opt.name} must be a string, got {value!r}")
 
 
 def _numbers(opt: Option, value) -> str | list[float]:
@@ -641,9 +643,9 @@ def _load_config(path: str | None) -> dict:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise _ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise InvalidConfig(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise _ConfigError(f"config file {path} must hold a JSON object")
+        raise InvalidConfig(f"config file {path} must hold a JSON object")
     return cfg
 
 
@@ -682,13 +684,13 @@ def _open_out(path: str | None) -> tuple[TextIO | None, bool]:
     """The --out file (None for stdout), opened but left as is, and whether this run created it."""
     if path is None or path == "-":
         if sys.stdout is None:  # the process started with stdout closed
-            raise _ConfigError("cannot write stdout: it is closed")
+            raise InvalidConfig("cannot write stdout: it is closed")
         return None, False
     mode = "a" if os.path.lexists(path) else "x"  # "x": remove no file this run did not make
     try:
         return open(path, mode, encoding="utf-8"), mode == "x"
     except OSError as exc:
-        raise _ConfigError(f"cannot write {path}: {exc}") from exc
+        raise InvalidConfig(f"cannot write {path}: {exc}") from exc
 
 
 def _stdout() -> TextIO:
@@ -722,7 +724,7 @@ def _write(result: _Output | dict, resolved: dict, out: TextIO | None) -> None:
     except OSError as exc:
         with contextlib.suppress(OSError):  # leaves nothing to flush at exit
             fh.close()
-        raise _ConfigError(f"cannot write {name}: {exc}") from exc
+        raise InvalidConfig(f"cannot write {name}: {exc}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -740,14 +742,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             resolved[opt.name] = opt.default if value is None else opt.kind(opt, value)
         if resolved.get("format") == "csv" and resolved["digits"] < 0:  # JSON ignores --digits
             given = file_cfg["digits"] if args.digits is None else args.digits
-            raise _ConfigError(f"digits must be >= 0, got {given!r}")
+            raise InvalidConfig(f"digits must be >= 0, got {given!r}")
         out, created = _open_out(resolved["out"])
         with out or contextlib.nullcontext():
             _write(args.handler(resolved), resolved, out)
         return EXIT_OK
     except _InputError as exc:
         code, error = EXIT_INPUT, f"input error: {exc}"
-    except (_ConfigError, SgpvError) as exc:
+    except SgpvError as exc:
         code, error = EXIT_CONFIG, f"configuration error: {exc}"
     except MemoryError as exc:
         code, error = EXIT_CONFIG, f"configuration error: the request does not fit in memory: {exc}"

@@ -51,15 +51,14 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class NullSpec:
-    """Interval null hypothesis with its half-width (delta) and center.
+    """Interval null hypothesis with its half-width (delta).
 
     delta is the unit of the delta-gap; for asymmetric nulls it is half
-    the interval length and point_null the midpoint.
+    the interval length.
     """
 
     interval: ExtendedInterval
     delta: float
-    point_null: float
 
     def __post_init__(self) -> None:
         if not self.interval.is_finite:
@@ -68,23 +67,17 @@ class NullSpec:
             raise InvalidInterval(
                 f"null half-width must be positive and finite, got {self.delta!r}"
             )
-        if not math.isfinite(self.point_null):
-            raise InvalidInterval("point null must be finite")
 
     @classmethod
     def symmetric(cls, point_null: float, delta: float) -> NullSpec:
         """Null interval [point_null - delta, point_null + delta]."""
-        return cls(
-            ExtendedInterval(point_null - delta, point_null + delta),
-            float(delta),
-            float(point_null),
-        )
+        return cls(ExtendedInterval(point_null - delta, point_null + delta), float(delta))
 
     @classmethod
     def from_interval(cls, lo: float, hi: float) -> NullSpec:
-        """Null interval [lo, hi]; delta is half the length, center the midpoint."""
+        """Null interval [lo, hi]; delta is half the length."""
         ival = ExtendedInterval(lo, hi)
-        return cls(ival, 0.5 * (ival.hi - ival.lo), 0.5 * (ival.hi + ival.lo))
+        return cls(ival, 0.5 * (ival.hi - ival.lo))
 
 
 @dataclass(frozen=True)

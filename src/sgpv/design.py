@@ -72,8 +72,9 @@ class DesignConfig:
         if not (self.variance > 0 and math.isfinite(self.variance)):
             raise InvalidScale(f"variance must be positive, got {self.variance!r}")
         check_probability("alpha", self.alpha)
-        if self.se == 0.0:
-            raise InvalidScale("the standard error sqrt(variance / n) underflows to 0")
+        if not 0.0 < self.se < math.inf:
+            how = "underflows to 0" if self.se == 0.0 else "overflows"
+            raise InvalidScale(f"the standard error sqrt(variance / n) {how}")
 
     @property
     def se(self) -> float:

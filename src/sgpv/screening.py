@@ -418,17 +418,20 @@ def pointwise_track(
     return list(map(TrackPoint, ts, p.tolist(), map(CLASSES.__getitem__, code.tolist())))
 
 
-def track_arrays(t, lo, hi, h0: NullSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``pointwise_track`` over columns: p_delta and classification codes.
+def unordered_times(t: np.ndarray) -> np.ndarray:
+    """Where a time point is NaN or does not exceed the one before it."""
+    return np.isnan(t) | np.append(False, ~(t[1:] > t[:-1]))
 
-    The codes index ``core.CLASSES``. Raises InvalidSeries for an empty
-    series or time points that do not strictly increase (NaN included),
-    and UnboundedEstimate for an estimate covering the whole real line.
-    """
+
+def track_arrays(t, lo, hi, h0: NullSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``pointwise_track`` over columns: p_delta and classification codes
+    (indices into ``core.CLASSES``). Raises InvalidSeries for an empty series
+    or a time point ``unordered_times`` marks, and UnboundedEstimate for an
+    estimate covering the whole real line."""
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise InvalidSeries("series is empty")
-    if not np.all(t[1:] > t[:-1]):
+    if unordered_times(t).any():
         raise InvalidSeries("time points must be strictly increasing")
     p, _, _ = p_delta_array(lo, hi, h0)
     _check_bounded(p)

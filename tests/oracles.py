@@ -578,7 +578,12 @@ def parse_group_rows(header: list[str], rows, level: float, welch: bool) -> list
 
 
 def parse_track_rows(header: list[str], rows) -> list[tuple[float, ExtendedInterval]]:
-    """(t, interval) per row of a track input; the first bad row raises."""
+    """(t, interval) per row of a track input; the first bad row raises.
+
+    Within a line: the cells, the interval, then a time point that is NaN
+    or does not exceed the one before it, then an estimate covering the
+    whole real line (the message ``second_gen_p`` raises for it).
+    """
     cols = {name: i for i, name in enumerate(header)}
     out = []
     for lineno, fields in rows:
@@ -586,9 +591,14 @@ def parse_track_rows(header: list[str], rows) -> list[tuple[float, ExtendedInter
         lo = _row_float(fields, cols["lo"], "lo", lineno)
         hi = _row_float(fields, cols["hi"], "hi", lineno)
         try:
-            out.append((t, ExtendedInterval(lo, hi)))
+            interval = ExtendedInterval(lo, hi)
+            if math.isnan(t) or (out and not t > out[-1][0]):
+                raise InvalidSeries("time points must be strictly increasing")
+            if math.isinf(lo) and math.isinf(hi):
+                second_gen_p(interval, NullSpec.symmetric(0.0, 1.0))
         except SgpvError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
+        out.append((t, interval))
     return out
 
 

@@ -170,8 +170,7 @@ def null_specs(draw):
 
 
 def negated(spec):
-    return NullSpec(ExtendedInterval(-spec.interval.hi, -spec.interval.lo),
-                    spec.delta, -spec.point_null)
+    return NullSpec(ExtendedInterval(-spec.interval.hi, -spec.interval.lo), spec.delta)
 
 
 class TestPDeltaArrayInvariants:

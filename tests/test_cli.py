@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgpv
-from sgpv import DesignConfig, PriorOdds, fdr_sgpv, outcome_probs
+from sgpv import DesignConfig, NullSpec, PriorOdds, fdr_sgpv, outcome_probs
 from sgpv.cli import main
+from sgpv.errors import InvalidSeries
+from sgpv.screening import track_arrays
 
 TABLE1 = """id,estimate,se
 1,146,0.5
@@ -65,6 +68,16 @@ class TestCompute:
         payload = json.loads(out)
         assert payload["rows"][0]["p_delta"] == pytest.approx(0.0439, abs=5e-5)
         assert payload["rows"][0]["classification"] == "inconclusive"
+
+    def test_finite_null_whose_midpoint_overflows(self, tmp_path, capsys):
+        src = tmp_path / "iv.csv"
+        src.write_text("id,lo,hi\na,1.2e308,1.3e308\nb,0,1\n")
+        code, out, err = run(capsys, "compute", str(src), "--null-lo", "1e308",
+                             "--null-hi", "1.7e308")
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)
+        assert [r["classification"] for r in rows] == ["null_compatible", "alternative_compatible"]
+        assert rows[1]["delta_gap"] == "-2.85714"
 
     def test_empty_input_is_ok(self, tmp_path, capsys):
         src = tmp_path / "empty.csv"
@@ -257,6 +270,30 @@ class TestScreen:
         )
         assert total == 3
 
+    def test_crosstab_without_p_value_column_message(self, tmp_path, capsys):
+        src = tmp_path / "s.csv"
+        src.write_text("id,lo,hi\na,0.2,0.8\n")
+        code, out, err = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "0.3",
+                             "--crosstab")
+        assert (code, out) == (3, "")
+        assert err == ("sgpv: configuration error: "
+                       "--crosstab needs a p_value column (or two-group input)\n")
+
+    @pytest.mark.parametrize("cell", ["", "  ", None], ids=["blank", "spaces", "missing"])
+    def test_crosstab_names_the_row_without_a_p_value(self, tmp_path, capsys, cell):
+        src = tmp_path / "s.csv"
+        short = "b,0.2,0.8" if cell is None else f"b,0.2,0.8,{cell}"
+        src.write_text(f"id,lo,hi,p_value\na,0.2,0.8,0.01\n{short}\n")
+        code, out, err = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "0.3",
+                             "--crosstab")
+        assert (code, out) == (2, "")
+        assert err == ("sgpv: input error: line 3: missing value for 'p_value' "
+                       "(--crosstab needs a p-value on every row)\n")
+        # without --crosstab the row is screened with no p-value, as before
+        code, out, _ = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "0.3")
+        assert code == 0
+        assert [row["p_raw"] for row in parse_csv(out)] == ["0.01", ""]
+
     def test_two_group_input(self, tmp_path, capsys):
         src = tmp_path / "g.csv"
         src.write_text("id,n1,mean1,sd1,n2,mean2,sd2\nx,10,1,1,10,0,1\n")
@@ -326,6 +363,30 @@ class TestTrack:
         )
         assert code == 0
         assert len(parse_csv(out)) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,lo,hi\nnan,-0.2,0.3\n", "line 2: time points must be strictly increasing"),
+            ("t,lo,hi\n1,-0.2,0.3\n1,0,1\n", "line 3: time points must be strictly increasing"),
+            ("t,lo,hi\n1,-0.2,0.3\n1,-inf,inf\n",  # the time point is checked first
+             "line 3: time points must be strictly increasing"),
+            ("t,lo,hi\n1,-0.2,0.3\n\n2,-inf,inf\n3,2,1\n",
+             "line 4: interval estimate covers the whole real line; "
+             "truncate() it to the plausible effect range first"),
+            ("t,lo,hi\n", "series is empty"),
+        ],
+        ids=["single-nan-t", "repeated-t", "repeated-t-whole-line", "whole-line", "header-only"],
+    )
+    def test_series_errors_exit_2(self, tmp_path, capsys, text, message):
+        src = tmp_path / "t.csv"
+        src.write_text(text)
+        code, out, err = run(capsys, "track", str(src), "--null-point", "0", "--delta", "0.05")
+        assert (code, out, err) == (2, "", f"sgpv: input error: {message}\n")
+
+    def test_library_rejects_a_single_nan_time_point(self):
+        with pytest.raises(InvalidSeries, match="strictly increasing"):
+            track_arrays([math.nan], [-0.2], [0.3], NullSpec.symmetric(0.0, 0.05))
 
 
 class TestSimulate:
@@ -491,6 +552,16 @@ class TestConfigurationErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("sgpv: configuration error: ")
+
+    @pytest.mark.parametrize("command", [("design", "--grid=0:1:2"),
+                                         ("reliability", "--r", "1", "--grid=0:1:2"),
+                                         ("simulate", "--replicates", "10")],
+                             ids=["design", "reliability", "simulate"])
+    def test_overflowing_standard_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--theta0", "0", "--delta", "1", "--n", "1e-10",
+                             "--variance", "1e308")
+        assert (code, out) == (3, "")
+        assert err == "sgpv: configuration error: the standard error sqrt(variance / n) overflows\n"
 
     def test_nan_theta_is_one_message(self, capsys):
         design = ("--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1",

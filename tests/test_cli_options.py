@@ -9,9 +9,10 @@ way in both forms.
 import contextlib
 import io
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgpv.cli import OPTIONS, main
@@ -209,6 +210,10 @@ RAW_HEADERS = [
 ]
 
 
+# Input errors about the file or its header, which no data line causes.
+HEADER_ERRORS = ("cannot read ", ": empty input ", "input needs ", "series is empty")
+
+
 @pytest.fixture(scope="module")
 def raw_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("raw")
@@ -220,8 +225,10 @@ def raw_dir(tmp_path_factory):
     st.lists(st.sampled_from(RAW_PIECES), max_size=24),
     st.sampled_from([(), ("--format", "json"), ("--digits", "17")]),
 )
+@example(("track", b"t,lo,hi"), [b"1", b",", b"1", b",", b"1", b"\n"] * 2, ())  # a repeated t
 def test_raw_input_bytes_never_raise(raw_dir, header, pieces, flags):
-    """Any input bytes end in exit 0, 2 or 3 with one error line, never a traceback."""
+    """Any input bytes end in exit 0, 2 or 3 with one error line, never a traceback;
+    an input error names its line unless it is about the file or its header."""
     command, names = header
     src = raw_dir / "input.csv"
     src.write_bytes(names + b"\n" + b"".join(pieces))
@@ -233,3 +240,6 @@ def test_raw_input_bytes_never_raise(raw_dir, header, pieces, flags):
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") == (code != 0)
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        message = err.getvalue().removeprefix("sgpv: input error: ")
+        assert re.match(r"line \d+: ", message) or any(e in message for e in HEADER_ERRORS)

@@ -517,16 +517,20 @@ def test_group_error_line_matches_oracle(work_dir, seed, count, welch, short_row
     assert (code, err) == (expected or (0, ""))
 
 
+# Each defect maps a row to the rows that replace it.
 TRACK_DEFECTS = {
-    "one_field": lambda row: row[:1],
-    "short_row": lambda row: row[:2],
-    "t_non_numeric": lambda row: ["t?", *row[1:]],
-    "lo_non_numeric": lambda row: [row[0], "abc", row[2]],
-    "hi_blank": lambda row: [row[0], row[1], ""],
-    "reversed": lambda row: [row[0], "2", "1"],
-    "nan": lambda row: [row[0], "nan", row[2]],
-    "point_at_infinity": lambda row: [row[0], "inf", "inf"],
-    "negative_point_at_infinity": lambda row: [row[0], " -inf", "-inf "],
+    "one_field": lambda row: [row[:1]],
+    "short_row": lambda row: [row[:2]],
+    "t_non_numeric": lambda row: [["t?", *row[1:]]],
+    "lo_non_numeric": lambda row: [[row[0], "abc", row[2]]],
+    "hi_blank": lambda row: [[row[0], row[1], ""]],
+    "reversed": lambda row: [[row[0], "2", "1"]],
+    "nan": lambda row: [[row[0], "nan", row[2]]],
+    "point_at_infinity": lambda row: [[row[0], "inf", "inf"]],
+    "negative_point_at_infinity": lambda row: [[row[0], " -inf", "-inf "]],
+    "t_repeated": lambda row: [row, row],
+    "t_nan": lambda row: [["nan", *row[1:]]],
+    "whole_line": lambda row: [[row[0], " -inf", "inf"]],
 }
 
 
@@ -542,6 +546,8 @@ def oracle_track_error(text: str) -> tuple[int, str] | None:
 @PROPERTY
 @given(st.integers(0, 2**32), st.integers(1, 30), st.booleans(),
        st.sampled_from(sorted(TRACK_DEFECTS)))
+@example(seed=0, count=1, late_defect=True, defect="t_nan")  # on the first row
+@example(seed=0, count=5, late_defect=False, defect="t_nan")  # on a later one
 def test_track_error_line_matches_oracle(work_dir, seed, count, late_defect, defect):
     rng = np.random.default_rng(seed)
     rows = []
@@ -549,7 +555,7 @@ def test_track_error_line_matches_oracle(work_dir, seed, count, late_defect, def
         lo = float(rng.normal())
         rows.append([repr(k / 4), repr(lo), repr(lo + float(rng.uniform(0.01, 2.0)))])
     at = defect_line(seed, count)
-    rows[at] = TRACK_DEFECTS[defect](rows[at])
+    rows[at:at + 1] = TRACK_DEFECTS[defect](rows[at])
     if late_defect:  # a second defect further down must not be the one reported
         rows.append([repr(count / 4), "1", "0"])
     text = csv_input("t,lo,hi", rows, seed)

@@ -33,12 +33,15 @@ class TestNullSpec:
     def test_symmetric(self):
         assert BP_NULL.interval == ExtendedInterval(144, 148)
         assert BP_NULL.delta == 2.0
-        assert BP_NULL.point_null == 146.0
 
     def test_from_interval_asymmetric(self):
         spec = NullSpec.from_interval(0.0, 0.025)
         assert spec.delta == pytest.approx(0.0125)
-        assert spec.point_null == pytest.approx(0.0125)
+
+    def test_finite_null_whose_midpoint_overflows(self):
+        spec = NullSpec.from_interval(1e308, 1.7e308)
+        assert spec.delta == 0.5 * (1.7e308 - 1e308)
+        assert second_gen_p(ExtendedInterval(1.2e308, 1.3e308), spec).p_delta == 1.0
 
     def test_rejects_zero_delta(self):
         with pytest.raises(InvalidInterval):

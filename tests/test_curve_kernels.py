@@ -184,6 +184,10 @@ class TestOutcomeKernel:
         with pytest.raises(InvalidScale, match="underflows to 0"):
             DesignConfig(0.0, 0.5, 1e300, 5e-324)
 
+    def test_infinite_standard_error_is_rejected(self):
+        with pytest.raises(InvalidScale, match=r"sqrt\(variance / n\) overflows"):
+            DesignConfig(0.0, 1.0, 1e-10, 1e308)
+
     def test_benchmark_grid_warns_nothing(self):
         grid = np.linspace(-12.0, 12.0, 5000)
         with np.errstate(all="raise"):
