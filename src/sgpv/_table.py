@@ -147,9 +147,3 @@ def csv_text(columns: Sequence[Column], digits: int = 6) -> str:
     """A table as one CSV string."""
     write_csv(buf := io.StringIO(), columns, digits)
     return buf.getvalue()
-
-
-def json_text(columns: Sequence[Column], **extra: Any) -> str:
-    """A table as one indented JSON string; ``extra`` keys follow ``rows``."""
-    write_json(buf := io.StringIO(), columns, **extra)
-    return buf.getvalue()

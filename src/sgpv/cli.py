@@ -29,11 +29,10 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import _table
-from ._normal import norm_quantile
 from .core import CLASSES, Classification, NullSpec, classify_codes, p_delta_array
 from .design import POWER_CURVE_COLUMNS, DesignConfig, outcome_probs, outcome_probs_array
 from .errors import InvalidConfig, SgpvError
-from .intervals import ExtendedInterval, z_interval
+from .intervals import ExtendedInterval, invalid_intervals, z_endpoints, z_interval
 from .reliability import (
     RELIABILITY_CURVE_COLUMNS,
     PriorOdds,
@@ -47,6 +46,7 @@ from .screening import (
     attach_adjustments,
     cross_tab,
     invalid_summaries,
+    log10_array,
     log10_interval,
     ranked_indices,
     screen_intervals,
@@ -77,6 +77,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise InvalidConfig(message)
+
+    def _parse_optional(self, arg_string: str):
+        """argparse's, but any argument float() reads as negative (-1e308, -inf) is a value."""
+        with contextlib.suppress(ValueError):
+            if float(arg_string) < 0.0:
+                return None
+        return super()._parse_optional(arg_string)
 
 
 # ----------------------------------------------------------------- helpers
@@ -241,9 +248,8 @@ def _id_rule(table: _Table) -> _Rule:
 
 def _interval_rules(interval: Callable, lo: np.ndarray, hi: np.ndarray, log10_mode: bool = False):
     """The rules that row k's ``interval(k)``, which spans [lo, hi], is an
-    ExtendedInterval (no NaN, lo <= hi, no point at infinity) and, under
-    --log10, has positive endpoints."""
-    rules = [(np.isnan(lo) | np.isnan(hi) | (lo > hi) | ((lo == hi) & np.isinf(lo)), interval)]
+    ExtendedInterval and, under --log10, has positive endpoints."""
+    rules = [(invalid_intervals(lo, hi), interval)]
     if log10_mode:
         rules.append((lo <= 0.0, lambda k: log10_interval(interval(k))))
     return rules
@@ -253,11 +259,6 @@ def _p_value_rule(p: np.ndarray, present=True) -> _Rule:
     """The rule that a p-value, where ``present``, lies in [0, 1]."""
     return (present & ~valid_p_values(p),
             lambda k: f"p-value must lie in [0, 1], got {p[k].item()!r}")
-
-
-def _log10(values: np.ndarray) -> np.ndarray:
-    """math.log10 per element, which np.log10 can miss by the last bit."""
-    return np.fromiter(map(math.log10, values.tolist()), dtype=float, count=len(values))
 
 
 class _Output(NamedTuple):
@@ -300,12 +301,10 @@ def _compute_intervals(path: str, level: float, log10_mode: bool):
     interval = _per_row(make, lo, hi)
     if make is not ExtendedInterval:  # hi holds se; z_interval's own arithmetic follows
         rules.append((~(hi > 0.0), interval))
-        with np.errstate(invalid="ignore", over="ignore"):
-            half = norm_quantile(0.5 * (1.0 + level)) * hi
-            lo, hi = lo - half, lo + half
+        lo, hi = z_endpoints(lo, hi, level)
     _check(table, rules + _interval_rules(interval, lo, hi, log10_mode))
     if log10_mode:
-        lo, hi = _log10(lo), _log10(hi)
+        lo, hi = log10_array(lo), log10_array(hi)
     ids = list(map(str.strip, cols["id"]) if "id" in cols else map(str, range(1, len(lo) + 1)))
     return ids, lo, hi
 
@@ -396,7 +395,7 @@ def _screen_intervals(table: _Table, log10_mode: bool, crosstab: bool):
                                             "(--crosstab needs a p-value on every row)"))
     _check(table, rules)
     if log10_mode:
-        lo, hi = _log10(lo), _log10(hi)
+        lo, hi = log10_array(lo), log10_array(hi)
     return lo, hi, p_raw, has_p_raw
 
 

@@ -77,7 +77,22 @@ class NullSpec:
     def from_interval(cls, lo: float, hi: float) -> NullSpec:
         """Null interval [lo, hi]; delta is half the length."""
         ival = ExtendedInterval(lo, hi)
-        return cls(ival, 0.5 * (ival.hi - ival.lo))
+        return cls(ival, _half_length(ival))
+
+
+def _scaled_length(null: ExtendedInterval) -> tuple[float, float]:
+    """(scale * length, scale) of ``null``: scale is 1, or 1/2 where a finite
+    null's length overflows, so the first is finite exactly when the null is."""
+    length = null.hi - null.lo
+    if math.isinf(length) and null.is_finite:
+        return 0.5 * null.hi - 0.5 * null.lo, 0.5
+    return length, 1.0
+
+
+def _half_length(null: ExtendedInterval) -> float:
+    """Half the length of ``null``, finite exactly when the null is."""
+    length, scale = _scaled_length(null)
+    return 0.5 / scale * length
 
 
 @dataclass(frozen=True)
@@ -94,20 +109,16 @@ class SgpvResult:
     delta_gap: float | None
 
 
+#: The verdict of each code ``classify_codes`` returns; code 3 (None) marks
+#: an estimate covering the whole real line.
+CLASSES = (*Classification, None)
+
+
 def classify(p_delta: float) -> Classification:
     """Map a proportion to its tri-state verdict (0, 1, or in between)."""
     if math.isnan(p_delta) or not 0.0 <= p_delta <= 1.0:
         raise InvalidProportion(f"p_delta must lie in [0, 1], got {p_delta!r}")
-    if p_delta == 0.0:
-        return Classification.ALTERNATIVE_COMPATIBLE
-    if p_delta == 1.0:
-        return Classification.NULL_COMPATIBLE
-    return Classification.INCONCLUSIVE
-
-
-#: The verdict of each code ``classify_codes`` returns; code 3 (None) marks
-#: an estimate covering the whole real line.
-CLASSES = (*Classification, None)
+    return CLASSES[classify_codes(p_delta)]
 
 
 def classify_codes(p_delta: np.ndarray) -> np.ndarray:
@@ -140,11 +151,12 @@ def p_delta_array(
     length) only when that half-length is positive and finite.
     """
     null = h0.interval if isinstance(h0, NullSpec) else h0
-    delta = h0.delta if isinstance(h0, NullSpec) else 0.5 * (null.hi - null.lo)
+    delta = h0.delta if isinstance(h0, NullSpec) else _half_length(null)
     null_lo, null_hi = null.lo, null.hi
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    len_h = null_hi - null_lo
+    # the reset and one-sided terms compare the estimate with the null at its scale
+    len_h, scale = _scaled_length(null)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         len_i = hi - lo
         overlap_len = np.minimum(hi, null_hi)
@@ -152,11 +164,12 @@ def p_delta_array(
         # later assignments win: wide-estimate reset, one-sided forms, then
         # nesting, disjointness and the whole line override everything
         p = overlap_len / len_i
-        corrected = (len_i > 2.0 * len_h) & (lo <= null_lo) & (null_hi <= hi)
+        corrected = (scale * len_i > 2.0 * len_h) & (lo <= null_lo) & (null_hi <= hi)
         p[corrected] = 0.5
         one_sided = np.isinf(len_i)
         if one_sided.any():
-            part = overlap_len[one_sided]
+            part = (scale * np.minimum(hi[one_sided], null_hi)
+                    - scale * np.maximum(lo[one_sided], null_lo))
             if math.isinf(len_h):
                 # two one-sided intervals: all or nothing
                 p[one_sided] = np.where(np.isinf(part), 1.0, 0.0)

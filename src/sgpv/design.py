@@ -85,6 +85,11 @@ class DesignConfig:
         return _normal.norm_quantile(1.0 - 0.5 * self.alpha)
 
     @property
+    def estimate_half_width(self) -> float:
+        """z_crit * se: the (1 - alpha) z-interval is the estimate -/+ this."""
+        return self.z_crit * self.se
+
+    @property
     def null_interval(self) -> ExtendedInterval:
         return ExtendedInterval(self.theta0 - self.delta, self.theta0 + self.delta)
 
@@ -122,7 +127,7 @@ def _outcome_columns(theta: np.ndarray, cfg: DesignConfig) -> tuple[np.ndarray, 
         b = (cfg.theta0 + cfg.delta - theta) / se
         p_alt = _normal.norm_cdf_array(a - z) + _normal.norm_cdf_array(-b - z)
         not_alt = _cdf_diff(b + z, a - z)  # 1 - p_alt by tail symmetry
-        if cfg.delta <= z * se:  # nesting is impossible
+        if cfg.delta <= cfg.estimate_half_width:  # nesting is impossible
             return p_alt, np.zeros_like(p_alt), not_alt
         p_null = _cdf_diff(b - z, a + z)
         rest = not_alt - p_null

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._normal import norm_quantile
 from .errors import InvalidInterval, InvalidScale, TruncationEmpty, check_probability
 
@@ -39,6 +41,11 @@ class ExtendedInterval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
+
+
+def invalid_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Where endpoints [lo, hi] fail ExtendedInterval's check, which supplies the message."""
+    return np.isnan(lo) | np.isnan(hi) | (lo > hi) | ((lo == hi) & np.isinf(lo))
 
 
 def length(interval: ExtendedInterval) -> float:
@@ -76,5 +83,11 @@ def z_interval(estimate: float, se: float, level: float = 0.95) -> ExtendedInter
     if not se > 0:
         raise InvalidScale(f"standard error must be positive, got {se!r}")
     check_probability("confidence level", level)
-    half = norm_quantile(0.5 * (1.0 + level)) * se
-    return ExtendedInterval(estimate - half, estimate + half)
+    return ExtendedInterval(*z_endpoints(estimate, se, level))
+
+
+def z_endpoints(estimate, se, level: float):
+    """estimate -/+ z * se, as z_interval but unchecked; arrays overflow silently, as floats do."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        half = norm_quantile(0.5 * (1.0 + level)) * se
+        return estimate - half, estimate + half

@@ -72,7 +72,7 @@ def _rates(theta1: np.ndarray, cfg: DesignConfig, odds: PriorOdds) -> tuple:
     beta = _outcome_columns(theta1, _point_null(cfg))[2]
     with np.errstate(all="ignore"):
         fdr = 1.0 / (1.0 + alt1 / alt0 * odds.r)
-        if cfg.delta <= cfg.z_crit * cfg.se:  # no confirmations: undefined
+        if cfg.delta <= cfg.estimate_half_width:  # no confirmations: undefined
             fcr = np.full(theta1.shape, None, dtype=object)
         else:  # 0 in the limit where the alternative's nesting probability vanishes
             fcr = np.where(null1 <= 0.0, 0.0, 1.0 / (1.0 + null0 / null1 / odds.r))

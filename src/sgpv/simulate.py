@@ -99,7 +99,7 @@ def _chunk_ranges(replicates: int, chunks: int) -> Iterator[tuple[int, int]]:
 
 def _p_deltas(theta_hats: np.ndarray, design: DesignConfig) -> np.ndarray:
     """p_delta of each (1 - alpha) z-interval against the design's null."""
-    half = design.z_crit * design.se
+    half = design.estimate_half_width
     null = design.null_interval  # [theta0, theta0] when delta == 0: point null
     p, _, _ = p_delta_array(theta_hats - half, theta_hats + half, null)
     return p

@@ -14,7 +14,13 @@ The p_delta oracle is the scalar rule on interval objects, ``_p_delta``
 with the intersect-based ``delta_gap``: one branch per convention,
 evaluated through ``intervals.intersect`` and ``length``, against which
 the package's only implementation, the array kernel
-``core.p_delta_array``, is checked bit for bit.
+``core.p_delta_array``, is checked bit for bit. Where a finite null's
+length overflows, ``half_length`` and the one-sided value fall back to
+exact rational arithmetic, which the kernel must match to a few ulps.
+The interval rules the package states once are restated here as they
+stood in each caller: ``classify``'s verdict branches, ``z_interval``'s
+endpoint arithmetic ``z_endpoints`` and the design gate
+``delta <= z_crit * se`` (in ``prob_null``).
 
 The two-group t-test oracle is the scalar ``two_sample_ci`` on
 ``GroupSummary`` pairs through frozen ``scipy.stats.t`` distributions,
@@ -50,6 +56,7 @@ import json
 import math
 from decimal import Decimal, getcontext
 from enum import Enum
+from fractions import Fraction
 from operator import attrgetter
 
 from scipy import stats as _scipy_stats
@@ -58,12 +65,13 @@ from typing import Sequence
 
 from sgpv import _normal
 from sgpv._normal import norm_cdf
-from sgpv.core import NullSpec, second_gen_p
+from sgpv.core import Classification, NullSpec, second_gen_p
 from sgpv.design import DesignConfig, OutcomeProbs, PowerCurvePoint
 from sgpv.errors import (
     DegenerateDesign,
     InvalidInterval,
     InvalidProbability,
+    InvalidProportion,
     InvalidSeries,
     InvalidSummary,
     SgpvError,
@@ -167,6 +175,31 @@ def t_quantile_oracle(p: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def half_length(lo: float, hi: float) -> float:
+    """Half of hi - lo: the float formula where the length is finite, else exact."""
+    half = 0.5 * (hi - lo)
+    if math.isinf(half) and math.isfinite(lo) and math.isfinite(hi):
+        return float((Fraction(hi) - Fraction(lo)) / 2)
+    return half
+
+
+def classify(p_delta: float) -> Classification:
+    """The verdict of a proportion by its own branches: 0, 1, or in between."""
+    if math.isnan(p_delta) or not 0.0 <= p_delta <= 1.0:
+        raise InvalidProportion(f"p_delta must lie in [0, 1], got {p_delta!r}")
+    if p_delta == 0.0:
+        return Classification.ALTERNATIVE_COMPATIBLE
+    if p_delta == 1.0:
+        return Classification.NULL_COMPATIBLE
+    return Classification.INCONCLUSIVE
+
+
+def z_endpoints(estimate: float, se: float, level: float) -> tuple[float, float]:
+    """estimate -/+ z * se in Python float arithmetic, as z_interval computed it."""
+    half = _normal.norm_quantile(0.5 * (1.0 + level)) * se
+    return estimate - half, estimate + half
+
+
 def _p_delta(i: ExtendedInterval, h: ExtendedInterval) -> tuple[float, bool]:
     """Core computation on bare intervals: (p_delta, correction_applied)."""
     if math.isinf(i.lo) and math.isinf(i.hi):
@@ -186,9 +219,12 @@ def _p_delta(i: ExtendedInterval, h: ExtendedInterval) -> tuple[float, bool]:
     if math.isinf(len_i):
         if overlap_len == 0.0:
             return 0.0, False
-        if math.isinf(len_h):
+        if not h.is_finite:
             # two one-sided intervals: all or nothing
             return (1.0, False) if math.isinf(overlap_len) else (0.0, False)
+        if math.isinf(len_h):  # a finite null whose length overflows
+            part = Fraction(overlap.hi) - Fraction(overlap.lo)
+            return float(part / (2 * (Fraction(h.hi) - Fraction(h.lo)))), True
         return 0.5 * overlap_len / len_h, True
     if len_i > 2.0 * len_h and i.lo <= h.lo and h.hi <= i.hi:
         # estimate too imprecise to adjudicate, yet every null hypothesis

@@ -153,6 +153,18 @@ class TestCompute:
         assert rows[0]["p_delta"] == ""
         assert rows[1]["flags"] == ""
 
+    def test_one_sided_estimate_against_null_whose_length_overflows(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("id,lo,hi\na,0,inf\n"))
+        code, out, err = run(capsys, "compute", "-", "--null-point", "0", "--delta", "1e308")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "a,0,inf,0.25,inconclusive,true,,"
+
+    def test_range_null_whose_length_overflows(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("id,lo,hi\na,0,1\n"))
+        code, out, err = run(capsys, "compute", "-", "--null-lo=-1e308", "--null-hi=1e308")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "a,0,1,1,null_compatible,false,,"
+
 
 class TestDesign:
     def test_single_point_grid_matches_library(self, capsys):
@@ -720,7 +732,8 @@ def test_write_failure_exit_3(tmp_path):
     )
     assert proc.stdout.readline().startswith(b"id,lo,hi,")
     proc.stdout.close()  # the output is about 2 MB, far more than a pipe holds
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 3
     assert err == "sgpv: configuration error: cannot write stdout: [Errno 32] Broken pipe\n"
 
@@ -731,7 +744,8 @@ def test_write_failure_exit_3(tmp_path):
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 3
     assert err == "sgpv: configuration error: cannot write stdout: [Errno 32] Broken pipe\n"
 

@@ -86,13 +86,14 @@ def _flags(opts: dict) -> list[str]:
     return argv
 
 
-def _run(tmp_path, command: str, flags: dict, file_cfg: dict | None = None):
-    """(exit code, stdout, stderr, files written) of one run inside ``tmp_path``."""
+def _run(tmp_path, command: str, flags: dict, file_cfg: dict | None = None, argv=()):
+    """(exit code, stdout, stderr, files written) of one run inside ``tmp_path``;
+    ``argv`` follows the flags as given."""
     work = tmp_path / "work"
     work.mkdir(exist_ok=True)
     for old in work.iterdir():
         old.unlink()
-    argv = [command]
+    argv, extra = [command], list(argv)
     if command in INPUTS:
         src = tmp_path / "input.csv"
         src.write_text(INPUTS[command])
@@ -101,7 +102,7 @@ def _run(tmp_path, command: str, flags: dict, file_cfg: dict | None = None):
     def place(opts):  # out files go to the scratch directory
         return {k: str(work / v) if k == "out" and isinstance(v, str) else v for k, v in opts.items()}
 
-    argv += _flags(place(flags))
+    argv += _flags(place(flags)) + extra
     if file_cfg is not None:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(place(file_cfg)))
@@ -147,6 +148,23 @@ def test_malformed_flag_and_config_fail_alike(tmp_path, command, name, value, me
     del base[name]
     assert as_flag == (3, "", f"sgpv: configuration error: {message}\n", {})
     assert _run(tmp_path, command, base, {name: value}) == as_flag
+
+
+NUMBERS = [(command, opt.name) for opt in OPTIONS if opt.kind.__name__ == "_number"
+           for command in opt.commands]
+
+
+@pytest.mark.parametrize("command, name", NUMBERS, ids=[f"{c}-{n}" for c, n in NUMBERS])
+@pytest.mark.parametrize("value", ["-1e308", "-1E-5", "-.5e3", "-inf", "-0.5"])
+def test_negative_number_takes_space_form_as_equals_form(tmp_path, command, name, value):
+    """``--name -1e308`` is the value -1e308, as ``--name=-1e308`` is, not a flag."""
+    opts = _options(command, name, value)
+    with_equals = _run(tmp_path, command, opts)
+    flag = "--" + name.replace("_", "-")
+    argv = [part for arg in _flags(opts)
+            for part in (arg.split("=", 1) if arg.startswith(flag + "=") else [arg])]
+    assert "argument" not in with_equals[2]  # argparse took the value as a value
+    assert _run(tmp_path, command, {}, argv=argv) == with_equals
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,52 @@ class TestNullSpec:
             NullSpec.symmetric(0.0, INF)
 
 
+def huge_null() -> NullSpec:
+    """[-1e308, 1e308]: a finite null whose length overflows a double."""
+    return NullSpec.from_interval(-1e308, 1e308)
+
+
+class TestNullWhoseLengthOverflows:
+    def test_half_width_is_half_the_length(self):
+        assert huge_null().delta == 1e308
+
+    def test_nested(self):
+        res = second_gen_p(ExtendedInterval(0.0, 1.0), huge_null())
+        assert (res.p_delta, res.correction_applied, res.delta_gap) == (1.0, False, None)
+
+    def test_disjoint_with_its_gap(self):
+        above = second_gen_p(ExtendedInterval(1.5e308, 1.7e308), huge_null())
+        assert (above.p_delta, above.classification) == (0.0, Classification.ALTERNATIVE_COMPATIBLE)
+        assert above.delta_gap == (1.5e308 - 1e308) / 1e308
+        below = second_gen_p(ExtendedInterval(-1.7e308, -1.5e308), huge_null())
+        assert (below.p_delta, below.delta_gap) == (0.0, -above.delta_gap)
+
+    def test_straddling(self):
+        res = second_gen_p(ExtendedInterval(5e307, 1.5e308), huge_null())
+        assert (res.p_delta, res.correction_applied, res.delta_gap) == (0.5, False, None)
+
+    @pytest.mark.parametrize("estimate, want", [
+        ((0.0, INF), 0.25),
+        ((-INF, 0.0), 0.25),
+        ((-INF, 5e307), 0.375),
+        ((-5e307, INF), 0.375),
+        ((-1.5e308, INF), 0.5),  # covers the null: |I ∩ H0| itself overflows
+        ((-INF, 1.5e308), 0.5),
+    ])
+    def test_one_sided_both_ways(self, estimate, want):
+        res = second_gen_p(ExtendedInterval(*estimate), huge_null())
+        assert (res.p_delta, res.correction_applied) == (want, True)
+        assert res.classification is Classification.INCONCLUSIVE
+
+    def test_symmetric_null_and_bare_interval_agree(self):
+        spec = NullSpec.symmetric(0.0, 1e308)
+        for estimate in [(0.0, INF), (-INF, 5e307), (1.5e308, 1.7e308), (5e307, 1.5e308)]:
+            i = ExtendedInterval(*estimate)
+            want = second_gen_p(i, huge_null())
+            assert second_gen_p(i, spec) == want
+            assert second_gen_p(i, spec.interval) == want
+
+
 class TestSecondGenP:
     def test_partial_overlap_study3(self):
         res = second_gen_p(ExtendedInterval(142.55, 147.45), BP_NULL)
