@@ -9,7 +9,7 @@ value is reset to 1/2. Definitive values are exact: 0 means the data
 support only scientifically meaningful (alternative) hypotheses, 1 means
 they support only null hypotheses; anything in between is inconclusive.
 
-Infinite-length estimates are supported but discouraged; an estimate that
+Estimates with an infinite endpoint are supported but discouraged; one that
 covers the whole real line is rejected with an error pointing at
 ``intervals.truncate``. A one-sided estimate overlapping a finite null
 yields ``0.5 * |I ∩ H0| / |H0|``, the wide-estimate limit.
@@ -18,7 +18,9 @@ The rule has one implementation, ``p_delta_array``, which returns
 p_delta, the reset flag and the delta-gap for arrays of endpoints and
 gives NaN for a whole-line estimate. ``second_gen_p`` and ``delta_gap``
 are one-row views of it; batches, tracks, the CLI and the simulators
-call it once per batch.
+call it once per batch. Every term compares or divides differences of
+endpoints, so it takes each at scale 1/2 on a row where a difference of
+finite endpoints overflows, and p_delta is exact up to the largest double.
 """
 
 from __future__ import annotations
@@ -80,19 +82,10 @@ class NullSpec:
         return cls(ival, _half_length(ival))
 
 
-def _scaled_length(null: ExtendedInterval) -> tuple[float, float]:
-    """(scale * length, scale) of ``null``: scale is 1, or 1/2 where a finite
-    null's length overflows, so the first is finite exactly when the null is."""
-    length = null.hi - null.lo
-    if math.isinf(length) and null.is_finite:
-        return 0.5 * null.hi - 0.5 * null.lo, 0.5
-    return length, 1.0
-
-
 def _half_length(null: ExtendedInterval) -> float:
     """Half the length of ``null``, finite exactly when the null is."""
-    length, scale = _scaled_length(null)
-    return 0.5 / scale * length
+    length = null.hi - null.lo
+    return 0.5 * length if math.isfinite(length) else 0.5 * null.hi - 0.5 * null.lo
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,10 @@ def p_delta_array(
     estimate against a finite null gives ``0.5 * |I ∩ H0| / |H0|``; two
     one-sided intervals give all or nothing; an estimate covering the
     whole real line gives NaN (uncorrected). Endpoints are taken to form
-    valid intervals, as ExtendedInterval would require.
+    valid intervals, as ExtendedInterval would require. Both lengths, the
+    overlap and the gap are taken at scale 1/2 on a row where a difference
+    of finite endpoints overflows, at scale 1 elsewhere; every comparison
+    (one-sided means an infinite endpoint) takes the endpoints as given.
 
     The gap is NaN wherever p_delta != 0 or ``h0`` has no delta unit.
     The unit is ``NullSpec.delta``; a bare interval has one (half its
@@ -155,41 +151,47 @@ def p_delta_array(
     null_lo, null_hi = null.lo, null.hi
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    # the reset and one-sided terms compare the estimate with the null at its scale
-    len_h, scale = _scaled_length(null)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        len_i = hi - lo
-        overlap_len = np.minimum(hi, null_hi)
-        overlap_len -= np.maximum(lo, null_lo)  # negative exactly when disjoint
+        top, bottom = np.minimum(hi, null_hi), np.maximum(lo, null_lo)  # the overlap's ends
+        # comparisons take the endpoints as given, differences take them at scale s
+        covers, settled = (lo <= null_lo) & (null_hi <= hi), (null_lo <= lo) & (hi <= null_hi)
+        disjoint, above, below = top < bottom, lo >= null_hi, hi <= null_lo
+        inf_lo, inf_hi = np.isinf(lo), np.isinf(hi)
+        one_sided, whole_line = inf_lo | inf_hi, inf_lo & inf_hi
+        ends, s = (lo, hi, top, bottom, null_lo, null_hi), None  # None: 1 on every row
+        # s is 1/2 where a difference of finite endpoints overflows, which needs one >= 2**1023
+        n_top = sum(np.count_nonzero(np.abs(x) >= 2.0**1023) for x in ends[:2] + ends[4:])
+        if n_top > sum(map(np.count_nonzero, (inf_lo, inf_hi, np.isinf(ends[4:])))):
+            over = [np.isinf(a - b) & np.isfinite(a) & np.isfinite(b)
+                    for a, b in ((hi, lo), (top, bottom), (null_hi, null_lo))]
+            s = np.where(over[0] | over[1] | over[2], 0.5, 1.0)
+            lo, hi, top, bottom, null_lo, null_hi = (s * x for x in ends)
+        len_i, len_h, overlap_len = hi - lo, null_hi - null_lo, top - bottom
         # later assignments win: wide-estimate reset, one-sided forms, then
         # nesting, disjointness and the whole line override everything
         p = overlap_len / len_i
-        corrected = (scale * len_i > 2.0 * len_h) & (lo <= null_lo) & (null_hi <= hi)
+        corrected = (len_i > 2.0 * len_h) & covers
         p[corrected] = 0.5
-        one_sided = np.isinf(len_i)
         if one_sided.any():
-            part = (scale * np.minimum(hi[one_sided], null_hi)
-                    - scale * np.maximum(lo[one_sided], null_lo))
-            if math.isinf(len_h):
+            part = overlap_len[one_sided]
+            if not null.is_finite:
                 # two one-sided intervals: all or nothing
                 p[one_sided] = np.where(np.isinf(part), 1.0, 0.0)
                 corrected[one_sided] = False
             else:
+                len_h = len_h if s is None else len_h[one_sided]
                 p[one_sided] = np.where(part == 0.0, 0.0, 0.5 * part / len_h)
                 corrected[one_sided] = part != 0.0
-        settled = (null_lo <= lo) & (hi <= null_hi)
         p[settled] = 1.0
-        disjoint = overlap_len < 0.0
         p[disjoint] = 0.0
-        settled |= disjoint
-        whole_line = np.isinf(lo) & np.isinf(hi)
         p[whole_line] = np.nan
-        settled |= whole_line
-        corrected[settled] = False
+        corrected[settled | disjoint | whole_line] = False
         # signed distance to the null; 0 for touching endpoints and for an
         # overlap too small against the estimate for p_delta to resolve
-        gap = np.where(lo >= null_hi, lo - null_hi, np.where(hi <= null_lo, hi - null_lo, 0.0))
+        gap = np.where(above, lo - null_hi, np.where(below, hi - null_lo, 0.0))
         gap /= delta
+        if s is not None:
+            gap /= s  # after delta, which need not halve exactly
         has_unit = 0.0 < delta < math.inf
         gap[(p != 0.0) | (not has_unit)] = np.nan
     return p, corrected, gap
@@ -257,6 +259,9 @@ def max_p_over_null(estimate: float, se: float, h0: NullSpec) -> float:
 
 
 def round_half_away(x: float, digits: int = 4) -> float:
-    """Round half away from zero; the display convention for p_delta."""
+    """Round half away from zero; the display convention for p_delta. Keeps a non-finite x."""
+    if not math.isfinite(x):
+        return x
     exponent = decimal.Decimal(1).scaleb(-digits)
-    return float(decimal.Decimal(repr(x)).quantize(exponent, decimal.ROUND_HALF_UP))
+    wide = decimal.Context(prec=310 + max(digits, 0))  # a double has at most 309 integer digits
+    return float(decimal.Decimal(repr(x)).quantize(exponent, decimal.ROUND_HALF_UP, wide))

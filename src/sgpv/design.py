@@ -38,6 +38,7 @@ from . import _normal, _table
 from ._normal import norm_cdf as std_normal_cdf, norm_quantile as std_normal_quantile  # noqa: F401
 from .errors import (
     InvalidInterval,
+    InvalidProbability,
     InvalidProportion,
     InvalidScale,
     InvalidSeries,
@@ -187,12 +188,16 @@ def required_interval_ratio(alpha: float, power: float) -> float:
     For a design powered at ``power`` to detect the smallest meaningful
     effect, the interval estimate width relative to the null interval is
     z_{1-alpha/2} / (z_{1-alpha/2} + z_{power}): equal widths at 50%
-    power, 0.7 at 80%, 0.6 at 90% (alpha = 0.05).
+    power, 0.7 at 80%, 0.6 at 90% (alpha = 0.05). A power of alpha/2 or
+    less gives no positive ratio and is rejected.
     """
     check_probability("alpha", alpha)
     check_probability("power", power)
     z_a = _normal.norm_quantile(1.0 - 0.5 * alpha)
-    return z_a / (z_a + _normal.norm_quantile(power))
+    z_sum = z_a + _normal.norm_quantile(power)
+    if not z_sum > 0.0:
+        raise InvalidProbability(f"power must exceed alpha/2 = {0.5 * alpha!r}, got {power!r}")
+    return z_a / z_sum
 
 
 def correction_trigger_power(alpha: float) -> float:

@@ -49,7 +49,8 @@ def invalid_intervals(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def length(interval: ExtendedInterval) -> float:
-    """Length hi - lo; infinite when either endpoint is infinite."""
+    """Length hi - lo; infinite when either endpoint is infinite or hi - lo
+    exceeds the largest double."""
     return interval.hi - interval.lo
 
 

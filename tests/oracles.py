@@ -14,9 +14,10 @@ The p_delta oracle is the scalar rule on interval objects, ``_p_delta``
 with the intersect-based ``delta_gap``: one branch per convention,
 evaluated through ``intervals.intersect`` and ``length``, against which
 the package's only implementation, the array kernel
-``core.p_delta_array``, is checked bit for bit. Where a finite null's
-length overflows, ``half_length`` and the one-sided value fall back to
-exact rational arithmetic, which the kernel must match to a few ulps.
+``core.p_delta_array``, is checked bit for bit. Where the length of an
+interval with finite endpoints overflows, ``half_length`` and the lengths
+in ``_p_delta`` are taken with fractions instead (the lengths exact, then
+rounded to 53 bits), which the kernel must match to a few ulps.
 The interval rules the package states once are restated here as they
 stood in each caller: ``classify``'s verdict branches, ``z_interval``'s
 endpoint arithmetic ``z_endpoints`` and the design gate
@@ -213,24 +214,37 @@ def _p_delta(i: ExtendedInterval, h: ExtendedInterval) -> tuple[float, bool]:
     if h.lo <= i.lo and i.hi <= h.hi:
         # every data-supported hypothesis is a null hypothesis
         return 1.0, False
-    overlap_len = length(overlap)
-    len_i = length(i)
-    len_h = length(h)
-    if math.isinf(len_i):
+    overlap_len, len_i, len_h = _lengths(overlap, i, h)
+    if not i.is_finite:  # one-sided
         if overlap_len == 0.0:
             return 0.0, False
         if not h.is_finite:
             # two one-sided intervals: all or nothing
-            return (1.0, False) if math.isinf(overlap_len) else (0.0, False)
-        if math.isinf(len_h):  # a finite null whose length overflows
-            part = Fraction(overlap.hi) - Fraction(overlap.lo)
-            return float(part / (2 * (Fraction(h.hi) - Fraction(h.lo)))), True
-        return 0.5 * overlap_len / len_h, True
-    if len_i > 2.0 * len_h and i.lo <= h.lo and h.hi <= i.hi:
+            return (1.0, False) if overlap_len == math.inf else (0.0, False)
+        return float(overlap_len / 2 / len_h), True
+    if len_i > 2 * len_h and i.lo <= h.lo and h.hi <= i.hi:
         # estimate too imprecise to adjudicate, yet every null hypothesis
         # is supported: strictly inconclusive
         return 0.5, True
-    return overlap_len / len_i, False
+    return float(overlap_len / len_i), False
+
+
+def _lengths(*intervals: ExtendedInterval) -> list:
+    """Float lengths; where the float length of a finite interval overflows,
+    Fractions instead: each exact length rounded to a double's 53 bits, as
+    floats with no largest value would give it."""
+    lengths = [length(x) for x in intervals]
+    if any(math.isinf(n) and x.is_finite for n, x in zip(lengths, intervals)):
+        return [_rounded(Fraction(x.hi) - Fraction(x.lo)) if x.is_finite else math.inf
+                for x in intervals]
+    return lengths
+
+
+def _rounded(x: Fraction) -> Fraction:
+    try:
+        return Fraction(float(x))
+    except OverflowError:  # the difference of two doubles is below 2**1025
+        return 2 * Fraction(float(x / 2))
 
 
 def delta_gap(i: ExtendedInterval, h0: NullSpec) -> float | None:

@@ -81,9 +81,16 @@ endpoint = st.one_of(st.sampled_from(POOL), st.floats(-3.0, 3.0))
 UNDERFLOW = (math.nextafter(0.5, 0.0), 1.5e308)
 
 
+# Endpoints below 2 in magnitude stay finite when scaled by 2**1023.
+TOP_POOL = [-INF, -1.9999999999999998, -1.5, -1.0, 0.0, 1.0, 1.5, 1.9999999999999998, INF]
+top_endpoint = st.sampled_from(TOP_POOL) | st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
+
+
 @st.composite
-def intervals(draw, finite=False):
+def intervals(draw, finite=False, top=False):
     ends = (st.floats(-3.0, 3.0) | st.sampled_from(POOL[1:-1])) if finite else endpoint
+    if top:
+        ends = top_endpoint
     lo, hi = sorted((draw(ends), draw(ends)))
     if lo == hi and math.isinf(lo):
         lo, hi = (-INF, hi) if hi > 0 else (lo, INF)
@@ -169,8 +176,44 @@ def null_specs(draw):
     return NullSpec.symmetric(center, delta)
 
 
-def negated(spec):
-    return NullSpec(ExtendedInterval(-spec.interval.hi, -spec.interval.lo), spec.delta)
+def negated(null):
+    if isinstance(null, NullSpec):
+        return NullSpec(negated(null.interval), null.delta)
+    return ExtendedInterval(-null.hi, -null.lo)
+
+
+@st.composite
+def top_nulls(draw):
+    """A bare null with endpoints below 2 in magnitude, one-sided ones
+    included, or a finite one as a NullSpec with its own delta."""
+    lo, hi = draw(intervals(top=True))
+    if math.isfinite(lo) and math.isfinite(hi) and draw(st.booleans()):
+        return NullSpec(ExtendedInterval(lo, hi), draw(st.floats(1e-300, 1.9) | st.just(0.5)))
+    return lo, hi
+
+
+def as_null(null):
+    return null if isinstance(null, NullSpec) else ExtendedInterval(*null)
+
+
+def scales_exactly(values, k):
+    """Whether each value and its product with 2**k are zero, infinite, or
+    finite and at least 2**-1021 in magnitude: below that, half of a
+    difference of two values can round."""
+    exponents = [math.frexp(x)[1] for x in values if x != 0.0 and math.isfinite(x)]
+    return all(-1020 <= min(e, e + k) and e + k <= 1024 for e in exponents)
+
+
+def scale_null(null, k):
+    """``null`` with its endpoints and delta times 2**k; None unless that is exact."""
+    if isinstance(null, NullSpec):
+        interval = scale_null(null.interval, k)
+        if interval is None or not scales_exactly([null.delta], k):
+            return None
+        return NullSpec(interval, math.ldexp(null.delta, k))
+    if not scales_exactly((null.lo, null.hi), k):
+        return None
+    return ExtendedInterval(math.ldexp(null.lo, k), math.ldexp(null.hi, k))
 
 
 class TestPDeltaArrayInvariants:
@@ -188,9 +231,50 @@ class TestPDeltaArrayInvariants:
         assert np.array_equal(neg_gap, -gap, equal_nan=True)
 
     @PROPERTY
+    @given(st.lists(intervals(top=True), min_size=1, max_size=30), top_nulls(),
+           st.integers(-1022, 1023) | st.sampled_from([1023, 1022, 1021]))
+    @example([(-1.5, 1.5), (-1.9, 1.0), (1.0, 1.9), (-1.5, INF)], (-0.5, 0.5), 1023)
+    @example([(-1.9, 1.5), (-1.0, 1.5)], NullSpec.from_interval(-1.9, 1.5), 1023)
+    @example([(-INF, 1.5), (1.0, 1.9)], (-1.5, INF), 1023)
+    @example([(-1.5, 1.5), (1.0, INF), (1.25, 1.5)], (-0.5, 1.5), -1019)
+    def test_scaling_by_a_power_of_two(self, estimates, null, k):
+        """Every term of the rule compares or divides differences of endpoints,
+        so multiplying all endpoints by 2**k changes nothing, up to the largest
+        double. Rows whose endpoints overflow or come near the subnormals are
+        left out."""
+        null = as_null(null)
+        scaled_null = scale_null(null, k)
+        estimates = [e for e in estimates if scales_exactly(e, k)]
+        if scaled_null is None or not estimates:
+            return
+        lo, hi = endpoints(estimates)
+        want = p_delta_array(lo, hi, null)
+        got = p_delta_array(np.ldexp(lo, k), np.ldexp(hi, k), scaled_null)
+        for g, w in zip(got, want):
+            assert bits(g).tolist() == bits(w).tolist(), (estimates, null, k)
+
+    @PROPERTY
+    @given(st.lists(intervals(top=True), min_size=1, max_size=30), top_nulls())
+    @example([(-1.5, 1.5), (-1.9, 1.0), (1.0, 1.9), (-1.5, INF)], (-0.5, 0.5))
+    def test_negation_at_the_top_exponent(self, estimates, null):
+        estimates = [e for e in estimates if scales_exactly(e, 1023)]
+        null = scale_null(as_null(null), 1023)
+        if null is None or not estimates:
+            return
+        lo, hi = (np.ldexp(x, 1023) for x in endpoints(estimates))
+        p, corrected, gap = p_delta_array(lo, hi, null)
+        neg_p, neg_corrected, neg_gap = p_delta_array(-hi, -lo, negated(null))
+        assert bits(neg_p).tolist() == bits(p).tolist()
+        assert neg_corrected.tolist() == corrected.tolist()
+        assert np.array_equal(neg_gap, -gap, equal_nan=True)
+
+    @PROPERTY
     @given(st.lists(intervals(), min_size=1, max_size=30), null_specs())
     @example([UNDERFLOW, (0.0, 0.0), (0.5, 0.5), (0.5, 1.0), (-INF, INF)],
              NullSpec.symmetric(0.0, 0.5))
+    # touching a null whose length overflows, with a delta that halves to 0
+    @example([(1e308, 1.5e308), (-1.5e308, -1e308)],
+             NullSpec(ExtendedInterval(-1e308, 1e308), 5e-324))
     def test_gap_present_exactly_when_p_delta_is_zero(self, estimates, spec):
         p, _, gap = p_delta_array(*endpoints(estimates), spec)
         assert (~np.isnan(gap)).tolist() == (p == 0.0).tolist()

@@ -165,6 +165,22 @@ class TestCompute:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "a,0,1,1,null_compatible,false,,"
 
+    @pytest.mark.parametrize("row, null, want", [
+        ("a,-1e308,1e308", ["--null-lo", "9e307", "--null-hi", "1.1e308"],
+         "a,-1e+308,1e+308,0.05,inconclusive,false,,"),
+        ("a,-1.7e308,1e308", ["--null-lo=-1e308", "--null-hi=1.7e308"],
+         "a,-1.7e+308,1e+308,0.740741,inconclusive,false,,"),
+        ("a,1e308,1.7e308", ["--null-lo=-1.7e308", "--null-hi=-1e308"],
+         "a,1e+308,1.7e+308,0,alternative_compatible,false,5.71429,"),
+    ], ids=["estimate_length", "estimate_length_and_overlap", "gap"])
+    def test_differences_that_overflow_are_taken_at_half_scale(self, capsys, monkeypatch,
+                                                                row, null, want):
+        # each answer is that of the same case scaled by 1/10
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"id,lo,hi\n{row}\n"))
+        code, out, err = run(capsys, "compute", "-", *null)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == want
+
 
 class TestDesign:
     def test_single_point_grid_matches_library(self, capsys):

@@ -332,3 +332,11 @@ class TestRounding:
         assert round_half_away(0.70408465, 4) == 0.7041
         assert round_half_away(0.24485, 4) == 0.2449
         assert round_half_away(-0.00005, 4) == -0.0001
+
+    @pytest.mark.parametrize("x", [1e30, 1.7e308, -1.7976931348623157e308, INF, -INF])
+    def test_large_and_infinite_values_are_kept(self, x):
+        assert round_half_away(x, 4) == x
+        assert round_half_away(x, 20) == x
+
+    def test_nan_is_kept(self):
+        assert math.isnan(round_half_away(math.nan))

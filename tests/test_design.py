@@ -191,6 +191,13 @@ class TestDesignAlgebra:
         with pytest.raises(InvalidProbability):
             correction_trigger_power(1.0)
 
+    @pytest.mark.parametrize("alpha, power", [(0.05, 0.01), (0.05, 0.025), (0.5, 0.25), (0.2, 0.1)])
+    def test_rejects_a_power_of_at_most_half_alpha(self, alpha, power):
+        # z_{1-alpha/2} + z_power <= 0: the ratio would be negative or 1/0
+        with pytest.raises(InvalidProbability, match="power must exceed alpha/2"):
+            required_interval_ratio(alpha, power)
+        assert required_interval_ratio(alpha, 0.5 * alpha + 1e-9) > 0.0
+
 
 class TestPowerCurve:
     def test_single_point_matches_outcome_probs(self):
