@@ -6,10 +6,10 @@ absolute error at the 1e-15 level across the deep tails that the design
 formulas evaluate. The quantile is Wichura's algorithm AS 241 (PPND16),
 three rational approximations accurate to full double precision.
 
-``norm_cdf_array`` and ``norm_quantile_array`` are bitwise equal to them over
-a numpy column: one ``math.erfc`` pass (``scipy.special.erfc`` is off by an ulp
-on a third of inputs); AS 241's coefficients, Horner order and branch cuts with
-``math.log`` on the tail elements (``np.log`` can be off by an ulp).
+``norm_cdf_array`` is ``norm_cdf`` over a numpy column, bitwise: one ``math.erfc``
+pass (``scipy.special.erfc`` is off by an ulp on a third of inputs). There is one
+AS 241, ``norm_quantile_array``, with ``math.log`` on the tail elements (``np.log``
+can be off by an ulp); ``norm_quantile`` is its one-row view.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidProbability
+from .errors import check_probability
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -87,13 +87,6 @@ _F = (
 )
 
 
-def _poly(coeffs: tuple[float, ...], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def norm_cdf(x: float) -> float:
     """Standard normal CDF, accurate in both tails."""
     return 0.5 * math.erfc(-x / _SQRT2)
@@ -104,25 +97,8 @@ def norm_cdf_array(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, (-np.asarray(x, dtype=float) / _SQRT2).tolist()), float)
 
 
-def norm_quantile(p: float) -> float:
-    """Inverse standard normal CDF (Wichura's PPND16 / AS 241)."""
-    if not 0.0 < p < 1.0:
-        raise InvalidProbability(f"quantile argument must be in (0, 1), got {p!r}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_A, r) / _poly(_B, r)
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        x = _poly(_C, r - 1.6) / _poly(_D, r - 1.6)
-    else:
-        x = _poly(_E, r - 5.0) / _poly(_F, r - 5.0)
-    return -x if q < 0.0 else x
-
-
 def _poly_array(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    # _poly's first step, 0.0 * x + coeffs[-1], is exactly coeffs[-1]
+    # Horner's first step, 0.0 * x + coeffs[-1], is exactly coeffs[-1]
     acc = np.full_like(x, coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc *= x
@@ -131,12 +107,11 @@ def _poly_array(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
 
 
 def norm_quantile_array(p: np.ndarray) -> np.ndarray:
-    """Elementwise ``norm_quantile``, bitwise equal to the scalar kernel."""
+    """Inverse standard normal CDF (Wichura's PPND16 / AS 241), elementwise."""
     p = np.asarray(p, dtype=float)
     inside = (p > 0.0) & (p < 1.0)
     if not inside.all():
-        bad = float(p[~inside].flat[0])
-        raise InvalidProbability(f"quantile argument must be in (0, 1), got {bad!r}")
+        check_probability("quantile argument", p[~inside].flat[0].item())
     q = p - 0.5
     out = np.empty_like(q)
     central = np.abs(q) <= 0.425
@@ -157,3 +132,9 @@ def norm_quantile_array(p: np.ndarray) -> np.ndarray:
     x[~mid] = _poly_array(_E, rf) / _poly_array(_F, rf)
     out[tail] = np.where(lower, -x, x)
     return out
+
+
+def norm_quantile(p: float) -> float:
+    """``norm_quantile_array`` of one probability: about 90 us a call."""
+    check_probability("quantile argument", p)  # as given: an int too large for a double, say
+    return norm_quantile_array(np.array([p], dtype=float)).item()

@@ -359,15 +359,14 @@ def _screen_report(resolved: dict, null_spec: NullSpec):
     table = _read_table(resolved["input"], ("id", "estimate", "lo", "hi", "p_value",
                                             "n1", "mean1", "sd1", "n2", "mean2", "sd2"))
     cols = table.cells
-    interval_form = {"id", "lo", "hi"} <= set(cols)
-    group_form = {"id", "n1", "mean1", "sd1", "n2", "mean2", "sd2"} <= set(cols)
-    if not interval_form and not group_form:
+    interval_form = {"id", "lo", "hi"} <= set(cols)  # wins over the two-group columns
+    if not interval_form and not {"id", "n1", "mean1", "sd1", "n2", "mean2", "sd2"} <= set(cols):
         raise _InputError("input needs id,estimate,lo,hi[,p_value] or "
                           "id,n1,mean1,sd1,n2,mean2,sd2 columns")
-    if group_form and resolved["log10"]:
-        raise InvalidConfig("--log10 applies to interval inputs; two-group summaries are "
-                            "analyzed on the scale they are given")
     if not interval_form:
+        if resolved["log10"]:
+            raise InvalidConfig("--log10 applies to interval inputs; two-group summaries are "
+                                "analyzed on the scale they are given")
         lo, hi, p_raw = _group_intervals(table, resolved["level"], resolved["welch"])
         has_p_raw = np.ones(len(p_raw), dtype=bool)
     else:

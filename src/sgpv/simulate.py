@@ -8,9 +8,9 @@ inverse-transform through the package's own quantile, tying simulation
 accuracy to the tested kernel.
 
 Draws, transforms and classification are vectorised per chunk:
-``norm_quantile_array`` is bitwise equal to the scalar AS 241 and
-``p_delta_array`` is the package's one p_delta rule, so the counts
-depend neither on the code path nor on ``chunks=``.
+``norm_quantile_array`` is the package's one AS 241 and ``p_delta_array``
+its one p_delta rule, both elementwise, so the counts do not depend on
+``chunks=``.
 
 Outcome runs consume lane 0 per replicate; reliability runs consume lane
 0 for the truth draw and lane 1 for the variate.

@@ -10,6 +10,11 @@ the density with composite Simpson after an arctangent substitution.
 Both are deliberately different algorithms from the production paths
 (erfc rational approximation, AS 241, scipy.special.stdtr/stdtrit).
 
+The AS 241 reference is the former scalar ``norm_quantile``: the same
+coefficients, Horner order and branch cuts in Python float arithmetic,
+one probability at a time. The package's only implementation,
+``_normal.norm_quantile_array``, must match it bit for bit.
+
 The p_delta oracle is the scalar rule on interval objects, ``_p_delta``
 with the intersect-based ``delta_gap``: one branch per convention,
 evaluated through ``intervals.intersect`` and ``length``, against which
@@ -17,7 +22,8 @@ the package's only implementation, the array kernel
 ``core.p_delta_array``, is checked bit for bit. Where the length of an
 interval with finite endpoints overflows, ``half_length`` and the lengths
 in ``_p_delta`` are taken with fractions instead (the lengths exact, then
-rounded to 53 bits), which the kernel must match to a few ulps.
+rounded to 53 bits), which the kernel must match to a few ulps; so is the
+difference in ``delta_gap`` where it overflows.
 The interval rules the package states once are restated here as they
 stood in each caller: ``classify``'s verdict branches, ``z_interval``'s
 endpoint arithmetic ``z_endpoints`` and the design gate
@@ -65,7 +71,7 @@ from scipy import stats as _scipy_stats
 from typing import Sequence
 
 from sgpv import _normal
-from sgpv._normal import norm_cdf
+from sgpv._normal import _A, _B, _C, _D, _E, _F, norm_cdf
 from sgpv.core import Classification, NullSpec, second_gen_p
 from sgpv.design import DesignConfig, OutcomeProbs, PowerCurvePoint
 from sgpv.errors import (
@@ -136,6 +142,30 @@ def normal_quantile_oracle(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _poly(coeffs: tuple[float, ...], x: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def norm_quantile(p: float) -> float:
+    """Inverse standard normal CDF (Wichura's PPND16 / AS 241)."""
+    if not 0.0 < p < 1.0:
+        raise InvalidProbability(f"quantile argument must be in (0, 1), got {p!r}")
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        return q * _poly(_A, r) / _poly(_B, r)
+    r = p if q < 0.0 else 1.0 - p
+    r = math.sqrt(-math.log(r))
+    if r <= 5.0:
+        x = _poly(_C, r - 1.6) / _poly(_D, r - 1.6)
+    else:
+        x = _poly(_E, r - 5.0) / _poly(_F, r - 5.0)
+    return -x if q < 0.0 else x
+
+
 def t_cdf_oracle(t: float, df: float, points: int = 20001) -> float:
     """Student t CDF by Simpson quadrature under u = arctan(x/sqrt(df)).
 
@@ -197,7 +227,7 @@ def classify(p_delta: float) -> Classification:
 
 def z_endpoints(estimate: float, se: float, level: float) -> tuple[float, float]:
     """estimate -/+ z * se in Python float arithmetic, as z_interval computed it."""
-    half = _normal.norm_quantile(0.5 * (1.0 + level)) * se
+    half = norm_quantile(0.5 * (1.0 + level)) * se
     return estimate - half, estimate + half
 
 
@@ -259,8 +289,20 @@ def delta_gap(i: ExtendedInterval, h0: NullSpec) -> float | None:
     if overlap is not None and length(overlap) > 0.0:
         return None
     if i.lo >= null.hi:
-        return (i.lo - null.hi) / h0.delta
-    return (i.hi - null.lo) / h0.delta
+        return _over_delta(i.lo, null.hi, h0.delta)
+    return _over_delta(i.hi, null.lo, h0.delta)
+
+
+def _over_delta(a: float, b: float, delta: float) -> float:
+    """(a - b) / delta; where a - b of finite a and b overflows, the difference
+    exact and rounded to 53 bits, as in ``_lengths``, and the quotient rounded once."""
+    diff = a - b
+    if not (math.isinf(diff) and math.isfinite(a) and math.isfinite(b)):
+        return diff / delta
+    try:
+        return float(_rounded(Fraction(a) - Fraction(b)) / Fraction(delta))
+    except OverflowError:
+        return math.copysign(math.inf, diff)
 
 
 def two_sample_ci(

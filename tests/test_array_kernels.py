@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import _p_delta, delta_gap
-from sgpv._normal import norm_quantile, norm_quantile_array
+from oracles import _p_delta, delta_gap, norm_quantile
+from sgpv import std_normal_quantile
+from sgpv._normal import norm_quantile_array
 from sgpv.core import NullSpec, p_delta_array
 from sgpv.errors import InvalidProbability, UnboundedEstimate
 from sgpv.intervals import ExtendedInterval
@@ -23,6 +24,7 @@ def bits(values) -> np.ndarray:
 
 
 def scalar_quantiles(ps: np.ndarray) -> np.ndarray:
+    """The reference AS 241, the former scalar kernel, one probability at a time."""
     return np.array([norm_quantile(float(p)) for p in ps], dtype=float)
 
 
@@ -62,6 +64,14 @@ class TestQuantileArray:
         ])
         assert np.array_equal(bits(norm_quantile_array(ps)), bits(scalar_quantiles(ps)))
 
+    def test_scalar_is_a_one_row_view(self):
+        ps = np.array([5e-324, 2.0**-64, 0.075, 0.5, 0.925, 1.0 - 2.0**-53])
+        assert np.array_equal(bits([std_normal_quantile(p) for p in ps.tolist()]),
+                              bits(scalar_quantiles(ps)))
+        for bad, shown in [(2, "2"), (10**400, "1" + "0" * 400), (math.nan, "nan")]:
+            with pytest.raises(InvalidProbability, match=f"must be in \\(0, 1\\), got {shown}$"):
+                std_normal_quantile(bad)
+
     def test_keeps_shape(self):
         u = _uniform_lanes(5, 0, 6)
         assert norm_quantile_array(u).shape == (6, 4)
@@ -84,6 +94,11 @@ UNDERFLOW = (math.nextafter(0.5, 0.0), 1.5e308)
 # Endpoints below 2 in magnitude stay finite when scaled by 2**1023.
 TOP_POOL = [-INF, -1.9999999999999998, -1.5, -1.0, 0.0, 1.0, 1.5, 1.9999999999999998, INF]
 top_endpoint = st.sampled_from(TOP_POOL) | st.floats(-2.0, 2.0, exclude_min=True, exclude_max=True)
+
+
+def scaled(ends, k=1023):
+    """``ends`` times 2**k: a top draw times 2**1023 may reach the largest double."""
+    return tuple(math.ldexp(x, k) for x in ends)
 
 
 @st.composite
@@ -154,6 +169,15 @@ class TestPDeltaArray:
     @example([(-INF, 0.0), (0.0, INF), (1.0, INF), (-INF, -1.0)], (0.0, INF))
     def test_matches_scalar_rule_for_one_sided_nulls(self, estimates, null):
         check_agreement(estimates, null)
+
+    @PROPERTY
+    @given(st.lists(intervals(top=True), min_size=1, max_size=30), intervals(top=True))
+    @example([scaled((1e308, 1.7e308), -1023)], scaled((-1.7e308, -1e308), -1023))  # gap 5.71429
+    @example([(-1.5, 1.5), (-1.9, 1.0), (1.0, 1.9), (-1.5, INF)], (-0.5, 0.5))
+    def test_matches_scalar_rule_near_the_largest_double(self, estimates, null):
+        """The draws times 2**1023: any difference of endpoints, the gap
+        included, may overflow."""
+        check_agreement([scaled(e) for e in estimates], scaled(null))
 
     def test_whole_line_is_flagged_not_raised(self):
         p, corrected, gap = p_delta_array([-INF, 0.0], [INF, 1.0], ExtendedInterval(-0.5, 0.5))

@@ -333,6 +333,20 @@ class TestScreen:
         assert row["p_raw"] != ""
         assert row["classification"] == "inconclusive"
 
+    def test_log10_applies_to_the_interval_form_used(self, tmp_path, capsys):
+        """The interval columns win over the two-group columns; --log10 is
+        refused only for input screened as two-group summaries."""
+        src = tmp_path / "s.csv"
+        src.write_text("id,lo,hi,n1,mean1,sd1,n2,mean2,sd2\na,1,2,5,1,1,5,1,1\n")
+        both = run(capsys, "screen", str(src), "--log10")
+        src.write_text("id,lo,hi\na,1,2\n")
+        assert both == run(capsys, "screen", str(src), "--log10")
+        assert both[0] == 0 and both[1].splitlines()[1].startswith("a,1,null_compatible,")
+        src.write_text("id,n1,mean1,sd1,n2,mean2,sd2\na,5,1,1,5,1,1\n")
+        assert run(capsys, "screen", str(src), "--log10") == (
+            3, "", "sgpv: configuration error: --log10 applies to interval inputs; "
+                   "two-group summaries are analyzed on the scale they are given\n")
+
     def test_ranking_prefers_larger_gap(self, tmp_path, capsys):
         src = tmp_path / "rank.csv"
         src.write_text(
@@ -543,6 +557,9 @@ class TestConfigFile:
         assert run(capsys, "frobnicate")[0] == 3
 
 
+DESIGN = ("--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1")
+
+
 class TestConfigurationErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -580,6 +597,62 @@ class TestConfigurationErrors:
         assert code == 3
         assert out == ""
         assert err.startswith("sgpv: configuration error: ")
+
+    @pytest.mark.parametrize(
+        "argv, file_cfg, code, line",
+        [
+            (("compute", "{input}", "--null-point", "0"), None, 3,
+             "configuration error: --null-point and --delta must be given together"),
+            (("compute", "{input}", "--null-lo", "0"), None, 3,
+             "configuration error: --null-lo and --null-hi must be given together"),
+            (("design", *DESIGN, "--grid", "0:1:2", "--thetas", "0"), None, 3,
+             "configuration error: give either --grid or --thetas, not both"),
+            (("design", *DESIGN), None, 3,
+             "configuration error: a grid is required: --grid LO:HI:COUNT or --thetas a,b,c"),
+            (("design", *DESIGN, "--thetas", "0,abc"), None, 3,
+             "configuration error: malformed theta list '0,abc': "
+             "could not convert string to float: 'abc'"),
+            (("reliability", *DESIGN, "--r", "1", "--thetas", ","), None, 3,
+             "configuration error: theta list is empty"),
+            (("reliability", *DESIGN, "--thetas", "0"), None, 3,
+             "configuration error: --r (prior odds) is required"),
+            (("simulate", *DESIGN), None, 3, "configuration error: --replicates is required"),
+            (("simulate", *DESIGN, "--replicates", "10", "--theta1", "1"), None, 3,
+             "configuration error: --theta1 and --r must be given together"),
+            (("screen", "{other}", "--null-point", "0", "--delta", "1"), None, 2,
+             "input error: input needs id,estimate,lo,hi[,p_value] or "
+             "id,n1,mean1,sd1,n2,mean2,sd2 columns"),
+            (("track", "{other}", "--null-point", "0", "--delta", "1"), None, 2,
+             "input error: input needs t,lo,hi columns"),
+            (("design", *DESIGN, "--thetas", "0"), [1, 2], 3,
+             "configuration error: config file {config} must hold a JSON object"),
+            (("simulate", *DESIGN, "--replicates", "10"), {"seed": 7.0}, 0, None),
+        ],
+        ids=["null-point-alone", "null-lo-alone", "grid-and-thetas", "no-grid",
+             "malformed-thetas", "empty-thetas", "reliability-no-r", "simulate-no-replicates",
+             "theta1-no-r", "screen-columns", "track-columns", "config-not-object",
+             "config-whole-float-integer"],
+    )
+    def test_resolution_errors(self, tmp_path, capsys, argv, file_cfg, code, line):
+        """Each error of resolving options and input forms, with its exact line."""
+        paths = {"input": tmp_path / "iv.csv", "other": tmp_path / "other.csv",
+                 "config": tmp_path / "run.json"}
+        paths["input"].write_text("id,lo,hi\na,0,1\n")
+        paths["other"].write_text("x,y\n1,2\n")
+        argv = [a.format(**paths) for a in argv]
+        if file_cfg is not None:
+            paths["config"].write_text(json.dumps(file_cfg))
+            argv += ["--config", str(paths["config"])]
+        got_code, out, err = run(capsys, *argv)
+        assert (got_code, err) == (code, "" if line is None else f"sgpv: {line.format(**paths)}\n")
+        assert (out == "") == (code != 0)
+
+    def test_whole_float_config_integer_is_that_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 7.0, "replicates": 500.0}))
+        by_config = run(capsys, "simulate", *DESIGN, "--config", str(cfg))
+        assert by_config == run(capsys, "simulate", *DESIGN, "--seed", "7", "--replicates", "500")
+        assert by_config != run(capsys, "simulate", *DESIGN, "--replicates", "500")
 
     @pytest.mark.parametrize("command", [("design", "--grid=0:1:2"),
                                          ("reliability", "--r", "1", "--grid=0:1:2"),

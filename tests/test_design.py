@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import normal_cdf_oracle
+from sgpv import _normal
 from sgpv import (
     DesignConfig,
     OutcomeProbs,
@@ -20,6 +21,7 @@ from sgpv import (
     std_normal_cdf,
     std_normal_quantile,
 )
+from sgpv.design import outcome_probs_array
 from sgpv.errors import (
     InvalidProbability,
     InvalidProportion,
@@ -54,6 +56,18 @@ class TestDesignConfig:
             DesignConfig(0, 1, 16, -1, 0.05)
         with pytest.raises(InvalidProbability):
             DesignConfig(0, 1, 16, 1, 1.5)
+
+    def test_z_is_worked_out_once_per_config(self, monkeypatch):
+        runs = []
+        kernel = _normal.norm_quantile_array
+        monkeypatch.setattr(_normal, "norm_quantile_array", lambda p: runs.append(p) or kernel(p))
+        cfg = DesignConfig(0.0, 1.0, 16.0, 1.0)
+        outcome_probs_array(np.linspace(-2.0, 2.0, 9), cfg)
+        for one_row in (prob_alt, prob_null, prob_inconclusive, outcome_probs):
+            one_row(0.5, cfg)
+        assert cfg.estimate_half_width == cfg.z_crit * cfg.se
+        assert len(runs) == 1
+        assert cfg == BASE and hash(cfg) == hash(BASE)  # the cached z is no field
 
 
 class TestProbAlt:

@@ -222,6 +222,18 @@ class TestAdjustments:
         assert report.summary.n_bonferroni_significant == 1
         assert report.summary.n_raw_significant == 2
 
+    @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
+    def test_library_rejects_a_p_value_off_the_unit_interval(self, bad):
+        message = f"p-values must lie in \\[0, 1\\], got {bad!r}$"
+        report = batch_sgpv([interval_row("a", 2.0, 3.0, p=0.01),
+                             interval_row("b", 0.0, 1.0, p=bad)], NullSpec.symmetric(0, 0.5))
+        for call in (lambda: bh_qvalues([0.01, bad]),
+                     lambda: bonferroni_flags([0.01, bad], 0.05),
+                     lambda: attach_adjustments(report, 0.05),
+                     lambda: cross_tab(report, 0.05)):
+            with pytest.raises(InvalidProbability, match=message):
+                call()
+
     def test_attach_adjustments_needs_pvalues(self):
         report = batch_sgpv([interval_row("a", 0.0, 1.0)], SURVIVAL_NULL)
         with pytest.raises(MissingComparator):
