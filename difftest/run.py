@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 difftest/run.py --base HEAD~1
     python3 difftest/run.py --base main --fuzz 20
+    python3 difftest/run.py --base HEAD~1 --expect difftest/expect_subnormal_overlap.json
 
 It unpacks ``src/`` at ``--base`` with ``git archive`` into a temporary
 directory and runs every case through ``python -m sgpv.cli`` twice: once
@@ -22,13 +23,19 @@ The cases:
 - fuzz: ``--fuzz`` inputs per subcommand that reads a file (compute,
   screen, track), drawn with a fixed seed: a header and up to 24 pieces
   drawn from ``RAW_HEADERS`` and ``RAW_PIECES`` in
-  ``tests/test_cli_options.py``, written with ``--out``.
+  ``tests/test_cli_options.py``, written with ``--out``;
+- expect: with ``--expect FILE``, the intended differences of the working
+  tree, a JSON list of objects with ``argv``, optional ``stdin`` text, the
+  new ``stdout`` (``code`` 0 and empty ``stderr`` unless given) and a
+  free-text ``why`` that the harness does not read. Such a case is
+  expected when its working-tree run gives exactly that output and the
+  base run differs from it.
 
 The harness imports only the standard library. The test constants are read
 with ``ast`` from the test files, without importing them;
 ``perfbench/workloads.py`` is imported to write the benchmark inputs, and
 needs numpy, as sgpv does. The last line of the report is the summary;
-the exit status is 0 when every case is identical, 1 otherwise.
+the exit status is 0 when every case is identical or expected, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import argparse
 import ast
 import importlib.util
 import io
+import json
 import os
 import random
 import shlex
@@ -59,17 +67,19 @@ CHILD_TIMEOUT_S = 600.0
 SHOWN = 200  # characters of a differing line in the report
 
 
-class Case(NamedTuple):
-    name: str
-    argv: tuple[str, ...]
-    out: str | None  # the --out path the case writes, if any
-
-
 class Run(NamedTuple):
     code: int
     stdout: bytes
     stderr: bytes
     out: bytes | None
+
+
+class Case(NamedTuple):
+    name: str
+    argv: tuple[str, ...]
+    out: str | None  # the --out path the case writes, if any
+    stdin: bytes | None = None  # None: read from /dev/null
+    want: Run | None = None  # the working tree's output, for an intended difference
 
 
 def module_constants(path: Path) -> dict:
@@ -143,6 +153,15 @@ def fuzz_cases(work: Path, per_command: int) -> list[Case]:
     return cases
 
 
+def expect_cases(path: Path) -> list[Case]:
+    entries = json.loads(path.read_text(encoding="utf-8"))
+    return [Case(f"expect {k}", tuple(e["argv"]), None,
+                 e["stdin"].encode("utf-8") if "stdin" in e else None,
+                 Run(e.get("code", 0), e["stdout"].encode("utf-8"),
+                     e.get("stderr", "").encode("utf-8"), None))
+            for k, e in enumerate(entries)]
+
+
 def unpack_base(rev: str, dest: Path) -> Path:
     """``src/`` at ``rev``, unpacked under ``dest``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
@@ -156,9 +175,9 @@ def run_case(case: Case, src: Path, cwd: Path) -> Run:
     if case.out is not None and os.path.lexists(case.out):
         os.remove(case.out)
     env = dict(os.environ, PYTHONPATH=str(src))
+    stdin = {"stdin": subprocess.DEVNULL} if case.stdin is None else {"input": case.stdin}
     proc = subprocess.run([sys.executable, "-m", "sgpv.cli", *case.argv], cwd=cwd, env=env,
-                          stdin=subprocess.DEVNULL, capture_output=True,
-                          timeout=CHILD_TIMEOUT_S, check=False)
+                          **stdin, capture_output=True, timeout=CHILD_TIMEOUT_S, check=False)
     out = None
     if case.out is not None and os.path.isfile(case.out):
         out = Path(case.out).read_bytes()
@@ -188,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--fuzz", type=int, default=50, help="fuzzed inputs per subcommand")
+    parser.add_argument("--expect", type=Path, help="JSON list of intended differences")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="sgpv-difftest-") as tmp:
         tmp = Path(tmp)
@@ -195,17 +215,29 @@ def main(argv: list[str] | None = None) -> int:
         work.mkdir()
         base_src = unpack_base(args.base, tmp / "base")
         cases = golden_cases(work) + bench_cases(work) + fuzz_cases(work, args.fuzz)
-        started, different = time.perf_counter(), 0
+        cases += expect_cases(args.expect) if args.expect else []
+        started, different, expected = time.perf_counter(), 0, 0
         for case in cases:
-            verdict = first_difference(run_case(case, base_src, work),
-                                       run_case(case, ROOT / "src", work))
+            base = run_case(case, base_src, work)
+            head = run_case(case, ROOT / "src", work)
+            verdict = first_difference(base, head)
+            if case.want is not None:
+                missed = first_difference(case.want, head)
+                if missed is None and verdict is not None:
+                    expected += 1
+                    print(f"EXPECTED {case.name}: sgpv {shlex.join(case.argv)}\n    {verdict}",
+                          flush=True)
+                    continue
+                verdict = (f"not the listed output: {missed}" if missed else
+                           "listed as a difference, but the base gives the same output")
             if verdict is not None:
                 different += 1
                 print(f"DIFFERENT {case.name}: sgpv {shlex.join(case.argv)}\n    {verdict}",
                       flush=True)
     elapsed = time.perf_counter() - started
-    print(f"difftest against {args.base}: {len(cases)} cases, {len(cases) - different} "
-          f"identical, {different} different ({elapsed:.0f} s)")
+    print(f"difftest against {args.base}: {len(cases)} cases, "
+          f"{len(cases) - different - expected} identical, {expected} expected, "
+          f"{different} different ({elapsed:.0f} s)")
     return 1 if different else 0
 
 

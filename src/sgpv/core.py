@@ -180,7 +180,7 @@ def p_delta_array(
                 corrected[one_sided] = False
             else:
                 len_h = len_h if s is None else len_h[one_sided]
-                p[one_sided] = np.where(part == 0.0, 0.0, 0.5 * part / len_h)
+                p[one_sided] = np.where(part == 0.0, 0.0, part / len_h * 0.5)
                 corrected[one_sided] = part != 0.0
         p[settled] = 1.0
         p[disjoint] = 0.0

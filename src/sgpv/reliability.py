@@ -109,13 +109,15 @@ def fcr_sgpv(theta1: float, cfg: DesignConfig, odds: PriorOdds) -> float | None:
 
 def fdr_test(odds: PriorOdds, alpha: float, beta: float) -> float:
     """False discovery rate of a classical test: [1 + r(1 - beta)/alpha]^-1."""
-    _validate_rates(alpha, beta)
+    check_probability("alpha", alpha)
+    check_probability("beta", beta)
     return float(_test_rates(odds, alpha, np.float64(beta))[0])
 
 
 def fnr_test(odds: PriorOdds, alpha: float, beta: float) -> float:
     """False non-discovery rate of a classical test: [1 + (1 - alpha)/(beta r)]^-1."""
-    _validate_rates(alpha, beta)
+    check_probability("alpha", alpha)
+    check_probability("beta", beta)
     return float(_test_rates(odds, alpha, np.float64(beta))[1])
 
 
@@ -131,13 +133,10 @@ def _test_rates(odds: PriorOdds, alpha: float, beta: np.ndarray) -> tuple[np.nda
         return fdr, 1.0 / (1.0 + (1.0 - alpha) / (beta * odds.r))
 
 
-def _validate_rates(alpha: float, beta: float) -> None:
-    check_probability("alpha", alpha)
-    check_probability("beta", beta)
-
-
 def _point_null(cfg: DesignConfig) -> DesignConfig:
-    return replace(cfg, delta=0.0)
+    point = replace(cfg, delta=0.0)
+    vars(point)["z_crit"] = cfg.z_crit  # the same alpha gives the same z
+    return point
 
 
 def classical_power(theta1: float, cfg: DesignConfig) -> float:

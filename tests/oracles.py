@@ -251,7 +251,7 @@ def _p_delta(i: ExtendedInterval, h: ExtendedInterval) -> tuple[float, bool]:
         if not h.is_finite:
             # two one-sided intervals: all or nothing
             return (1.0, False) if overlap_len == math.inf else (0.0, False)
-        return float(overlap_len / 2 / len_h), True
+        return float(overlap_len / len_h / 2), True
     if len_i > 2 * len_h and i.lo <= h.lo and h.hi <= i.hi:
         # estimate too imprecise to adjudicate, yet every null hypothesis
         # is supported: strictly inconclusive

@@ -179,6 +179,15 @@ class TestPDeltaArray:
         included, may overflow."""
         check_agreement([scaled(e) for e in estimates], scaled(null))
 
+    def test_one_sided_overlap_of_one_subnormal_step(self):
+        # |I ∩ H0| is 2**-1074: halving it first rounds to 0, a wrong "no overlap"
+        lo = math.ldexp(0.5 + 2**-53, -1021)
+        null = (math.ldexp(-0.5, -1021), math.ldexp(0.5 + 2**-52, -1021))
+        p, corrected, gap = p_delta_array([lo], [INF], ExtendedInterval(*null))
+        want = 2.0**-1074 / (null[1] - null[0]) / 2
+        assert (bits(p).tolist(), corrected.tolist()) == ([bits(want)], [True])
+        assert math.isnan(gap[0]) and 0.0 < want < 2**-53
+
     def test_whole_line_is_flagged_not_raised(self):
         p, corrected, gap = p_delta_array([-INF, 0.0], [INF, 1.0], ExtendedInterval(-0.5, 0.5))
         assert math.isnan(p[0]) and not corrected[0] and math.isnan(gap[0])
@@ -221,23 +230,22 @@ def as_null(null):
 
 
 def scales_exactly(values, k):
-    """Whether each value and its product with 2**k are zero, infinite, or
-    finite and at least 2**-1021 in magnitude: below that, half of a
-    difference of two values can round."""
-    exponents = [math.frexp(x)[1] for x in values if x != 0.0 and math.isfinite(x)]
-    return all(-1020 <= min(e, e + k) and e + k <= 1024 for e in exponents)
+    """Whether each finite value times 2**k is finite and exact."""
+    finite = [x for x in values if math.isfinite(x)]
+    return all(math.frexp(x)[1] + k <= 1024 and math.ldexp(math.ldexp(x, k), -k) == x
+               for x in finite)
 
 
 def scale_null(null, k):
-    """``null`` with its endpoints and delta times 2**k; None unless that is exact."""
-    if isinstance(null, NullSpec):
-        interval = scale_null(null.interval, k)
-        if interval is None or not scales_exactly([null.delta], k):
-            return None
-        return NullSpec(interval, math.ldexp(null.delta, k))
-    if not scales_exactly((null.lo, null.hi), k):
+    """``null`` with its endpoints and delta times 2**k; None unless that is
+    exact, and for a bare null unless its half is exact at both scales too:
+    its half-length is the gap's unit."""
+    bare = not isinstance(null, NullSpec)
+    ends = (null.lo, null.hi) if bare else (null.interval.lo, null.interval.hi, null.delta)
+    if not all(scales_exactly(ends, j) for j in ((k, -1, k - 1) if bare else (k,))):
         return None
-    return ExtendedInterval(math.ldexp(null.lo, k), math.ldexp(null.hi, k))
+    lo, hi, *delta = (math.ldexp(x, k) for x in ends)
+    return NullSpec(ExtendedInterval(lo, hi), *delta) if delta else ExtendedInterval(lo, hi)
 
 
 class TestPDeltaArrayInvariants:
@@ -261,11 +269,13 @@ class TestPDeltaArrayInvariants:
     @example([(-1.9, 1.5), (-1.0, 1.5)], NullSpec.from_interval(-1.9, 1.5), 1023)
     @example([(-INF, 1.5), (1.0, 1.9)], (-1.5, INF), 1023)
     @example([(-1.5, 1.5), (1.0, INF), (1.25, 1.5)], (-0.5, 1.5), -1019)
+    @example([(0.5 + 2**-53, INF)], (-0.5, 0.5 + 2**-52), -1021)  # one subnormal step of overlap
     def test_scaling_by_a_power_of_two(self, estimates, null, k):
         """Every term of the rule compares or divides differences of endpoints,
         so multiplying all endpoints by 2**k changes nothing, up to the largest
-        double. Rows whose endpoints overflow or come near the subnormals are
-        left out."""
+        double. Rows whose endpoints overflow or lose bits to the subnormals
+        are left out, and so is a bare null whose half can round there: its
+        half-length is the gap's unit."""
         null = as_null(null)
         scaled_null = scale_null(null, k)
         estimates = [e for e in estimates if scales_exactly(e, k)]

@@ -181,6 +181,14 @@ class TestCompute:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == want
 
+    def test_one_sided_overlap_of_one_subnormal_step(self, capsys, monkeypatch):
+        # the answer of the same case scaled by 2**1021 (estimate [0.5, inf))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("id,lo,hi\na,2.225073858507202e-308,inf\n"))
+        code, out, err = run(capsys, "compute", "-", "--null-lo=-2.2250738585072014e-308",
+                             "--null-hi=2.2250738585072024e-308")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "a,2.22507e-308,inf,5.55112e-17,inconclusive,true,,"
+
 
 class TestDesign:
     def test_single_point_grid_matches_library(self, capsys):

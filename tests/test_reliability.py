@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sgpv import _normal
 from sgpv import (
     DesignConfig,
     PriorOdds,
@@ -13,6 +14,8 @@ from sgpv import (
     fdr_sgpv,
     fdr_test,
     fnr_test,
+    prob_alt,
+    prob_inconclusive,
     reliability_curve_csv,
 )
 from sgpv.errors import DegenerateDesign, InvalidOdds, InvalidProbability, InvalidSeries
@@ -20,6 +23,18 @@ from sgpv.errors import DegenerateDesign, InvalidOdds, InvalidProbability, Inval
 # delta = sigma/2 with sample size just large enough to allow nesting
 FIG5 = DesignConfig(theta0=0.0, delta=0.5, n=16.0, variance=1.0, alpha=0.05)
 EVEN = PriorOdds(1.0)
+
+
+def test_point_null_shares_the_designs_z(monkeypatch):
+    runs = []
+    kernel = _normal.norm_quantile_array
+    monkeypatch.setattr(_normal, "norm_quantile_array", lambda p: runs.append(p) or kernel(p))
+    cfg = DesignConfig(theta0=0.0, delta=0.5, n=16.0, variance=1.0, alpha=0.05)
+    got = [classical_beta(1.0, cfg), classical_power(1.0, cfg), fdr_sgpv(1.0, cfg, EVEN),
+           fcr_sgpv(1.0, cfg, EVEN), emit_reliability_curve(cfg, EVEN, [0.5, 1.0])]
+    assert len(runs) == 1
+    point = DesignConfig(theta0=0.0, delta=0.0, n=16.0, variance=1.0, alpha=0.05)
+    assert got[:2] == [prob_inconclusive(1.0, point), prob_alt(1.0, point)]
 
 
 class TestPriorOdds:
