@@ -20,6 +20,9 @@ The cases:
 - bench: the ``perfbench/workloads.py`` inputs and ops at seeds 7001 and
   11, each table command at ``--digits`` 0, 6, 17 and 5000 and with
   ``--format json`` (``simulate`` writes JSON only, so it runs as given);
+- variant: ``VARIANTS``, flag forms the golden cases leave out (``--log10``,
+  ``--null-lo``/``--null-hi``, ``--welch``, ``--level``, ``--alpha``,
+  ``--thetas``, ``--config``), over the golden inputs;
 - fuzz: ``--fuzz`` inputs per subcommand that reads a file (compute,
   screen, track), drawn with a fixed seed: a header and up to 24 pieces
   drawn from ``RAW_HEADERS`` and ``RAW_PIECES`` in
@@ -65,6 +68,61 @@ FUZZ_NULL = ("--null-point", "0", "--delta", "1")
 FUZZ_SEED = 0
 CHILD_TIMEOUT_S = 600.0
 SHOWN = 200  # characters of a differing line in the report
+DESIGN = "--theta0 0 --delta 0.3 --n 100 --variance 1"
+NARROW = {"theta0": 0, "delta": 0.5, "n": 16, "variance": 1}
+# Ratio estimates, all positive, for --log10; the golden inputs each hold a row at or below 0.
+RATIOS = ("id,estimate,lo,hi,p_value\nhr1,0.8,0.6,1.1,0.2\nhr2,2.1,1.5,2.9,0.001\n"
+          "hr3,1.0,0.95,1.05,0.9\nopen,3,1.2,inf,0.01\n")
+# (RATIOS or an input constant of tests/test_cli_golden.py or None, argv with {input}
+# and {config} for the paths, the --config file's JSON object or None)
+VARIANTS = (
+    ("COMPUTE_IV", "compute {input} --null-lo=-1 --null-hi 1", None),
+    ("COMPUTE_IV", "compute {input} --null-lo 0 --null-hi 2 --format json", None),
+    ("COMPUTE_IV", "compute {input} --log10", None),
+    ("RATIOS", "compute {input} --log10", None),
+    ("RATIOS", "compute {input} --log10 --null-lo=-0.1 --null-hi 0.1 --digits 17", None),
+    ("COMPUTE_IV", "compute {input} --null-point 0 --delta 1 --no-log10", None),
+    ("COMPUTE_IV", "compute {input} --config {config}", {"null_point": 0, "delta": 0.5,
+                                                         "digits": 4}),
+    ("COMPUTE_SE", "compute {input} --null-point 0 --delta 0.5 --level 0.99", None),
+    ("COMPUTE_SE", "compute {input} --null-point 0 --delta 0.5 --level 0.5 --format json", None),
+    ("COMPUTE_SE", "compute {input} --null-lo=-0.5 --null-hi 0.5 --level 0.8 --log10", None),
+    ("COMPUTE_SE", "compute {input} --config {config}", {"null_lo": -0.2, "null_hi": 0.3,
+                                                         "level": 0.9}),
+    ("SCREEN_P", "screen {input} --null-lo=-1 --null-hi 1 --crosstab --alpha 0.01", None),
+    ("SCREEN_P", "screen {input} --null-point 0 --delta 1 --crosstab --alpha 0.2 --format json",
+     None),
+    ("RATIOS", "screen {input} --log10 --crosstab", None),
+    ("RATIOS", "screen {input} --log10 --null-point 0 --delta 0.1 --level 0.9 --format json",
+     None),
+    ("SCREEN_P", "screen {input} --config {config}", {"null_point": 0, "delta": 0.5,
+                                                      "crosstab": True, "alpha": 0.1}),
+    ("SCREEN_G", "screen {input} --null-point 0 --delta 0.2 --welch --level 0.9", None),
+    ("SCREEN_G", "screen {input} --null-lo=-0.5 --null-hi 0.5 --no-welch --level 0.99 "
+                 "--format json", None),
+    ("SCREEN_G", "screen {input} --null-point 0 --delta 0.2 --welch --crosstab --alpha 0.01",
+     None),
+    ("SCREEN_G", "screen {input} --config {config}", {"null_point": 0, "delta": 0.2,
+                                                      "welch": True, "level": 0.8}),
+    ("SCREEN_U", "screen {input} --null-lo 0 --null-hi 2 --log10", None),
+    ("TRACK", "track {input} --null-lo=-0.05 --null-hi 0.05", None),
+    ("TRACK", "track {input} --config {config} --null-point 0", {"delta": 0.02}),
+    ("TRACK", "track {input} --config {config}", {"null_point": 0.1, "delta": 0.05,
+                                                  "format": "json"}),
+    (None, f"design {DESIGN} --alpha 0.01 --thetas=-0.5,0,0.5", None),
+    (None, f"design {DESIGN} --alpha 0.2 --grid=-1:1:5 --format json", None),
+    (None, f"design {DESIGN} --alpha 1.1102230246251568e-16 --thetas 0,1 --digits 17", None),
+    (None, "design --config {config}", {**NARROW, "thetas": [0, 0.25, 1.5], "alpha": 0.1}),
+    (None, f"reliability {DESIGN} --r 3 --alpha 0.01 --thetas=-1,0,1", None),
+    (None, f"reliability {DESIGN} --r 3 --alpha 0.2 --thetas 0.5 --format json", None),
+    (None, "reliability --config {config}", {**NARROW, "r": 1, "alpha": 0.1,
+                                             "grid": "-1:1:5"}),
+    (None, f"simulate {DESIGN} --alpha 0.01 --replicates 1000 --seed 5 --theta1 1 --r 2", None),
+    (None, "simulate --theta0 0 --delta 0.5 --n 5 --variance 1 --alpha 0.2 --theta 0.1 "
+           "--replicates 300 --theta1 1 --r 1", None),
+    (None, "simulate --config {config}", {**NARROW, "replicates": 500, "seed": 9, "theta1": 0.5,
+                                          "r": 0.5, "alpha": 0.1}),
+)
 
 
 class Run(NamedTuple):
@@ -109,6 +167,20 @@ def golden_cases(work: Path) -> list[Case]:
         cases.append(Case(f"golden {name}", tuple(a.replace("{input}", str(path)) for a in argv),
                           None))
     cases.append(Case("golden wide-reliability", tuple(constants["WIDE_RELIABILITY"]), None))
+    return cases
+
+
+def variant_cases(work: Path) -> list[Case]:
+    inputs = {**module_constants(ROOT / "tests" / "test_cli_golden.py"), "RATIOS": RATIOS}
+    cases = []
+    for k, (fixture, argv, config) in enumerate(VARIANTS):
+        paths = {"input": work / f"variant-{k}.csv", "config": work / f"variant-{k}.json"}
+        if fixture is not None:
+            paths["input"].write_text(inputs[fixture], encoding="utf-8")
+        if config is not None:
+            paths["config"].write_text(json.dumps(config), encoding="utf-8")
+        cases.append(Case(f"variant {k}", tuple(a.format(**paths) for a in shlex.split(argv)),
+                          None))
     return cases
 
 
@@ -214,7 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         work = tmp / "cases"
         work.mkdir()
         base_src = unpack_base(args.base, tmp / "base")
-        cases = golden_cases(work) + bench_cases(work) + fuzz_cases(work, args.fuzz)
+        cases = golden_cases(work) + variant_cases(work) + bench_cases(work)
+        cases += fuzz_cases(work, args.fuzz)
         cases += expect_cases(args.expect) if args.expect else []
         started, different, expected = time.perf_counter(), 0, 0
         for case in cases:

@@ -30,16 +30,10 @@ import numpy as np
 
 from . import _table
 from .core import CLASSES, Classification, NullSpec, classify_codes, p_delta_array
-from .design import POWER_CURVE_COLUMNS, DesignConfig, outcome_probs, outcome_probs_array
+from .design import POWER_CURVE_COLUMNS, DesignConfig, outcome_probs_array
 from .errors import InvalidConfig, SgpvError
 from .intervals import ExtendedInterval, invalid_intervals, z_endpoints, z_interval
-from .reliability import (
-    RELIABILITY_CURVE_COLUMNS,
-    PriorOdds,
-    fcr_sgpv,
-    fdr_sgpv,
-    reliability_rates_array,
-)
+from .reliability import RELIABILITY_CURVE_COLUMNS, PriorOdds, reliability_rates_array
 from .screening import (
     FOLD_CHANGE_NULL,
     GroupSummary,
@@ -133,7 +127,11 @@ def _resolve_grid(resolved: dict) -> np.ndarray:
         if count < 1 or not math.isfinite(lo) or not math.isfinite(hi) or lo > hi:
             raise InvalidConfig(f"malformed grid spec {grid!r}")
         try:
-            return np.linspace(lo, hi, count)
+            if abs(hi - lo) < 2.0**1023:
+                return np.linspace(lo, hi, count)
+            grid = 2.0 * np.linspace(0.5 * lo, 0.5 * hi, count)  # hi - lo overflows at full scale
+            grid[-1], grid[0] = hi, lo  # halving rounds a subnormal end; one point is lo
+            return grid
         except (ValueError, IndexError) as exc:  # numpy's answers to counts beyond its index range
             raise InvalidConfig(f"cannot build a grid of {count} points: {exc}") from exc
     if thetas is None:
@@ -510,7 +508,8 @@ def _cmd_simulate(resolved: dict) -> dict:
     sim_cfg = SimConfig(design, theta, resolved["replicates"], seed)
     result = simulate_outcomes(sim_cfg, chunks=chunks)
     empirical = asdict(result.empirical)
-    closed = asdict(outcome_probs(theta, design))
+    closed = {name: p.item() for name, p in
+              zip(POWER_CURVE_COLUMNS[1:], outcome_probs_array([theta], design))}
     z_scores = {}
     for name, p in closed.items():
         se = math.sqrt(p * (1.0 - p) / sim_cfg.replicates)
@@ -526,11 +525,12 @@ def _cmd_simulate(resolved: dict) -> dict:
     if theta1 is not None:
         odds = PriorOdds(r)
         rel = simulate_reliability(sim_cfg, odds, theta1, chunks=chunks)
+        fdr, fcr, _, _ = reliability_rates_array([theta1], design, odds)
         payload["reliability"] = {
             "empirical_fdr": rel.empirical_fdr,
             "empirical_fcr": rel.empirical_fcr,
-            "closed_form_fdr": fdr_sgpv(theta1, design, odds),
-            "closed_form_fcr": fcr_sgpv(theta1, design, odds),
+            "closed_form_fdr": fdr.item(),
+            "closed_form_fcr": fcr.item(),
             "n_discoveries": rel.n_discoveries,
             "n_confirmations": rel.n_confirmations,
         }

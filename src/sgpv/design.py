@@ -19,10 +19,12 @@ Note that V is the variance of the *scaled* estimator (the sqrt(n)
 convention), so the standard error of theta_hat is sqrt(V / n), not
 sqrt(V).
 
-The array kernel ``outcome_probs_array`` computes se and z once and each Phi
-term as one erfc pass over the theta column. ``prob_alt``, ``prob_null``,
+z comes from ``_z(alpha)``, its one owner, and is kept per config. The
+array kernel ``outcome_probs_array`` computes each Phi term as one erfc
+pass over the theta column. ``prob_alt``, ``prob_null``,
 ``prob_inconclusive`` and ``outcome_probs`` are one-row views of it: about
-90 us a call, so a curve belongs in the kernel or ``emit_power_curve``.
+40-75 us a call once z is known (z itself 75-90 us), so a curve belongs in
+the kernel or ``emit_power_curve``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,15 @@ from .errors import (
 from .intervals import ExtendedInterval
 
 _PARTITION_TOL = 1e-10
+
+
+def _z(alpha: float) -> float:
+    """z_{1-alpha/2}, the package's one copy; alpha must exceed 2**-53."""
+    p = 1.0 - 0.5 * alpha
+    if p == 1.0:  # the quantile of 1 is +inf
+        raise InvalidProbability(f"alpha must exceed 2**-53 (1 - alpha/2 rounds to 1), "
+                                 f"got {alpha!r}")
+    return _normal.norm_quantile(p)
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,7 @@ class DesignConfig:
 
     @functools.cached_property  # a one-row AS 241 run costs about 90 us
     def z_crit(self) -> float:
-        return _normal.norm_quantile(1.0 - 0.5 * self.alpha)
+        return _z(self.alpha)
 
     @property
     def estimate_half_width(self) -> float:
@@ -194,7 +205,7 @@ def required_interval_ratio(alpha: float, power: float) -> float:
     """
     check_probability("alpha", alpha)
     check_probability("power", power)
-    z_a = _normal.norm_quantile(1.0 - 0.5 * alpha)
+    z_a = _z(alpha)
     z_sum = z_a + _normal.norm_quantile(power)
     if not z_sum > 0.0:
         raise InvalidProbability(f"power must exceed alpha/2 = {0.5 * alpha!r}, got {power!r}")
@@ -209,7 +220,7 @@ def correction_trigger_power(alpha: float) -> float:
     small-sample guard.
     """
     check_probability("alpha", alpha)
-    return _normal.norm_cdf(-0.5 * _normal.norm_quantile(1.0 - 0.5 * alpha))
+    return _normal.norm_cdf(-0.5 * _z(alpha))
 
 
 POWER_CURVE_COLUMNS = ("theta", "p_alt", "p_null", "p_inconclusive")

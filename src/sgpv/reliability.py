@@ -20,7 +20,9 @@ while fdr_test can do no better than alpha / (alpha + r).
 
 ``reliability_rates_array`` runs the outcome kernel at theta0, over the grid
 and over the grid at delta = 0 (the z-test: power P(p_delta = 0), beta
-P(0 < p_delta < 1)); the scalar rates are one-row views, 90-280 us a call.
+P(0 < p_delta < 1)). The scalar rates are one-row views: ``fdr_sgpv`` and
+``fcr_sgpv`` 150-260 us a call, ``classical_power`` and ``classical_beta``
+30-50 us.
 """
 
 from __future__ import annotations

@@ -57,12 +57,11 @@ class SimResult:
     """Tri-state tallies with their empirical frequencies."""
 
     counts: tuple[int, int, int]  # (n_alt, n_null, n_inconclusive)
-    replicates: int
     empirical: OutcomeProbs
 
     @classmethod
     def from_counts(cls, counts: tuple[int, int, int], replicates: int) -> SimResult:
-        return cls(counts, replicates, OutcomeProbs(*(c / replicates for c in counts)))
+        return cls(counts, OutcomeProbs(*(c / replicates for c in counts)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class ReliabilitySimResult:
     n_false_discoveries: int
     n_confirmations: int
     n_false_confirmations: int
-    replicates: int
 
 
 def _uniform_lanes(seed: int, start: int, count: int) -> np.ndarray:
@@ -155,12 +153,5 @@ def simulate_reliability(
         false_confirmations += _count(found & truth_is_alt)
     fdr = false_discoveries / discoveries if discoveries else None
     fcr = false_confirmations / confirmations if confirmations else None
-    return ReliabilitySimResult(
-        fdr,
-        fcr,
-        discoveries,
-        false_discoveries,
-        confirmations,
-        false_confirmations,
-        cfg.replicates,
-    )
+    return ReliabilitySimResult(fdr, fcr, discoveries, false_discoveries, confirmations,
+                                false_confirmations)

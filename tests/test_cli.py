@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgpv
-from sgpv import DesignConfig, NullSpec, PriorOdds, fdr_sgpv, outcome_probs
+from sgpv import DesignConfig, NullSpec, PriorOdds, fcr_sgpv, fdr_sgpv, outcome_probs
 from sgpv.cli import main
 from sgpv.errors import InvalidSeries
 from sgpv.screening import track_arrays
@@ -218,6 +219,32 @@ class TestDesign:
             "--n", "16", "--variance", "1", "--grid", grid,
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "command, grid, column",
+        [
+            (("reliability", "--r", "1"), "-1.7e308:1.7e308:4",
+             ["-1.7e+308", "-5.66667e+307", "5.66667e+307", "1.7e+308"]),
+            (("design",), "-1e308:1e308:3", ["-1e+308", "0", "1e+308"]),
+            (("design",), "0:1.7976931348623157e308:7",
+             ["0", "2.99616e+307", "5.99231e+307", "8.98847e+307", "1.19846e+308",
+              "1.49808e+308", "1.79769e+308"]),
+        ],
+        ids=["reliability-span-overflows", "design-span-overflows", "design-step-overflows"],
+    )
+    def test_grid_spanning_more_than_the_largest_double(self, capsys, command, grid, column):
+        code, out, err = run(capsys, *command, "--theta0", "0", "--delta", "1", "--n", "4",
+                             "--variance", "1", f"--grid={grid}")
+        assert (code, err) == (0, "")
+        assert [next(iter(row.values())) for row in parse_csv(out)] == column
+
+    @pytest.mark.parametrize("grid, ends", [("-1.7e308:5e-324:3", (-1.7e308, 5e-324)),
+                                            ("5e-324:1.7e308:1", (5e-324, 5e-324))])
+    def test_wide_grid_keeps_its_endpoints(self, capsys, grid, ends):
+        code, out, _ = run(capsys, "design", "--theta0", "0", "--delta", "1", "--n", "4",
+                           "--variance", "1", f"--grid={grid}", "--digits", "17")
+        theta = [float(row["theta"]) for row in parse_csv(out)]
+        assert code == 0 and (theta[0], theta[-1]) == ends
 
     def test_missing_design_flag_exit_3(self, capsys):
         code, _, err = run(capsys, "design", "--theta0", "0", "--thetas", "0")
@@ -515,6 +542,29 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("sgpv: configuration error: ")
 
+    @pytest.mark.parametrize("n", ["16", "5"], ids=["gate-open", "gate-closed"])
+    def test_closed_forms_are_the_library_values_from_five_kernel_runs(self, capsys,
+                                                                       monkeypatch, n):
+        runs, kernel = [], sgpv.design._outcome_columns
+
+        def counted(*args):
+            runs.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(sgpv.design, "_outcome_columns", counted)
+        monkeypatch.setattr(sgpv.reliability, "_outcome_columns", counted)  # bound by name there
+        code, out, _ = run(capsys, "simulate", "--theta0", "0", "--delta", "0.5", "--n", n,
+                           "--variance", "1", "--theta", "0.25", "--replicates", "100",
+                           "--theta1", "1", "--r", "2")
+        monkeypatch.undo()
+        assert (code, len(runs)) == (0, 5)
+        payload, cfg, odds = json.loads(out), DesignConfig(0, 0.5, float(n), 1), PriorOdds(2.0)
+        assert payload["closed_form"] == asdict(outcome_probs(0.25, cfg))
+        block = payload["reliability"]
+        assert block["closed_form_fdr"] == fdr_sgpv(1.0, cfg, odds)
+        assert block["closed_form_fcr"] == fcr_sgpv(1.0, cfg, odds)
+        assert (block["closed_form_fcr"] is None) == (n == "5")
+
     def test_chunks_do_not_change_output(self, capsys):
         base_args = (
             "simulate", "--theta0", "0", "--delta", "0.5", "--n", "16",
@@ -671,6 +721,17 @@ class TestConfigurationErrors:
                              "--variance", "1e308")
         assert (code, out) == (3, "")
         assert err == "sgpv: configuration error: the standard error sqrt(variance / n) overflows\n"
+
+    @pytest.mark.parametrize("command", [("design", "--grid", "0:1:3"),
+                                         ("reliability", "--r", "1", "--grid", "0:1:3"),
+                                         ("simulate", "--replicates", "10")],
+                             ids=["design", "reliability", "simulate"])
+    def test_alpha_that_leaves_one_minus_half_alpha_at_one(self, capsys, command):
+        code, out, err = run(capsys, *command, "--theta0", "0", "--delta", "1", "--n", "4",
+                             "--variance", "1", "--alpha", "1e-17")
+        assert (code, out) == (3, "")
+        assert err == ("sgpv: configuration error: alpha must exceed 2**-53 "
+                       "(1 - alpha/2 rounds to 1), got 1e-17\n")
 
     def test_nan_theta_is_one_message(self, capsys):
         design = ("--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1",

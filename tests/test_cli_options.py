@@ -9,6 +9,7 @@ way in both forms.
 import contextlib
 import io
 import json
+import math
 import re
 
 import pytest
@@ -261,3 +262,55 @@ def test_raw_input_bytes_never_raise(raw_dir, header, pieces, flags):
     if code == 2:
         message = err.getvalue().removeprefix("sgpv: input error: ")
         assert re.match(r"line \d+: ", message) or any(e in message for e in HEADER_ERRORS)
+
+
+# Option values at the edges of the doubles, for the commands that read numbers from options.
+EDGE_FLOATS = [sign * x for x in (0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e154, 1e308,
+                                   1.7976931348623157e308, math.inf) for sign in (1, -1)]
+EDGE_FLOATS.append(math.nan)
+EDGE_ALPHAS = [2.0**-54, 2.0**-53, math.nextafter(2.0**-53, 0.0), math.nextafter(2.0**-53, 1.0),
+               2.0**-52, 1e-17, 1e-16, 0.05]
+DESIGN_USUAL = {"theta0": 0.0, "delta": 1.0, "n": 4.0, "variance": 1.0, "alpha": 0.05}
+
+
+@st.composite
+def edge_runs(draw):
+    """(command, options) of a design, reliability or simulate run: usual values with up
+    to three of them edge floats, so that most runs get past the design checks, and a
+    grid or theta list of edge floats."""
+    command = draw(st.sampled_from(["design", "reliability", "simulate"]))
+    opts = dict(DESIGN_USUAL)
+    if command == "reliability" or command == "simulate" and draw(st.booleans()):
+        opts["r"] = 1.0
+    if command == "simulate":
+        opts.update(theta=0.0, replicates=20)
+        if "r" in opts:
+            opts["theta1"] = 1.0
+    edge = st.sampled_from(EDGE_FLOATS)
+    for name in draw(st.sets(st.sampled_from(sorted(set(opts) - {"replicates"})), max_size=3)):
+        opts[name] = draw(st.sampled_from(EDGE_ALPHAS) if name == "alpha" else edge)
+    if command != "simulate" and draw(st.booleans()):
+        lo, hi = sorted([draw(edge), draw(edge)])
+        opts["grid"] = f"{lo!r}:{hi!r}:{draw(st.integers(1, 5))}"
+    elif command != "simulate":
+        opts["thetas"] = ",".join(map(repr, draw(st.lists(edge, min_size=1, max_size=4))))
+    return command, opts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edge_runs())
+@example(("reliability", {**DESIGN_USUAL, "r": 1.0, "grid": "-1.7e308:1.7e308:4"}))
+@example(("design", {**DESIGN_USUAL, "grid": "-1e308:1e308:3"}))
+@example(("design", {**DESIGN_USUAL, "grid": "0:1.7976931348623157e308:7"}))
+def test_edge_option_values_give_output_or_one_error_line(run):
+    """Edge floats in the design, grid and truth options end in exit 0 with an
+    empty stderr, or in exit 3 with one ``sgpv:`` line; a numpy warning is an error."""
+    command, opts = run
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *_flags(opts)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 3
+        assert err.getvalue().startswith("sgpv: ") and err.getvalue().count("\n") == 1

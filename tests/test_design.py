@@ -205,6 +205,18 @@ class TestDesignAlgebra:
         with pytest.raises(InvalidProbability):
             correction_trigger_power(1.0)
 
+    @pytest.mark.parametrize("alpha", [1e-17, 2.0**-53, 2.0**-60, 5e-324])
+    def test_alpha_whose_half_does_not_move_one(self, alpha):
+        # 1 - alpha/2 rounds to 1: each user of z(alpha) names alpha, not the quantile
+        message = rf"alpha must exceed 2\*\*-53 \(1 - alpha/2 rounds to 1\), got {alpha!r}$"
+        for z_of in (lambda: DesignConfig(0.0, 1.0, 4.0, 1.0, alpha).z_crit,
+                     lambda: required_interval_ratio(alpha, 0.8),
+                     lambda: correction_trigger_power(alpha)):
+            with pytest.raises(InvalidProbability, match=message):
+                z_of()
+        above = math.nextafter(2.0**-53, 1.0)
+        assert DesignConfig(0.0, 1.0, 4.0, 1.0, above).z_crit == std_normal_quantile(1.0 - 2**-53)
+
     @pytest.mark.parametrize("alpha, power", [(0.05, 0.01), (0.05, 0.025), (0.5, 0.25), (0.2, 0.1)])
     def test_rejects_a_power_of_at_most_half_alpha(self, alpha, power):
         # z_{1-alpha/2} + z_power <= 0: the ratio would be negative or 1/0

@@ -18,9 +18,10 @@ import oracles
 from sgpv import reliability
 from sgpv.core import CLASSES, NullSpec, classify, classify_codes, p_delta_array
 from sgpv.design import DesignConfig, prob_null
-from sgpv.errors import InvalidInterval, InvalidProportion
+from sgpv.errors import InvalidInterval, InvalidProportion, InvalidSummary
 from sgpv.intervals import ExtendedInterval, invalid_intervals, z_endpoints, z_interval
 from sgpv.reliability import PriorOdds
+from sgpv.screening import GroupSummary, invalid_summaries
 from sgpv.simulate import _p_deltas
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -52,6 +53,25 @@ def rejects(lo: float, hi: float) -> bool:
 def test_validity_mask_marks_exactly_what_extended_interval_rejects(pairs):
     lo, hi = (np.array(column, dtype=float) for column in zip(*pairs))
     assert invalid_intervals(lo, hi).tolist() == [rejects(a, b) for a, b in pairs]
+
+
+GROUP_SIZES = [1, 1.5, 2, 2**53, INF, math.nan]
+
+
+def rejects_summary(n: float, sd: float) -> bool:
+    try:
+        GroupSummary(n, 0.0, sd)
+    except InvalidSummary:
+        return True
+    return False
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from(GROUP_SIZES), anything), min_size=1, max_size=20))
+@example([(n, sd) for n in GROUP_SIZES for sd in SPECIAL])
+def test_summary_mask_marks_exactly_what_group_summary_rejects(pairs):
+    n, sd = (np.array(column, dtype=float) for column in zip(*pairs))
+    assert invalid_summaries(n, sd).tolist() == [rejects_summary(a, b) for a, b in pairs]
 
 
 levels = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from([0.95, 0.5])
