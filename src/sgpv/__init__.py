@@ -9,6 +9,7 @@ confirmation rates (:mod:`sgpv.reliability`), batch screening
 """
 
 from . import errors
+from ._normal import norm_cdf as std_normal_cdf, norm_quantile as std_normal_quantile
 from .core import (
     Classification,
     NullSpec,
@@ -23,30 +24,24 @@ from .core import (
 from .design import (
     DesignConfig,
     OutcomeProbs,
-    PowerCurvePoint,
     correction_trigger_power,
-    emit_power_curve,
     outcome_probs,
-    power_curve_csv,
+    outcome_probs_array,
     prob_alt,
     prob_inconclusive,
     prob_null,
     required_interval_ratio,
-    std_normal_cdf,
-    std_normal_quantile,
 )
 from .intervals import ExtendedInterval, intersect, length, truncate, z_interval
 from .reliability import (
     PriorOdds,
-    ReliabilityPoint,
     classical_beta,
     classical_power,
-    emit_reliability_curve,
     fcr_sgpv,
     fdr_sgpv,
     fdr_test,
     fnr_test,
-    reliability_curve_csv,
+    reliability_rates_array,
 )
 from .screening import (
     FOLD_CHANGE_NULL,
@@ -87,9 +82,7 @@ __all__ = [
     "GroupSummary",
     "NullSpec",
     "OutcomeProbs",
-    "PowerCurvePoint",
     "PriorOdds",
-    "ReliabilityPoint",
     "ReliabilitySimResult",
     "ScreenReport",
     "ScreenRow",
@@ -109,8 +102,6 @@ __all__ = [
     "correction_trigger_power",
     "cross_tab",
     "delta_gap",
-    "emit_power_curve",
-    "emit_reliability_curve",
     "errors",
     "fcr_sgpv",
     "fdr_sgpv",
@@ -121,14 +112,14 @@ __all__ = [
     "log10_interval",
     "max_p_over_null",
     "outcome_probs",
+    "outcome_probs_array",
     "pointwise_track",
-    "power_curve_csv",
     "prob_alt",
     "prob_inconclusive",
     "prob_null",
     "rank_findings",
     "ranked_indices",
-    "reliability_curve_csv",
+    "reliability_rates_array",
     "required_interval_ratio",
     "round_half_away",
     "second_gen_p",

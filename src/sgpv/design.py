@@ -23,8 +23,8 @@ z comes from ``_z(alpha)``, its one owner, and is kept per config. The
 array kernel ``outcome_probs_array`` computes each Phi term as one erfc
 pass over the theta column. ``prob_alt``, ``prob_null``,
 ``prob_inconclusive`` and ``outcome_probs`` are one-row views of it: about
-40-75 us a call once z is known (z itself 75-90 us), so a curve belongs in
-the kernel or ``emit_power_curve``.
+40-75 us a call once z is known (z itself 75-90 us), so the kernel is the
+curve API.
 """
 
 from __future__ import annotations
@@ -32,19 +32,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from . import _normal, _table
-# The public names of the normal kernel (Phi and its AS 241 inverse).
-from ._normal import norm_cdf as std_normal_cdf, norm_quantile as std_normal_quantile  # noqa: F401
+from . import _normal
 from .errors import (
     InvalidInterval,
     InvalidProbability,
     InvalidProportion,
     InvalidScale,
-    InvalidSeries,
     check_probability,
 )
 from .intervals import ExtendedInterval
@@ -224,28 +220,3 @@ def correction_trigger_power(alpha: float) -> float:
 
 
 POWER_CURVE_COLUMNS = ("theta", "p_alt", "p_null", "p_inconclusive")
-
-
-@dataclass(frozen=True)
-class PowerCurvePoint:
-    theta: float
-    p_alt: float
-    p_null: float
-    p_inconclusive: float
-
-
-def emit_power_curve(
-    cfg: DesignConfig, theta_grid: Sequence[float]
-) -> list[PowerCurvePoint]:
-    """Outcome probabilities over a grid of true hypotheses, in grid order."""
-    if len(theta_grid) == 0:
-        raise InvalidSeries("theta grid is empty")
-    columns = (p.tolist() for p in outcome_probs_array(theta_grid, cfg))
-    return list(map(PowerCurvePoint, theta_grid, *columns))
-
-
-def power_curve_csv(rows: Sequence[PowerCurvePoint], digits: int = 6) -> str:
-    """Serialize a power curve as CSV (header theta,p_alt,p_null,p_inconclusive)."""
-    columns = [_table.floats(name, [getattr(r, name) for r in rows])
-               for name in POWER_CURVE_COLUMNS]
-    return _table.csv_text(columns, digits)

@@ -48,7 +48,7 @@ class InvalidSummary(SgpvError, ValueError):
 
 
 class InvalidSeries(SgpvError, ValueError):
-    """A series or grid input is empty or not strictly increasing."""
+    """A time series is empty or its time points are not strictly increasing."""
 
 
 class MissingComparator(SgpvError):

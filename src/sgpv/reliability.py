@@ -18,24 +18,22 @@ II rate beta at the same alternative:
 As n grows, fdr and fcr vanish for alternatives outside the null interval,
 while fdr_test can do no better than alpha / (alpha + r).
 
-``reliability_rates_array`` runs the outcome kernel at theta0, over the grid
-and over the grid at delta = 0 (the z-test: power P(p_delta = 0), beta
-P(0 < p_delta < 1)). The scalar rates are one-row views: ``fdr_sgpv`` and
-``fcr_sgpv`` 150-260 us a call, ``classical_power`` and ``classical_beta``
-30-50 us.
+The curve API is ``reliability_rates_array``; it runs the outcome kernel at
+theta0, over the grid and over the grid at delta = 0 (the z-test: power
+P(p_delta = 0), beta P(0 < p_delta < 1)). The scalar rates are one-row
+views: ``fdr_sgpv`` and ``fcr_sgpv`` 150-260 us a call,
+``classical_power`` and ``classical_beta`` 30-50 us.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from . import _table
 from .design import DesignConfig, _outcome_columns, prob_alt, prob_inconclusive
-from .errors import DegenerateDesign, InvalidOdds, InvalidSeries, check_probability
+from .errors import DegenerateDesign, InvalidOdds, check_probability
 
 
 @dataclass(frozen=True)
@@ -50,21 +48,6 @@ class PriorOdds:
 
 
 RELIABILITY_CURVE_COLUMNS = ("theta1", "fdr_sgpv", "fcr_sgpv", "fdr_test", "fnr_test")
-
-
-@dataclass(frozen=True)
-class ReliabilityPoint:
-    """One grid row comparing sgpv rates with their test counterparts.
-
-    fcr_sgpv is None when the design cannot produce p_delta = 1 at all
-    (the nesting gate is closed), in which case the rate is undefined.
-    """
-
-    theta1: float
-    fdr_sgpv: float
-    fcr_sgpv: float | None
-    fdr_test: float
-    fnr_test: float
 
 
 def _rates(theta1: np.ndarray, cfg: DesignConfig, odds: PriorOdds) -> tuple:
@@ -149,25 +132,3 @@ def classical_power(theta1: float, cfg: DesignConfig) -> float:
 def classical_beta(theta1: float, cfg: DesignConfig) -> float:
     """Type II rate of the two-sided z-test, evaluated tail-stably."""
     return prob_inconclusive(theta1, _point_null(cfg))
-
-
-def emit_reliability_curve(
-    cfg: DesignConfig, odds: PriorOdds, theta1_grid: Sequence[float]
-) -> list[ReliabilityPoint]:
-    """Compare sgpv and test error rates over a grid of alternatives.
-
-    The comparator's beta is the classical two-sided Type II rate at each
-    theta1; when it underflows to zero the test limits are used
-    (fnr_test -> 0, fdr_test -> [1 + r/alpha]^-1).
-    """
-    if len(theta1_grid) == 0:
-        raise InvalidSeries("theta1 grid is empty")
-    columns = (c.tolist() for c in reliability_rates_array(theta1_grid, cfg, odds))
-    return list(map(ReliabilityPoint, theta1_grid, *columns))
-
-
-def reliability_curve_csv(rows: Sequence[ReliabilityPoint], digits: int = 6) -> str:
-    """Serialize a reliability curve as CSV; an undefined FCR is an empty field."""
-    values = {name: [getattr(r, name) for r in rows] for name in RELIABILITY_CURVE_COLUMNS}
-    columns = [_table.floats(name, v, [x is None for x in v]) for name, v in values.items()]
-    return _table.csv_text(columns, digits)

@@ -47,7 +47,7 @@ class GroupSummary:
     sd: float
 
     def __post_init__(self) -> None:
-        if self.n < 2:
+        if not self.n >= 2:  # NaN included
             raise InvalidSummary(f"group size must be >= 2, got {self.n!r}")
         if not (self.sd > 0 and math.isfinite(self.sd)):
             raise InvalidSummary(f"sd must be positive, got {self.sd!r}")
@@ -227,6 +227,7 @@ def two_sample_ci_array(
             invalid |= (np.isinf(num) & np.isfinite(total)) | np.isinf(va2) | np.isinf(vb2)
             invalid |= den == 0.0
         else:
+            invalid |= np.isinf(pooled_df) & np.isfinite(f1) & np.isfinite(f2)  # df overflows
             pooled = (f1m * sq1 + f2m * sq2) / pooled_df
             se = np.sqrt(pooled * (1.0 / f1 + 1.0 / f2))
             df = pooled_df
@@ -272,9 +273,9 @@ def _t_ufuncs() -> tuple[np.ufunc, np.ufunc]:
 
 
 def invalid_summaries(n: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """Where a group summary is one GroupSummary rejects: n below 2, or an
-    sd that is not positive and finite."""
-    return (n < 2.0) | ~((sd > 0.0) & np.isfinite(sd))
+    """Where a group summary is one GroupSummary rejects: n below 2 or NaN,
+    or an sd that is not positive and finite."""
+    return ~(n >= 2.0) | ~((sd > 0.0) & np.isfinite(sd))
 
 
 def _group_counts(n1, n2) -> tuple[np.ndarray, ...]:
@@ -282,7 +283,8 @@ def _group_counts(n1, n2) -> tuple[np.ndarray, ...]:
 
     Each is the exact whole-number value rounded once. Float arithmetic is
     exact while n1 + n2 stays below 2**53; rows that reach it are redone
-    in Python ints from the caller's own entries.
+    in Python ints from the caller's own entries; a pooled df beyond the
+    doubles is inf.
     """
     f1 = np.atleast_1d(np.asarray(n1, dtype=float))
     f2 = np.atleast_1d(np.asarray(n2, dtype=float))
@@ -290,7 +292,11 @@ def _group_counts(n1, n2) -> tuple[np.ndarray, ...]:
     big = np.isfinite(f1) & np.isfinite(f2) & (np.abs(f1) + np.abs(f2) >= 2.0**53)
     for k in np.flatnonzero(big).tolist():
         a, b = int(n1[k]), int(n2[k])
-        f1m[k], f2m[k], pooled_df[k] = float(a - 1), float(b - 1), float(a + b - 2)
+        f1m[k], f2m[k] = float(a - 1), float(b - 1)
+        try:
+            pooled_df[k] = float(a + b - 2)
+        except OverflowError:  # the pooled test rejects the row; Welch never reads it
+            pooled_df[k] = math.inf
     return f1, f1m, f2, f2m, pooled_df
 
 

@@ -73,7 +73,7 @@ from typing import Sequence
 from sgpv import _normal
 from sgpv._normal import _A, _B, _C, _D, _E, _F, norm_cdf
 from sgpv.core import Classification, NullSpec, second_gen_p
-from sgpv.design import DesignConfig, OutcomeProbs, PowerCurvePoint
+from sgpv.design import DesignConfig, OutcomeProbs
 from sgpv.errors import (
     DegenerateDesign,
     InvalidInterval,
@@ -84,7 +84,7 @@ from sgpv.errors import (
     SgpvError,
     UnboundedEstimate,
 )
-from sgpv.reliability import PriorOdds, ReliabilityPoint
+from sgpv.reliability import PriorOdds
 from sgpv.intervals import ExtendedInterval, intersect, length, z_interval
 from sgpv.screening import GroupSummary, StudyRow
 
@@ -395,18 +395,12 @@ def outcome_probs(theta: float, cfg: DesignConfig) -> OutcomeProbs:
     )
 
 
-def emit_power_curve(
-    cfg: DesignConfig, theta_grid: Sequence[float]
-) -> list[PowerCurvePoint]:
-    """Outcome probabilities over a grid of true hypotheses, in grid order."""
-    if len(theta_grid) == 0:
-        raise InvalidSeries("theta grid is empty")
+def power_curve(cfg: DesignConfig, theta_grid: Sequence[float]) -> list[tuple[float, ...]]:
+    """(p_alt, p_null, p_inconclusive) at each grid point, in grid order."""
     rows = []
     for theta in theta_grid:
         probs = outcome_probs(theta, cfg)
-        rows.append(
-            PowerCurvePoint(theta, probs.p_alt, probs.p_null, probs.p_inconclusive)
-        )
+        rows.append((probs.p_alt, probs.p_null, probs.p_inconclusive))
     return rows
 
 
@@ -463,29 +457,19 @@ def classical_beta(theta1: float, cfg: DesignConfig) -> float:
     return _cdf_diff(z - shift, -z - shift)
 
 
-def emit_reliability_curve(
+def reliability_curve(
     cfg: DesignConfig, odds: PriorOdds, theta1_grid: Sequence[float]
-) -> list[ReliabilityPoint]:
-    """Compare sgpv and test error rates over a grid of alternatives.
+) -> list[tuple[float, float | None, float, float]]:
+    """(fdr_sgpv, fcr_sgpv, fdr_test, fnr_test) at each alternative, in grid order.
 
     The comparator's beta is the classical two-sided Type II rate at each
     theta1; when it underflows to zero the test limits are used
     (fnr_test -> 0, fdr_test -> [1 + r/alpha]^-1).
     """
-    if len(theta1_grid) == 0:
-        raise InvalidSeries("theta1 grid is empty")
     rows = []
     for theta1 in theta1_grid:
         test_fdr, test_fnr = _test_rates(odds, cfg.alpha, classical_beta(theta1, cfg))
-        rows.append(
-            ReliabilityPoint(
-                theta1,
-                fdr_sgpv(theta1, cfg, odds),
-                fcr_sgpv(theta1, cfg, odds),
-                test_fdr,
-                test_fnr,
-            )
-        )
+        rows.append((fdr_sgpv(theta1, cfg, odds), fcr_sgpv(theta1, cfg, odds), test_fdr, test_fnr))
     return rows
 
 

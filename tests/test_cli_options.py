@@ -314,3 +314,49 @@ def test_edge_option_values_give_output_or_one_error_line(run):
     else:
         assert code == 3
         assert err.getvalue().startswith("sgpv: ") and err.getvalue().count("\n") == 1
+
+
+# Input cells and null bounds at the edges of the doubles, for the commands that read a file.
+EDGE_CELLS = ["0", "-0", "1", "5e-324", "1e-308", "1e154", "1e-154", "1e300", "1e308",
+              "1.7976931348623157e308", "-1.7976931348623157e308", "inf", "-inf", "nan", "1.5",
+              str(2**53 + 1)]
+CELL_HEADERS = [("compute", "id,lo,hi"), ("compute", "id,estimate,se"),
+                ("screen", "id,estimate,lo,hi,p_value"), ("screen", "id,n1,mean1,sd1,n2,mean2,sd2"),
+                ("track", "t,lo,hi")]
+GROUPS = CELL_HEADERS[3]
+POINT = ("--null-point", "--delta")
+EDGE_CELL = st.sampled_from(EDGE_CELLS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(CELL_HEADERS),
+    st.lists(st.lists(EDGE_CELL, min_size=6, max_size=6), min_size=1, max_size=3),
+    # half the null bounds are 0 and 1, so that most runs get past the null's checks
+    st.tuples(st.sampled_from([POINT, ("--null-lo", "--null-hi")]),
+              st.just("0") | EDGE_CELL, st.just("1") | EDGE_CELL),
+    st.booleans(),
+)
+@example(GROUPS, [["1e308", "0", "1", "1e308", "1", "1"]], (POINT, "0", "0.1"), False)
+@example(GROUPS, [["1e308", "0", "1e154", "1e308", "1", "1e154"]], (POINT, "0", "0.1"), True)
+def test_edge_cells_give_output_or_one_error_line(raw_dir, header, rows, null, welch):
+    """Edge numbers in the cells and the null bounds of compute, screen (both input
+    forms, pooled and Welch) and track end in exit 0 with an empty stderr, or in
+    exit 2 or 3 with one ``sgpv:`` line; a numpy warning is an error."""
+    command, names = header
+    width = names.count(",")
+    src = raw_dir / "edge.csv"
+    label = "{}" if command == "track" else "r{}"  # time points 0, 1, 2 are in order
+    lines = [",".join([label.format(k), *row[:width]]) for k, row in enumerate(rows)]
+    src.write_text("\n".join([names, *lines]) + "\n")
+    (first, second), a, b = null
+    argv = [command, str(src), f"{first}={a}", f"{second}={b}"]
+    argv += ["--welch"] if welch and command == "screen" else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (2, 3)
+        assert err.getvalue().startswith("sgpv: ") and err.getvalue().count("\n") == 1

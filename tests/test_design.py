@@ -11,9 +11,8 @@ from sgpv import (
     DesignConfig,
     OutcomeProbs,
     correction_trigger_power,
-    emit_power_curve,
     outcome_probs,
-    power_curve_csv,
+    outcome_probs_array,
     prob_alt,
     prob_inconclusive,
     prob_null,
@@ -21,13 +20,7 @@ from sgpv import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from sgpv.design import outcome_probs_array
-from sgpv.errors import (
-    InvalidProbability,
-    InvalidProportion,
-    InvalidScale,
-    InvalidSeries,
-)
+from sgpv.errors import InvalidProbability, InvalidProportion, InvalidScale
 
 BASE = DesignConfig(theta0=0.0, delta=1.0, n=16.0, variance=1.0, alpha=0.05)
 
@@ -227,38 +220,25 @@ class TestDesignAlgebra:
 
 class TestPowerCurve:
     def test_single_point_matches_outcome_probs(self):
-        rows = emit_power_curve(BASE, [0.0])
-        assert len(rows) == 1
+        p_alt, p_null, _ = outcome_probs_array([0.0], BASE)
+        assert len(p_alt) == 1
         probs = outcome_probs(0.0, BASE)
-        assert rows[0].p_alt == probs.p_alt
-        assert rows[0].p_null == probs.p_null
+        assert p_alt[0] == probs.p_alt
+        assert p_null[0] == probs.p_null
 
     def test_symmetric_grid_gives_symmetric_power(self):
-        grid = list(np.linspace(-2, 2, 41))
-        rows = emit_power_curve(BASE, grid)
-        for left, right in zip(rows, reversed(rows)):
-            assert left.p_alt == pytest.approx(right.p_alt, rel=1e-12, abs=1e-300)
+        p_alt = outcome_probs_array(np.linspace(-2, 2, 41), BASE)[0].tolist()
+        for left, right in zip(p_alt, reversed(p_alt)):
+            assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
 
     def test_monotone_outside_null(self):
         cfg = DesignConfig(0, 0.3, 16, 1, 0.05)
-        grid = list(np.linspace(0.3, 3.0, 28))
-        rows = emit_power_curve(cfg, grid)
-        alts = [r.p_alt for r in rows]
+        alts = outcome_probs_array(np.linspace(0.3, 3.0, 28), cfg)[0].tolist()
         assert all(b >= a for a, b in zip(alts, alts[1:]))
         # strictly increasing until the curve saturates at 1 in doubles
         unsaturated = [a for a in alts if a < 1.0 - 1e-12]
         assert len(unsaturated) >= 5
         assert all(b > a for a, b in zip(unsaturated, unsaturated[1:]))
-
-    def test_csv_layout(self):
-        text = power_curve_csv(emit_power_curve(BASE, [0.0, 1.0]))
-        lines = text.strip().split("\n")
-        assert lines[0] == "theta,p_alt,p_null,p_inconclusive"
-        assert len(lines) == 3
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(InvalidSeries):
-            emit_power_curve(BASE, [])
 
 
 class TestKernelIdentity:

@@ -9,16 +9,15 @@ from sgpv import (
     PriorOdds,
     classical_beta,
     classical_power,
-    emit_reliability_curve,
     fcr_sgpv,
     fdr_sgpv,
     fdr_test,
     fnr_test,
     prob_alt,
     prob_inconclusive,
-    reliability_curve_csv,
+    reliability_rates_array,
 )
-from sgpv.errors import DegenerateDesign, InvalidOdds, InvalidProbability, InvalidSeries
+from sgpv.errors import DegenerateDesign, InvalidOdds, InvalidProbability
 
 # delta = sigma/2 with sample size just large enough to allow nesting
 FIG5 = DesignConfig(theta0=0.0, delta=0.5, n=16.0, variance=1.0, alpha=0.05)
@@ -31,7 +30,7 @@ def test_point_null_shares_the_designs_z(monkeypatch):
     monkeypatch.setattr(_normal, "norm_quantile_array", lambda p: runs.append(p) or kernel(p))
     cfg = DesignConfig(theta0=0.0, delta=0.5, n=16.0, variance=1.0, alpha=0.05)
     got = [classical_beta(1.0, cfg), classical_power(1.0, cfg), fdr_sgpv(1.0, cfg, EVEN),
-           fcr_sgpv(1.0, cfg, EVEN), emit_reliability_curve(cfg, EVEN, [0.5, 1.0])]
+           fcr_sgpv(1.0, cfg, EVEN), reliability_rates_array([0.5, 1.0], cfg, EVEN)]
     assert len(runs) == 1
     point = DesignConfig(theta0=0.0, delta=0.0, n=16.0, variance=1.0, alpha=0.05)
     assert got[:2] == [prob_inconclusive(1.0, point), prob_alt(1.0, point)]
@@ -134,13 +133,11 @@ class TestClassicalRates:
 
 class TestCurve:
     def test_degenerate_grid(self):
-        rows = emit_reliability_curve(FIG5, EVEN, [0.0])
-        assert rows[0].fdr_sgpv == pytest.approx(0.5)
+        fdr = reliability_rates_array([0.0], FIG5, EVEN)[0]
+        assert fdr[0] == pytest.approx(0.5)
 
     def test_rates_decrease_away_from_null(self):
-        grid = list(np.linspace(0.55, 2.5, 40))
-        rows = emit_reliability_curve(FIG5, EVEN, grid)
-        fdrs = [r.fdr_sgpv for r in rows]
+        fdrs = reliability_rates_array(np.linspace(0.55, 2.5, 40), FIG5, EVEN)[0].tolist()
         assert all(b < a for a, b in zip(fdrs, fdrs[1:]))
 
     def test_n_sweep_matches_small_sample_story(self):
@@ -148,27 +145,16 @@ class TestCurve:
         # discovery rates sit below the test's
         for n in (5.0, 20.0, 60.0, 100.0):
             cfg = DesignConfig(0.0, 0.5, n, 1.0, 0.05)
-            rows = emit_reliability_curve(cfg, EVEN, list(np.linspace(0.6, 2.0, 15)))
-            for row in rows:
-                assert row.fdr_sgpv <= row.fdr_test + 1e-12
-                if n == 5.0:
-                    assert row.fcr_sgpv is None
-                else:
-                    assert row.fcr_sgpv is not None
+            fdr, fcr, fdr_t, _ = reliability_rates_array(np.linspace(0.6, 2.0, 15), cfg, EVEN)
+            assert np.all(fdr <= fdr_t + 1e-12)
+            if n == 5.0:
+                assert fcr.tolist() == [None] * 15
+            else:
+                assert None not in fcr.tolist()
 
     def test_beta_underflow_uses_limits(self):
         cfg = DesignConfig(0.0, 0.5, 4000.0, 1.0, 0.05)
-        rows = emit_reliability_curve(cfg, EVEN, [5.0])
-        assert rows[0].fnr_test == 0.0
-        assert rows[0].fdr_test == pytest.approx(1.0 / 21.0)
+        _, _, fdr_t, fnr_t = reliability_rates_array([5.0], cfg, EVEN)
+        assert fnr_t[0] == 0.0
+        assert fdr_t[0] == pytest.approx(1.0 / 21.0)
 
-    def test_csv_serializes_absent_fcr_as_empty(self):
-        small = DesignConfig(0.0, 0.5, 5.0, 1.0, 0.05)
-        text = reliability_curve_csv(emit_reliability_curve(small, EVEN, [1.0]))
-        lines = text.strip().split("\n")
-        assert lines[0] == "theta1,fdr_sgpv,fcr_sgpv,fdr_test,fnr_test"
-        assert lines[1].split(",")[2] == ""
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(InvalidSeries):
-            emit_reliability_curve(FIG5, EVEN, [])

@@ -8,6 +8,7 @@ earliest failing line as the per-row code did.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,22 +17,25 @@ from hypothesis import strategies as st
 
 import oracles
 from sgpv.cli import main
-from sgpv.errors import InvalidProbability, SgpvError
+from sgpv.errors import InvalidProbability, InvalidSummary, SgpvError
 from sgpv.intervals import ExtendedInterval
-from sgpv.screening import GroupSummary, two_sample_ci, two_sample_ci_array
+from sgpv.screening import GroupSummary, invalid_summaries, two_sample_ci, two_sample_ci_array
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 GROUP_HEADER = "id,n1,mean1,sd1,n2,mean2,sd2\n"
 
-# Group sizes around the 2**53 edge of exact float sums, far beyond it
-# (pooled df near 1e300) and ordinary ones.
+# Group sizes around the 2**53 edge of exact float sums, far beyond it up
+# to the largest double (where the pooled df overflows) and ordinary ones.
 SIZES = st.one_of(
     st.integers(2, 60),
     st.integers(2**53 - 4, 2**53 + 4),
     st.integers(2, 2**64),
     st.integers(2, 10**300),
-    st.sampled_from([0, 1, -3]),
+    st.integers(2, int(sys.float_info.max)),
+    st.sampled_from([0, 1, -3, int(1e308), int(sys.float_info.max), math.nan]),
 )
+# Two groups of this size have a pooled df n1 + n2 - 2 beyond the largest double.
+TOP = int(1e308)
 # Sds whose squares underflow, overflow or lose precision, plus ordinary ones.
 SDS = st.one_of(
     st.floats(0.05, 20.0),
@@ -83,6 +87,10 @@ class TestAgainstReference:
     @example([((10, 1.0, 1e-320), (10, 0.0, 1e-320))], 0.95, False)
     @example([((10, -0.0, 1.0), (10, 0.0, 1.0))], 5e-324, False)
     @example([((5, 1.0, 2.0), (7, 0.0, 1.0))], 1.0 - 2.0**-53, True)
+    @example([((TOP, 0.0, 1.0), (TOP, 1.0, 1.0))], 0.95, False)
+    @example([((TOP, 0.0, 1.0), (TOP, 1.0, 1.0))], 0.95, True)
+    @example([((TOP, 0.0, 1e154), (TOP, 1.0, 1e154))], 0.95, False)
+    @example([((TOP, 0.0, 1e154), (TOP, 1.0, 1e154))], 0.95, True)
     def test_array_and_scalar_view_match_bit_for_bit(self, rows, level, welch):
         columns = [[g[i] for g in groups] for groups in zip(*rows) for i in range(3)]
         estimate, lo, hi, p, invalid = two_sample_ci_array(*columns, level, welch)
@@ -126,6 +134,12 @@ class TestAgainstReference:
             want = outcome(oracles.two_sample_ci, a, b, 0.95, welch)
             assert want[0] == "InvalidSummary"
             assert outcome(two_sample_ci, a, b, 0.95, welch) == want
+
+    def test_nan_group_size_is_a_summary_error(self):
+        with pytest.raises(InvalidSummary, match=r"^group size must be >= 2, got nan$"):
+            two_sample_ci(GroupSummary(math.nan, 1.0, 1.0), GroupSummary(10, 0.0, 1.0))
+        assert invalid_summaries(np.array([math.nan, 1.0, 2.0, math.inf]),
+                                 np.ones(4)).tolist() == [True, True, False, False]
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, math.nan])
     def test_rejects_level_outside_unit_interval(self, level):
@@ -175,6 +189,21 @@ class TestScreenErrorOrder:
         code, out, err = screen(tmp_path, capsys, GROUP_HEADER + "\n".join(lines) + "\n", *flags)
         assert (code, out) == (2, "")
         assert err == f"sgpv: input error: {message}\n"
+
+
+class TestGroupSizesAtTheTopOfTheDoubles:
+    def test_pooled_df_beyond_the_doubles_is_an_input_error(self, tmp_path, capsys):
+        text = GROUP_HEADER + "a,1e308,0,1,1e308,1,1\n"
+        code, out, err = screen(tmp_path, capsys, text, "--delta", "0.1")
+        assert (code, out) == (2, "")
+        assert err == ("sgpv: input error: line 2: "
+                       "the standard error of the difference under- or overflows\n")
+
+    def test_welch_df_beyond_the_doubles_gives_the_limit(self, tmp_path, capsys):
+        text = GROUP_HEADER + "a,1e308,0,1e154,1e308,1,1e154\n"
+        code, out, err = screen(tmp_path, capsys, text, "--delta", "0.1", "--welch")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "a,0.5,inconclusive,,0.4795,0.4795,0.4795,1,"
 
 
 class TestEmptyTwoGroupScreen:
