@@ -32,7 +32,8 @@ The cases:
   new ``stdout`` (``code`` 0 and empty ``stderr`` unless given) and a
   free-text ``why`` that the harness does not read. Such a case is
   expected when its working-tree run gives exactly that output and the
-  base run differs from it.
+  base run differs from it. An entry with the argv and stdin of one of the
+  cases above stands in for that case.
 
 The harness imports only the standard library. The test constants are read
 with ``ast`` from the test files, without importing them;
@@ -288,7 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         base_src = unpack_base(args.base, tmp / "base")
         cases = golden_cases(work) + variant_cases(work) + bench_cases(work)
         cases += fuzz_cases(work, args.fuzz)
-        cases += expect_cases(args.expect) if args.expect else []
+        listed = expect_cases(args.expect) if args.expect else []
+        replaced = {(case.argv, case.stdin) for case in listed}
+        cases = [case for case in cases if (case.argv, case.stdin) not in replaced] + listed
         started, different, expected = time.perf_counter(), 0, 0
         for case in cases:
             base = run_case(case, base_src, work)

@@ -48,19 +48,15 @@ from .screening import (
     CrossTab,
     GroupSummary,
     ScreenReport,
-    ScreenRow,
     ScreenSummary,
-    StudyRow,
-    TrackPoint,
     attach_adjustments,
-    batch_sgpv,
     bh_qvalues,
     bonferroni_flags,
     cross_tab,
     log10_interval,
-    pointwise_track,
-    rank_findings,
     ranked_indices,
+    screen_intervals,
+    track_arrays,
     two_sample_ci,
 )
 from .simulate import (
@@ -85,15 +81,11 @@ __all__ = [
     "PriorOdds",
     "ReliabilitySimResult",
     "ScreenReport",
-    "ScreenRow",
     "ScreenSummary",
     "SgpvResult",
     "SimConfig",
     "SimResult",
-    "StudyRow",
-    "TrackPoint",
     "attach_adjustments",
-    "batch_sgpv",
     "bh_qvalues",
     "bonferroni_flags",
     "classical_beta",
@@ -113,20 +105,20 @@ __all__ = [
     "max_p_over_null",
     "outcome_probs",
     "outcome_probs_array",
-    "pointwise_track",
     "prob_alt",
     "prob_inconclusive",
     "prob_null",
-    "rank_findings",
     "ranked_indices",
     "reliability_rates_array",
     "required_interval_ratio",
     "round_half_away",
+    "screen_intervals",
     "second_gen_p",
     "simulate_outcomes",
     "simulate_reliability",
     "std_normal_cdf",
     "std_normal_quantile",
+    "track_arrays",
     "traditional_p",
     "truncate",
     "two_sample_ci",

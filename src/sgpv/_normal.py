@@ -81,8 +81,8 @@ _F = (
     1.36929880922735805310e-1,
     1.48753612908506148525e-2,
     7.86869131145613259100e-4,
-    1.84631831751005468180e-6,
-    1.42151175831644588870e-9,
+    1.84631831751005468180e-5,
+    1.42151175831644588870e-7,
     2.04426310338993978564e-15,
 )
 

@@ -1,11 +1,12 @@
 """Batch multiple-comparison screening and pointwise classification tracks.
 
-Workflow: turn each study row (a confidence interval, optionally with its
-classical p-value) into a second-generation p-value against a shared
-interval null, rank the definitive findings by delta-gap, and tabulate the
-verdicts against classical multiplicity adjustments (Bonferroni and
-Benjamini-Hochberg). Fold-change screens are handled on the log10 scale;
-the conventional "fold change beyond 2" null is [-log10(2), +log10(2)].
+Workflow: turn columns of study rows (confidence interval endpoints,
+optionally with classical p-values) into second-generation p-values against
+a shared interval null (``screen_intervals``), rank the definitive findings
+by delta-gap (``ranked_indices``), and tabulate the verdicts against
+classical multiplicity adjustments (Bonferroni and Benjamini-Hochberg).
+Fold-change screens are handled on the log10 scale; the conventional "fold
+change beyond 2" null is [-log10(2), +log10(2)].
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import sys
 import threading
 import types
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import CLASSES, Classification, NullSpec, _check_bounded, classify_codes, p_delta_array
+from .core import CLASSES, NullSpec, _check_bounded, classify_codes, p_delta_array
 from .errors import (
     InvalidInterval,
     InvalidProbability,
@@ -54,30 +54,6 @@ class GroupSummary:
 
 
 @dataclass(frozen=True)
-class StudyRow:
-    """One comparison entering a screen: an id, an estimate, its interval."""
-
-    id: str
-    estimate: float
-    interval: ExtendedInterval
-    p_value: float | None = None
-
-
-@dataclass(frozen=True)
-class ScreenRow:
-    """Per-row screen output; p_delta is None when the row was flagged."""
-
-    id: str
-    p_delta: float | None
-    classification: Classification | None
-    delta_gap: float | None
-    p_raw: float | None
-    p_bonferroni: float | None = None
-    q_bh: float | None = None
-    flags: str = ""
-
-
-@dataclass(frozen=True)
 class ScreenSummary:
     """Counts per classification and, once adjustments run, per decision rule."""
 
@@ -98,7 +74,8 @@ class ScreenReport:
     p_delta is NaN on a flagged row (an estimate covering the whole real
     line) and delta_gap NaN wherever no gap is defined; p_raw is read only
     where has_p_raw is True. p_bonferroni and q_bh are None until
-    ``attach_adjustments`` runs. ``rows`` materialises ScreenRow views.
+    ``attach_adjustments`` runs. Row k is index k of every column; its
+    classification is ``core.CLASSES[classify_codes(p_delta)[k]]``.
     """
 
     ids: Sequence[str]
@@ -113,27 +90,6 @@ class ScreenReport:
     @property
     def flagged(self) -> np.ndarray:
         return np.isnan(self.p_delta)
-
-    @cached_property
-    def rows(self) -> tuple[ScreenRow, ...]:
-        flagged = self.flagged
-        n = len(self.ids)
-        return tuple(map(
-            ScreenRow,
-            self.ids,
-            _present(self.p_delta, ~flagged),
-            map(CLASSES.__getitem__, classify_codes(self.p_delta).tolist()),
-            _present(self.delta_gap, ~np.isnan(self.delta_gap)),
-            _present(self.p_raw, self.has_p_raw),
-            [None] * n if self.p_bonferroni is None else self.p_bonferroni.tolist(),
-            [None] * n if self.q_bh is None else self.q_bh.tolist(),
-            ["unbounded_estimate" if f else "" for f in flagged.tolist()],
-        ))
-
-
-def _present(values: np.ndarray, present: np.ndarray) -> list:
-    """``values`` as Python floats, None where ``present`` is False."""
-    return [v if ok else None for v, ok in zip(values.tolist(), present.tolist())]
 
 
 @dataclass(frozen=True)
@@ -163,22 +119,6 @@ class CrossTab:
         return self.sgpv_zero_significant + self.sgpv_positive_significant
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    """One rug-plot tick: green at 0, red at 1, grey in between."""
-
-    t: float
-    p_delta: float
-    classification: Classification
-
-    @property
-    def grey_level(self) -> float | None:
-        """Linear grey shade for inconclusive points; None for definitive ones."""
-        if self.classification is Classification.INCONCLUSIVE:
-            return self.p_delta
-        return None
-
-
 _SE_OVERFLOW = "the standard error of the difference under- or overflows"
 
 
@@ -193,8 +133,9 @@ def two_sample_ci_array(
     ``welch=True``. ``invalid`` marks the rows ``two_sample_ci`` rejects
     with InvalidSummary: a group size below 2, an sd that is not positive
     and finite, or a standard error or df whose arithmetic under- or
-    overflows (where Python floats raise, numpy would return inf or NaN);
-    lo, hi and p_value are NaN there.
+    overflows (where Python floats raise, numpy would return inf or NaN),
+    or an infinite group size in the pooled test; lo, hi and p_value are
+    NaN there.
 
     Every value is bitwise what the Python float arithmetic of the scalar
     formulas gives: squares through ``np.float_power``, which is libm
@@ -227,7 +168,7 @@ def two_sample_ci_array(
             invalid |= (np.isinf(num) & np.isfinite(total)) | np.isinf(va2) | np.isinf(vb2)
             invalid |= den == 0.0
         else:
-            invalid |= np.isinf(pooled_df) & np.isfinite(f1) & np.isfinite(f2)  # df overflows
+            invalid |= np.isinf(pooled_df)  # a df that overflows, or a size of inf: inf / inf
             pooled = (f1m * sq1 + f2m * sq2) / pooled_df
             se = np.sqrt(pooled * (1.0 / f1 + 1.0 / f2))
             df = pooled_df
@@ -320,29 +261,14 @@ def two_sample_ci(
     return float(estimate[0]), interval, float(p_value[0])
 
 
-def batch_sgpv(rows: Sequence[StudyRow], h0: NullSpec) -> ScreenReport:
-    """Second-generation p-values for every row, preserving input order.
-
-    A row whose estimate interval covers the whole real line is flagged
-    ("unbounded_estimate") instead of failing the batch. A view over
-    ``screen_intervals``.
-    """
-    p_raw = [r.p_value for r in rows]
-    return screen_intervals(
-        [r.id for r in rows],
-        [r.interval.lo for r in rows],
-        [r.interval.hi for r in rows],
-        [math.nan if p is None else p for p in p_raw],
-        [p is not None for p in p_raw],
-        h0,
-    )
-
-
 def screen_intervals(ids, lo, hi, p_raw, has_p_raw, h0: NullSpec) -> ScreenReport:
-    """``batch_sgpv`` over columns: ids, interval endpoints and raw p-values.
+    """Second-generation p-values for columns of rows, kept in input order.
 
-    ``p_raw`` is read only where ``has_p_raw`` is True. Endpoints are taken
-    to form valid intervals, as ExtendedInterval would require.
+    ``ids``, the interval endpoints ``lo`` and ``hi`` and the raw p-values
+    ``p_raw`` (read only where ``has_p_raw`` is True) hold one entry per row.
+    Endpoints are taken to form valid intervals, as ExtendedInterval would
+    require. A row whose interval covers the whole real line is flagged
+    (p_delta NaN) instead of failing the screen.
     """
     p_delta, _, gap = p_delta_array(lo, hi, h0)
     p_raw = np.asarray(p_raw, dtype=float).reshape(p_delta.shape)
@@ -366,7 +292,7 @@ def attach_adjustments(report: ScreenReport, alpha: float) -> ScreenReport:
     if not report.has_p_raw.all():
         raise MissingComparator("every row needs a raw p-value to adjust")
     p_raw = report.p_raw
-    _validate_pvalues(p_raw.tolist())
+    _validate_pvalues(p_raw)
     p_bonferroni, significant = _bonferroni(p_raw, alpha)
     q_bh = _bh_array(p_raw)
     summary = replace(
@@ -384,12 +310,14 @@ def valid_p_values(p: np.ndarray) -> np.ndarray:
     return (p >= 0.0) & (p <= 1.0)
 
 
-def _validate_pvalues(p_values: Sequence[float]) -> None:
-    values = np.array([math.nan if p is None else p for p in p_values], dtype=float)
-    bad = np.flatnonzero(~valid_p_values(values))
+def _validate_pvalues(p: np.ndarray, given: Sequence | None = None) -> None:
+    """Raise at the first entry of ``p`` that is no p-value, quoting the
+    caller's own entry of ``given`` (``p`` as floats where it is None)."""
+    bad = np.flatnonzero(~valid_p_values(p))
     if bad.size:
-        p = p_values[int(bad[0])]
-        raise InvalidProbability(f"p-values must lie in [0, 1], got {p!r}")
+        k = int(bad[0])
+        value = p[k].item() if given is None else given[k]
+        raise InvalidProbability(f"p-values must lie in [0, 1], got {value!r}")
 
 
 def _bonferroni(p_raw: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -403,8 +331,9 @@ def _bonferroni(p_raw: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray
 def bonferroni_flags(p_values: Sequence[float], alpha: float) -> list[bool]:
     """Family-wise significance flags: p < alpha / m."""
     check_probability("alpha", alpha)
-    _validate_pvalues(p_values)
-    return _bonferroni(np.asarray(p_values, dtype=float), alpha)[1].tolist()
+    p = np.asarray(p_values, dtype=float)
+    _validate_pvalues(p, p_values)
+    return _bonferroni(p, alpha)[1].tolist()
 
 
 def bh_qvalues(p_values: Sequence[float]) -> list[float]:
@@ -412,8 +341,9 @@ def bh_qvalues(p_values: Sequence[float]) -> list[float]:
 
     q at ascending rank i is min over j >= i of m * p_(j) / j, capped at 1.
     """
-    _validate_pvalues(p_values)
-    return _bh_array(np.asarray(p_values, dtype=float)).tolist()
+    p = np.asarray(p_values, dtype=float)
+    _validate_pvalues(p, p_values)
+    return _bh_array(p).tolist()
 
 
 def _bh_array(p: np.ndarray) -> np.ndarray:
@@ -431,7 +361,7 @@ def cross_tab(report: ScreenReport, alpha: float) -> CrossTab:
     """Cross-tabulate definitive sgpv findings against Bonferroni decisions.
 
     The Bonferroni family is every row of the report: a row is significant
-    when p_raw < alpha / m with m = len(report.rows), the same m as in
+    when p_raw < alpha / m with m = len(report.ids), the same m as in
     ``p_bonferroni`` and the summary counts. Flagged rows count toward m
     but have no verdict, so they fall in no cell; every other row must
     carry a raw p-value.
@@ -440,7 +370,7 @@ def cross_tab(report: ScreenReport, alpha: float) -> CrossTab:
     kept = ~report.flagged
     if not report.has_p_raw[kept].all():
         raise MissingComparator("cross tabulation needs raw p-values on every row")
-    _validate_pvalues(report.p_raw[kept].tolist())
+    _validate_pvalues(report.p_raw[kept])
     significant = _bonferroni(report.p_raw, alpha)[1][kept]
     zero = report.p_delta[kept] == 0.0
     return CrossTab(
@@ -451,25 +381,18 @@ def cross_tab(report: ScreenReport, alpha: float) -> CrossTab:
     )
 
 
-def pointwise_track(
-    series: Sequence[tuple[float, ExtendedInterval]], h0: NullSpec
-) -> list[TrackPoint]:
-    """Classify an interval time-series point by point (rug-plot data)."""
-    ts = [t for t, _ in series]
-    p, code = track_arrays(ts, [iv.lo for _, iv in series], [iv.hi for _, iv in series], h0)
-    return list(map(TrackPoint, ts, p.tolist(), map(CLASSES.__getitem__, code.tolist())))
-
-
 def unordered_times(t: np.ndarray) -> np.ndarray:
     """Where a time point is NaN or does not exceed the one before it."""
     return np.isnan(t) | np.append(False, ~(t[1:] > t[:-1]))
 
 
 def track_arrays(t, lo, hi, h0: NullSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``pointwise_track`` over columns: p_delta and classification codes
-    (indices into ``core.CLASSES``). Raises InvalidSeries for an empty series
-    or a time point ``unordered_times`` marks, and UnboundedEstimate for an
-    estimate covering the whole real line."""
+    """Classify an interval time series point by point (rug-plot data).
+
+    ``t``, ``lo`` and ``hi`` are one entry per point. Returns p_delta and the
+    classification codes (indices into ``core.CLASSES``). Raises InvalidSeries
+    for an empty series or a time point ``unordered_times`` marks, and
+    UnboundedEstimate for an estimate covering the whole real line."""
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise InvalidSeries("series is empty")
@@ -489,11 +412,6 @@ def ranked_indices(report: ScreenReport) -> list[int]:
     gap = report.delta_gap[ranked]
     size = np.where((p == 0.0) & ~np.isnan(gap), np.abs(gap), 0.0)
     return ranked[np.lexsort((-size, p))].tolist()  # lexsort is stable
-
-
-def rank_findings(report: ScreenReport) -> list[str]:
-    """Order row ids: p_delta ascending, ties at zero by |delta_gap| descending."""
-    return [report.ids[i] for i in ranked_indices(report)]
 
 
 def log10_array(values: np.ndarray) -> np.ndarray:

@@ -10,10 +10,16 @@ the density with composite Simpson after an arctangent substitution.
 Both are deliberately different algorithms from the production paths
 (erfc rational approximation, AS 241, scipy.special.stdtr/stdtrit).
 
+The normal quantile oracle bisects that CDF over the doubles themselves
+(as ordered integers) until two adjacent doubles bracket p, and returns
+the nearer one.
+
 The AS 241 reference is the former scalar ``norm_quantile``: the same
-coefficients, Horner order and branch cuts in Python float arithmetic,
-one probability at a time. The package's only implementation,
-``_normal.norm_quantile_array``, must match it bit for bit.
+Horner order and branch cuts in Python float arithmetic, one probability
+at a time, with its own literal copy of Wichura's six coefficient tables
+(PPND16, as R's ``qnorm.c`` carries them), not imported from ``sgpv``.
+The package's only implementation, ``_normal.norm_quantile_array``, must
+match it bit for bit.
 
 The p_delta oracle is the scalar rule on interval objects, ``_p_delta``
 with the intersect-based ``delta_gap``: one branch per convention,
@@ -61,6 +67,7 @@ import functools
 import io
 import json
 import math
+import struct
 from decimal import Decimal, getcontext
 from enum import Enum
 from fractions import Fraction
@@ -71,7 +78,7 @@ from scipy import stats as _scipy_stats
 from typing import Sequence
 
 from sgpv import _normal
-from sgpv._normal import _A, _B, _C, _D, _E, _F, norm_cdf
+from sgpv._normal import norm_cdf
 from sgpv.core import Classification, NullSpec, second_gen_p
 from sgpv.design import DesignConfig, OutcomeProbs
 from sgpv.errors import (
@@ -86,7 +93,7 @@ from sgpv.errors import (
 )
 from sgpv.reliability import PriorOdds
 from sgpv.intervals import ExtendedInterval, intersect, length, z_interval
-from sgpv.screening import GroupSummary, StudyRow
+from sgpv.screening import GroupSummary
 
 getcontext().prec = 60
 
@@ -118,28 +125,111 @@ def _tail_upper(x: Decimal, depth: int = 400) -> Decimal:
     return _density(x) / frac
 
 
-def normal_cdf_oracle(x: float) -> float:
-    """Reference Phi(x), accurate far beyond double precision."""
+def _decimal_cdf(x: float) -> Decimal:
     d = Decimal(x)
     if x < -_TAIL_SPLIT:
-        return float(_tail_upper(-d))
+        return _tail_upper(-d)
     if x > _TAIL_SPLIT:
-        return float(Decimal(1) - _tail_upper(d))
-    return float(_series_cdf(d))
+        return Decimal(1) - _tail_upper(d)
+    return _series_cdf(d)
+
+
+def normal_cdf_oracle(x: float) -> float:
+    """Reference Phi(x), accurate far beyond double precision."""
+    return float(_decimal_cdf(x))
+
+
+def _ordered(x: float) -> int:
+    """The double x as an integer, in the order of the doubles (-0.0 maps to 0)."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def _from_ordered(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -k | -(2**63)))[0]
 
 
 def normal_quantile_oracle(p: float) -> float:
-    """Quantile by bisection on the CDF oracle."""
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf_oracle(mid) < p:
-            lo = mid
+    """Quantile of p in (0, 1) by bisection on the CDF oracle over the doubles
+    themselves: it runs until the bracket is two adjacent doubles and returns
+    the one whose 60-digit Phi lies nearer to p."""
+    target = Decimal(p)
+    lo, hi = _ordered(-40.0), _ordered(40.0)  # Phi(-40) < 5e-324; Phi(40) is 1 at 60 digits
+    cdf_lo, cdf_hi = _decimal_cdf(-40.0), _decimal_cdf(40.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        cdf = _decimal_cdf(_from_ordered(mid))
+        if cdf < target:
+            lo, cdf_lo = mid, cdf
         else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
+            hi, cdf_hi = mid, cdf
+    return _from_ordered(lo if target - cdf_lo < cdf_hi - target else hi)
+
+
+# Wichura's AS 241 (PPND16) coefficient tables, as printed in Applied Statistics
+# 37:477-484 and carried by R's qnorm.c: central region |p - 1/2| <= 0.425 ...
+_A = (
+    3.3871328727963666080e0,
+    1.3314166789178437745e2,
+    1.9715909503065514427e3,
+    1.3731693765509461125e4,
+    4.5921953931549871457e4,
+    6.7265770927008700853e4,
+    3.3430575583588128105e4,
+    2.5090809287301226727e3,
+)
+_B = (
+    1.0,
+    4.2313330701600911252e1,
+    6.8718700749205790830e2,
+    5.3941960214247511077e3,
+    2.1213794301586595867e4,
+    3.9307895800092710610e4,
+    2.8729085735721942674e4,
+    5.2264952788528545610e3,
+)
+# ... intermediate region, r = sqrt(-log(min(p, 1-p))) in (1.6, 5] ...
+_C = (
+    1.42343711074968357734e0,
+    4.63033784615654529590e0,
+    5.76949722146069140550e0,
+    3.64784832476320460504e0,
+    1.27045825245236838258e0,
+    2.41780725177450611770e-1,
+    2.27238449892691845833e-2,
+    7.74545014278341407640e-4,
+)
+_D = (
+    1.0,
+    2.05319162663775882187e0,
+    1.67638483018380384940e0,
+    6.89767334985100004550e-1,
+    1.48103976427480074590e-1,
+    1.51986665636164571966e-2,
+    5.47593808499534494600e-4,
+    1.05075007164441684324e-9,
+)
+# ... and far tails, r > 5.
+_E = (
+    6.65790464350110377720e0,
+    5.46378491116411436990e0,
+    1.78482653991729133580e0,
+    2.96560571828504891230e-1,
+    2.65321895265761230930e-2,
+    1.24266094738807843860e-3,
+    2.71155556874348757815e-5,
+    2.01033439929228813265e-7,
+)
+_F = (
+    1.0,
+    5.99832206555887937690e-1,
+    1.36929880922735805310e-1,
+    1.48753612908506148525e-2,
+    7.86869131145613259100e-4,
+    1.84631831751005468180e-5,
+    1.42151175831644588870e-7,
+    2.04426310338993978564e-15,
+)
 
 
 def _poly(coeffs: tuple[float, ...], x: float) -> float:
@@ -325,6 +415,8 @@ def two_sample_ci(
             pooled = ((a.n - 1) * a.sd**2 + (b.n - 1) * b.sd**2) / (a.n + b.n - 2)
             se = math.sqrt(pooled * (1.0 / a.n + 1.0 / b.n))
             df = float(a.n + b.n - 2)  # scipy rejects ints beyond int64
+            if math.isinf(df):  # a group size of inf: the pooled variance is inf / inf
+                raise OverflowError
         t_stat = abs(estimate) / se
     except (OverflowError, ZeroDivisionError) as exc:
         raise InvalidSummary("the standard error of the difference under- or overflows") from exc
@@ -582,8 +674,9 @@ def parse_compute_rows(
     return out
 
 
-def parse_interval_rows(header: list[str], rows, log10_mode: bool) -> list[StudyRow]:
-    """Study rows of an interval-form screen input; the first bad row raises."""
+def parse_interval_rows(header: list[str], rows, log10_mode: bool) -> list[tuple]:
+    """(id, estimate, interval, p-value or None) per row of an interval-form
+    screen input; the first bad row raises."""
     cols = {name: i for i, name in enumerate(header)}
     out = []
     for lineno, fields in rows:
@@ -607,7 +700,7 @@ def parse_interval_rows(header: list[str], rows, log10_mode: bool) -> list[Study
             raise InputError(f"line {lineno}: {exc}") from exc
         if p_value is not None and not 0.0 <= p_value <= 1.0:
             raise InputError(f"line {lineno}: p-value must lie in [0, 1], got {p_value!r}")
-        out.append(StudyRow(row_id, estimate, interval, p_value))
+        out.append((row_id, estimate, interval, p_value))
     return out
 
 
@@ -618,8 +711,9 @@ def _row_count(fields: list[str], idx: int, name: str, lineno: int) -> int:
     return int(value)
 
 
-def parse_group_rows(header: list[str], rows, level: float, welch: bool) -> list[StudyRow]:
-    """Study rows of a two-group screen input, one row at a time.
+def parse_group_rows(header: list[str], rows, level: float, welch: bool) -> list[tuple]:
+    """(id, estimate, interval, p-value) per row of a two-group screen input,
+    one row at a time.
 
     Lines are read in order and the first failing line raises; within a
     line the first group's summary is checked before the second group is
@@ -649,7 +743,7 @@ def parse_group_rows(header: list[str], rows, level: float, welch: bool) -> list
             raise InputError(f"line {lineno}: {exc}") from exc
         if not 0.0 <= p_value <= 1.0:
             raise InputError(f"line {lineno}: p-value must lie in [0, 1], got {p_value!r}")
-        out.append(StudyRow(row_id, estimate, interval, p_value))
+        out.append((row_id, estimate, interval, p_value))
     return out
 
 
@@ -719,14 +813,13 @@ def bh_qvalues(p_values: Sequence[float]) -> list[float]:
     return qs
 
 
-def ranked_indices(rows) -> list[int]:
-    """Finding order of ScreenRow-like rows by a Python sort on
-    (p_delta, -|delta_gap| at p_delta = 0, position); flagged rows are not ranked."""
+def ranked_indices(p_delta: Sequence[float], delta_gap: Sequence[float]) -> list[int]:
+    """Finding order of a screen's columns by a Python sort on
+    (p_delta, -|delta_gap| at p_delta = 0, position). NaN marks a flagged
+    row's p_delta, which is not ranked, and a row without a delta-gap."""
 
-    def sort_key(indexed):
-        idx, row = indexed
-        gap = abs(row.delta_gap) if (row.p_delta == 0.0 and row.delta_gap is not None) else 0.0
-        return (row.p_delta, -gap, idx)
+    def sort_key(idx):
+        p, gap = p_delta[idx], delta_gap[idx]
+        return (p, -abs(gap) if (p == 0.0 and not math.isnan(gap)) else 0.0, idx)
 
-    classified = [(i, r) for i, r in enumerate(rows) if r.p_delta is not None]
-    return [i for i, _ in sorted(classified, key=sort_key)]
+    return sorted((i for i, p in enumerate(p_delta) if not math.isnan(p)), key=sort_key)

@@ -21,8 +21,6 @@ from sgpv import (
     NullSpec,
     PriorOdds,
     SimConfig,
-    StudyRow,
-    batch_sgpv,
     classical_beta,
     correction_trigger_power,
     fcr_sgpv,
@@ -32,8 +30,9 @@ from sgpv import (
     prob_alt,
     prob_inconclusive,
     prob_null,
-    rank_findings,
+    ranked_indices,
     required_interval_ratio,
+    screen_intervals,
     second_gen_p,
     simulate_outcomes,
     simulate_reliability,
@@ -131,15 +130,12 @@ def test_c02_sr9_wider_null_confirms():
 
 def test_c03_delta_gaps_and_ranking():
     h0 = NullSpec.from_interval(-0.3, 0.3)
-    rows = [
-        StudyRow("gene3252", 1.43, ExtendedInterval(1.22, 1.64)),
-        StudyRow("gene2288", 2.49, ExtendedInterval(2.11, 2.87)),
-    ]
-    rep = batch_sgpv(rows, h0)
-    gaps = {r.id: r.delta_gap for r in rep.rows}
+    ids = ["gene3252", "gene2288"]
+    rep = screen_intervals(ids, [1.22, 2.11], [1.64, 2.87], [math.nan] * 2, [False] * 2, h0)
+    gaps = dict(zip(rep.ids, rep.delta_gap.tolist()))
     ok = abs(gaps["gene2288"] - 6.03) <= 0.01
     ok &= abs(gaps["gene3252"] - 3.07) <= 0.01
-    ok &= rank_findings(rep)[0] == "gene2288"
+    ok &= rep.ids[ranked_indices(rep)[0]] == "gene2288"
     report("C3 delta gaps and ranking", ok)
 
 

@@ -24,14 +24,12 @@ import oracles
 from sgpv import (
     FOLD_CHANGE_NULL,
     NullSpec,
-    StudyRow,
     _table,
-    batch_sgpv,
     bh_qvalues,
     ranked_indices,
+    screen_intervals,
 )
 from sgpv.cli import main
-from sgpv.intervals import ExtendedInterval
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 H0 = NullSpec.symmetric(0.0, 0.5)
@@ -285,9 +283,11 @@ def test_ranked_indices_equal_oracle(seed, count, distinct):
     rng = np.random.default_rng(seed)
     pool = [mix_interval(rng, KINDS[int(rng.integers(len(KINDS)))]) for _ in range(distinct * 4)]
     picks = rng.integers(len(pool), size=count).tolist()
-    rows = [StudyRow(f"r{k}", 0.0, ExtendedInterval(*pool[i])) for k, i in enumerate(picks)]
-    report = batch_sgpv(rows, H0)
-    assert ranked_indices(report) == oracles.ranked_indices(report.rows)
+    lo, hi = zip(*[pool[i] for i in picks]) if picks else ((), ())
+    report = screen_intervals([f"r{k}" for k in range(count)], lo, hi,
+                              [math.nan] * count, [False] * count, H0)
+    assert ranked_indices(report) == oracles.ranked_indices(report.p_delta.tolist(),
+                                                            report.delta_gap.tolist())
 
 
 # ---------------------------------------------------------- error-path parity

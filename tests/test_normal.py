@@ -7,6 +7,9 @@ import pytest
 
 from oracles import normal_cdf_oracle, normal_quantile_oracle
 from sgpv import std_normal_cdf, std_normal_quantile
+from sgpv._normal import norm_quantile_array
+from sgpv.cli import main
+from sgpv.design import _z
 from sgpv.errors import InvalidProbability
 
 # 29 reference points spanning both tails and the center.
@@ -76,3 +79,46 @@ class TestQuantile:
     def test_rejects_out_of_range(self, p):
         with pytest.raises(InvalidProbability):
             std_normal_quantile(p)
+
+
+def log_uniform(rng: np.random.Generator, smallest: float, count: int) -> list[float]:
+    """count probabilities log-uniform on [smallest, 0.5); those that round to 0 are dropped."""
+    p = np.exp(rng.uniform(math.log(smallest), math.log(0.5), count))
+    return p[p > 0.0].tolist()
+
+
+class TestQuantileAccuracy:
+    """AS 241 within 4 eps of the bisected oracle across the doubles, its far
+    tails (min(p, 1 - p) below exp(-25), where r > 5) included."""
+
+    def test_relative_error_within_four_eps(self):
+        rng = np.random.default_rng(241)
+        # down to the least subnormal, and again from 2**-53, whose mirrors 1 - p stay below 1
+        ps = [5e-324, *log_uniform(rng, 5e-324, 48), *log_uniform(rng, 2.0**-53, 24)]
+        ps += [1.0 - p for p in ps if 1.0 - p < 1.0]
+        for p, q in zip(ps, norm_quantile_array(np.array(ps)).tolist()):
+            want = normal_quantile_oracle(p)
+            assert abs(q - want) <= 4 * 2.0**-52 * abs(want), (p, q, want)
+
+    def test_design_z_at_alpha_1e_15(self):
+        # 1 - alpha/2 rounds to 1 - 5.55e-16, whose quantile is 8.014015948775546
+        assert _z(1e-15) == pytest.approx(normal_quantile_oracle(1.0 - 0.5e-15), rel=4 * 2.0**-52)
+
+    def test_design_curve_at_alpha_1e_15(self, capsys):
+        code = main(["design", "--theta0", "0", "--delta", "0.3", "--n", "100", "--variance", "1",
+                     "--alpha", "1e-15", "--thetas", "0,0.5,1"])
+        assert (code, capsys.readouterr().out) == (0, (
+            "theta,p_alt,p_null,p_inconclusive\n"
+            "0,3.27091e-28,0,1\n"
+            "0.5,9.04913e-10,0,1\n"
+            "1,0.155288,0,0.844712\n"))
+
+    def test_compute_z_interval_at_level_1_minus_1e_15(self, tmp_path, capsys):
+        src = tmp_path / "z.csv"
+        src.write_text("id,estimate,se\na,0,1\nb,1.5,0.25\n")
+        code = main(["compute", str(src), "--null-point", "0", "--delta", "1",
+                     "--level", "0.999999999999999"])
+        assert (code, capsys.readouterr().out) == (0, (
+            "id,lo,hi,p_delta,classification,correction_applied,delta_gap,flags\n"
+            "a,-8.0414,8.0414,0.5,inconclusive,true,,\n"
+            "b,-0.51035,3.51035,0.375644,inconclusive,false,,\n"))

@@ -1,4 +1,6 @@
-"""Batch screening: t intervals, adjustments, cross-tabs, tracks, ranking."""
+"""Batch screening: t intervals, adjustments, cross-tabs, tracks, ranking,
+all through the column API (``screen_intervals``, ``track_arrays``,
+``ranked_indices``)."""
 
 import math
 
@@ -12,19 +14,18 @@ from sgpv import (
     FOLD_CHANGE_NULL,
     GroupSummary,
     NullSpec,
-    StudyRow,
     attach_adjustments,
-    batch_sgpv,
     bh_qvalues,
     bonferroni_flags,
     cross_tab,
     log10_interval,
-    pointwise_track,
-    rank_findings,
     ranked_indices,
+    screen_intervals,
     second_gen_p,
+    track_arrays,
     two_sample_ci,
 )
+from sgpv.core import CLASSES, classify_codes
 from sgpv.errors import (
     InvalidInterval,
     InvalidProbability,
@@ -37,8 +38,22 @@ from sgpv.errors import (
 SURVIVAL_NULL = NullSpec.symmetric(0.0, 0.05)
 
 
-def interval_row(row_id, lo, hi, p=None):
-    return StudyRow(row_id, 0.5 * (lo + hi), ExtendedInterval(lo, hi), p)
+def screen(entries, h0, ids=None):
+    """The screen of (lo, hi) or (lo, hi, p-value) entries; ids r0, r1, ... unless given."""
+    p_raw = [e[2] if len(e) > 2 else math.nan for e in entries]
+    return screen_intervals(
+        [f"r{k}" for k in range(len(entries))] if ids is None else ids,
+        [e[0] for e in entries], [e[1] for e in entries],
+        p_raw, [len(e) > 2 for e in entries], h0,
+    )
+
+
+def classes(p_delta):
+    return [CLASSES[code] for code in classify_codes(p_delta).tolist()]
+
+
+def ranked_ids(report):
+    return [report.ids[i] for i in ranked_indices(report)]
 
 
 class TestTwoSampleCi:
@@ -96,64 +111,58 @@ class TestTwoSampleCi:
 
 
 class TestBatchSgpv:
+    """A batch screen through ``screen_intervals``."""
+
     def test_hazard_ratio_row(self):
-        report = batch_sgpv(
-            [interval_row("cox", 1.23, 2.36)], NullSpec.from_interval(0.9, 1.1)
-        )
-        assert report.rows[0].p_delta == 0.0
-        assert report.rows[0].classification is Classification.ALTERNATIVE_COMPATIBLE
+        report = screen([(1.23, 2.36)], NullSpec.from_interval(0.9, 1.1), ids=["cox"])
+        assert report.p_delta[0] == 0.0
+        assert classes(report.p_delta) == [Classification.ALTERNATIVE_COMPATIBLE]
 
     def test_trivial_fold_change_gene(self):
         # fold-change CI inside (1/2, 2) once mapped to log10
         interval = log10_interval(ExtendedInterval(1.36, 1.94))
-        report = batch_sgpv(
-            [StudyRow("gene350", 0.2, interval)], FOLD_CHANGE_NULL
-        )
-        assert report.rows[0].p_delta == 1.0
+        report = screen([(interval.lo, interval.hi)], FOLD_CHANGE_NULL, ids=["gene350"])
+        assert report.p_delta[0] == 1.0
 
     def test_meaningful_fold_change_gene(self):
         interval = log10_interval(ExtendedInterval(2.02, 29.74))
-        report = batch_sgpv(
-            [StudyRow("gene6345", 1.0, interval)], FOLD_CHANGE_NULL
-        )
-        assert report.rows[0].p_delta == 0.0
+        report = screen([(interval.lo, interval.hi)], FOLD_CHANGE_NULL, ids=["gene6345"])
+        assert report.p_delta[0] == 0.0
 
     def test_unbounded_row_is_flagged_not_fatal(self):
-        rows = [
-            interval_row("ok", 0.0, 1.0),
-            StudyRow("bad", 0.0, ExtendedInterval(-math.inf, math.inf)),
-        ]
-        report = batch_sgpv(rows, NullSpec.symmetric(0.0, 0.5))
-        assert report.rows[1].flags == "unbounded_estimate"
-        assert report.rows[1].p_delta is None
+        report = screen([(0.0, 1.0), (-math.inf, math.inf)], NullSpec.symmetric(0.0, 0.5))
+        assert report.flagged.tolist() == [False, True]
+        assert math.isnan(report.p_delta[1])
+        assert classes(report.p_delta)[1] is None
         assert report.summary.n_flagged == 1
 
     def test_empty_batch(self):
-        report = batch_sgpv([], SURVIVAL_NULL)
-        assert report.rows == ()
+        report = screen([], SURVIVAL_NULL)
+        assert report.ids == [] and report.p_delta.size == 0
         assert report.summary.n_rows == 0
 
     def test_order_preserved_and_rowwise_independent(self):
         rng = np.random.default_rng(77)
-        rows = []
-        for k in range(40):
+        entries = []
+        for _ in range(40):
             lo = rng.uniform(-2, 2)
-            rows.append(interval_row(f"r{k}", lo, lo + rng.uniform(0.01, 3)))
+            entries.append((lo, lo + rng.uniform(0.01, 3)))
         h0 = NullSpec.symmetric(0.0, 0.4)
-        report = batch_sgpv(rows, h0)
-        assert [r.id for r in report.rows] == [r.id for r in rows]
+        report = screen(entries, h0)
+        assert report.ids == [f"r{k}" for k in range(40)]
         perm = list(rng.permutation(40))
-        permuted = batch_sgpv([rows[i] for i in perm], h0)
-        for out_row, src in zip(permuted.rows, perm):
-            assert out_row == report.rows[src]
+        permuted = screen([entries[i] for i in perm], h0, ids=[report.ids[i] for i in perm])
+        for column in ("p_delta", "delta_gap"):
+            np.testing.assert_array_equal(getattr(permuted, column),
+                                          getattr(report, column)[perm])
 
     def test_summary_counts_partition_rows(self):
         rng = np.random.default_rng(11)
-        rows = []
-        for k in range(60):
+        entries = []
+        for _ in range(60):
             lo = rng.uniform(-3, 3)
-            rows.append(interval_row(f"g{k}", lo, lo + rng.uniform(0.01, 2)))
-        report = batch_sgpv(rows, NullSpec.symmetric(0.0, 1.0))
+            entries.append((lo, lo + rng.uniform(0.01, 2)))
+        report = screen(entries, NullSpec.symmetric(0.0, 1.0))
         s = report.summary
         assert s.n_alternative + s.n_null + s.n_inconclusive + s.n_flagged == s.n_rows
 
@@ -211,22 +220,17 @@ class TestAdjustments:
         assert sorted(qs) == pytest.approx(resorted)
 
     def test_attach_adjustments_full_report(self):
-        rows = [
-            interval_row("a", 2.0, 3.0, p=0.001),
-            interval_row("b", -0.2, 0.2, p=0.4),
-            interval_row("c", 0.1, 2.0, p=0.02),
-        ]
-        report = attach_adjustments(batch_sgpv(rows, NullSpec.symmetric(0, 0.5)), 0.05)
-        assert report.rows[0].p_bonferroni == pytest.approx(0.003)
-        assert report.rows[1].p_bonferroni == pytest.approx(1.0)
+        entries = [(2.0, 3.0, 0.001), (-0.2, 0.2, 0.4), (0.1, 2.0, 0.02)]
+        report = attach_adjustments(screen(entries, NullSpec.symmetric(0, 0.5)), 0.05)
+        assert report.p_bonferroni[0] == pytest.approx(0.003)
+        assert report.p_bonferroni[1] == pytest.approx(1.0)
         assert report.summary.n_bonferroni_significant == 1
         assert report.summary.n_raw_significant == 2
 
     @pytest.mark.parametrize("bad", [1.5, -0.2, math.nan])
     def test_library_rejects_a_p_value_off_the_unit_interval(self, bad):
         message = f"p-values must lie in \\[0, 1\\], got {bad!r}$"
-        report = batch_sgpv([interval_row("a", 2.0, 3.0, p=0.01),
-                             interval_row("b", 0.0, 1.0, p=bad)], NullSpec.symmetric(0, 0.5))
+        report = screen([(2.0, 3.0, 0.01), (0.0, 1.0, bad)], NullSpec.symmetric(0, 0.5))
         for call in (lambda: bh_qvalues([0.01, bad]),
                      lambda: bonferroni_flags([0.01, bad], 0.05),
                      lambda: attach_adjustments(report, 0.05),
@@ -234,16 +238,25 @@ class TestAdjustments:
             with pytest.raises(InvalidProbability, match=message):
                 call()
 
+    @pytest.mark.parametrize("call, quoted", [
+        (lambda: bh_qvalues([None]), "None"),
+        (lambda: bh_qvalues([0.5, 2]), "2"),
+        (lambda: bonferroni_flags([1.5], 0.05), "1.5"),
+    ])
+    def test_error_quotes_the_callers_own_value(self, call, quoted):
+        message = f"^p-values must lie in \\[0, 1\\], got {quoted}$"
+        with pytest.raises(InvalidProbability, match=message):
+            call()
+
     def test_attach_adjustments_needs_pvalues(self):
-        report = batch_sgpv([interval_row("a", 0.0, 1.0)], SURVIVAL_NULL)
+        report = screen([(0.0, 1.0)], SURVIVAL_NULL)
         with pytest.raises(MissingComparator):
             attach_adjustments(report, 0.05)
 
 
 class TestCrossTab:
     def _report(self, entries, h0):
-        rows = [interval_row(f"r{k}", lo, hi, p) for k, (lo, hi, p) in enumerate(entries)]
-        return batch_sgpv(rows, h0)
+        return screen(entries, h0)
 
     def test_all_discoveries_and_significant(self):
         entries = [(2.0, 3.0, 1e-6), (4.0, 5.0, 1e-7)]
@@ -284,20 +297,17 @@ class TestCrossTab:
         assert tab.total == report.summary.n_rows
 
     def test_empty_report(self):
-        tab = cross_tab(batch_sgpv([], SURVIVAL_NULL), 0.05)
+        tab = cross_tab(screen([], SURVIVAL_NULL), 0.05)
         assert tab.total == 0
 
     def test_missing_pvalues_raise(self):
-        report = batch_sgpv([interval_row("a", 0.0, 1.0)], SURVIVAL_NULL)
+        report = screen([(0.0, 1.0)], SURVIVAL_NULL)
         with pytest.raises(MissingComparator):
             cross_tab(report, 0.05)
 
     def test_flagged_rows_count_toward_m(self):
-        rows = [
-            interval_row("hit", 1.5, 2.5, 0.03),
-            StudyRow("wide", 0.0, ExtendedInterval(-math.inf, math.inf), 0.5),
-        ]
-        report = attach_adjustments(batch_sgpv(rows, NullSpec.symmetric(0, 1)), 0.05)
+        entries = [(1.5, 2.5, 0.03), (-math.inf, math.inf, 0.5)]
+        report = attach_adjustments(screen(entries, NullSpec.symmetric(0, 1)), 0.05)
         tab = cross_tab(report, 0.05)
         assert report.summary.n_bonferroni_significant == 0
         assert tab.significant_total == 0
@@ -305,72 +315,62 @@ class TestCrossTab:
         assert tab.total == 1
 
 
+def track(series, h0):
+    """``track_arrays`` of (t, lo, hi) points."""
+    return track_arrays(*zip(*series), h0) if series else track_arrays([], [], [], h0)
+
+
 class TestPointwiseTrack:
+    """A pointwise track through ``track_arrays``."""
+
     def test_three_regimes(self):
         series = [
-            (1.0, ExtendedInterval(-0.01, 0.01)),   # inside: compatible with null
-            (2.0, ExtendedInterval(0.02, 0.10)),    # straddles: inconclusive
-            (3.0, ExtendedInterval(0.07, 0.20)),    # clear of the zone
+            (1.0, -0.01, 0.01),   # inside: compatible with null
+            (2.0, 0.02, 0.10),    # straddles: inconclusive
+            (3.0, 0.07, 0.20),    # clear of the zone
         ]
-        points = pointwise_track(series, SURVIVAL_NULL)
-        assert points[0].classification is Classification.NULL_COMPATIBLE
-        assert points[1].classification is Classification.INCONCLUSIVE
-        assert points[1].p_delta == pytest.approx(0.375)
-        assert points[2].classification is Classification.ALTERNATIVE_COMPATIBLE
-
-    def test_grey_level_only_for_inconclusive(self):
-        series = [
-            (1.0, ExtendedInterval(-0.01, 0.01)),
-            (2.0, ExtendedInterval(0.02, 0.10)),
-            (3.0, ExtendedInterval(0.07, 0.20)),
+        p, code = track(series, SURVIVAL_NULL)
+        assert [CLASSES[c] for c in code.tolist()] == [
+            Classification.NULL_COMPATIBLE,
+            Classification.INCONCLUSIVE,
+            Classification.ALTERNATIVE_COMPATIBLE,
         ]
-        points = pointwise_track(series, SURVIVAL_NULL)
-        assert points[0].grey_level is None
-        assert points[1].grey_level == pytest.approx(0.375)
-        assert points[2].grey_level is None
+        assert p[1] == pytest.approx(0.375)
 
     def test_single_point(self):
-        points = pointwise_track([(0.0, ExtendedInterval(0.0, 0.01))], SURVIVAL_NULL)
-        assert len(points) == 1
+        p, code = track([(0.0, 0.0, 0.01)], SURVIVAL_NULL)
+        assert len(p) == len(code) == 1
 
     def test_non_monotone_rejected(self):
-        series = [(1.0, ExtendedInterval(0, 1)), (1.0, ExtendedInterval(0, 1))]
         with pytest.raises(InvalidSeries):
-            pointwise_track(series, SURVIVAL_NULL)
+            track([(1.0, 0, 1), (1.0, 0, 1)], SURVIVAL_NULL)
         with pytest.raises(InvalidSeries):
-            pointwise_track([], SURVIVAL_NULL)
+            track([], SURVIVAL_NULL)
 
     def test_whole_line_point_raises(self):
-        series = [(1.0, ExtendedInterval(0, 1)), (2.0, ExtendedInterval(-math.inf, math.inf))]
         with pytest.raises(UnboundedEstimate, match="truncate"):
-            pointwise_track(series, SURVIVAL_NULL)
+            track([(1.0, 0, 1), (2.0, -math.inf, math.inf)], SURVIVAL_NULL)
 
     def test_nan_time_point_rejected(self):
-        series = [(t, ExtendedInterval(0, 1)) for t in (2.0, math.nan, 1.0)]
         with pytest.raises(InvalidSeries):
-            pointwise_track(series, SURVIVAL_NULL)
+            track([(t, 0, 1) for t in (2.0, math.nan, 1.0)], SURVIVAL_NULL)
 
 
 class TestRanking:
     def test_delta_gap_breaks_ties_among_discoveries(self):
         h0 = NullSpec.from_interval(-0.3, 0.3)
-        rows = [
-            interval_row("gene3252", 1.22, 1.64),
-            interval_row("gene2288", 2.11, 2.87),
-            interval_row("inconclusive", 0.1, 0.6),
-        ]
-        report = batch_sgpv(rows, h0)
-        assert rank_findings(report) == ["gene2288", "gene3252", "inconclusive"]
+        report = screen([(1.22, 1.64), (2.11, 2.87), (0.1, 0.6)], h0,
+                        ids=["gene3252", "gene2288", "inconclusive"])
+        assert ranked_ids(report) == ["gene2288", "gene3252", "inconclusive"]
 
     def test_discoveries_precede_everything(self):
         rng = np.random.default_rng(3)
-        rows = []
-        for k in range(50):
+        entries = []
+        for _ in range(50):
             lo = rng.uniform(-4, 4)
-            rows.append(interval_row(f"x{k}", lo, lo + rng.uniform(0.01, 2)))
-        report = batch_sgpv(rows, NullSpec.symmetric(0.0, 1.0))
-        ranked = ranked_indices(report)
-        ps = [report.rows[i].p_delta for i in ranked]
+            entries.append((lo, lo + rng.uniform(0.01, 2)))
+        report = screen(entries, NullSpec.symmetric(0.0, 1.0))
+        ps = report.p_delta[ranked_indices(report)].tolist()
         boundary = sum(1 for p in ps if p == 0.0)
         assert all(p == 0.0 for p in ps[:boundary])
         assert all(p > 0.0 for p in ps[boundary:])
@@ -378,12 +378,9 @@ class TestRanking:
 
     def test_stability_for_equal_keys(self):
         h0 = NullSpec.symmetric(0.0, 0.5)
-        rows = [
-            interval_row("first", 0.0, 0.2),
-            interval_row("second", -0.1, 0.1),  # same p_delta = 1
-        ]
-        report = batch_sgpv(rows, h0)
-        assert rank_findings(report) == ["first", "second"]
+        report = screen([(0.0, 0.2), (-0.1, 0.1)], h0,  # same p_delta = 1
+                        ids=["first", "second"])
+        assert ranked_ids(report) == ["first", "second"]
 
 
 class TestLog10Interval:

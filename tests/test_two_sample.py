@@ -141,6 +141,16 @@ class TestAgainstReference:
         assert invalid_summaries(np.array([math.nan, 1.0, 2.0, math.inf]),
                                  np.ones(4)).tolist() == [True, True, False, False]
 
+    def test_infinite_group_size_is_a_summary_error_in_the_pooled_test(self):
+        # the pooled variance is inf / inf; Welch gives the known-variance answer
+        a, b = GroupSummary(math.inf, 1.0, 1.0), GroupSummary(10, 0.0, 1.0)
+        for fn in (two_sample_ci, oracles.two_sample_ci):
+            with pytest.raises(InvalidSummary, match=r"^the standard error of the difference"):
+                fn(a, b)
+        want = outcome(oracles.two_sample_ci, a, b, 0.95, True)
+        assert want[0] == "ok"
+        assert outcome(two_sample_ci, a, b, 0.95, True) == want
+
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, math.nan])
     def test_rejects_level_outside_unit_interval(self, level):
         with pytest.raises(InvalidProbability):
