@@ -118,6 +118,11 @@ VARIANTS = (
     (None, f"reliability {DESIGN} --r 3 --alpha 0.2 --thetas 0.5 --format json", None),
     (None, "reliability --config {config}", {**NARROW, "r": 1, "alpha": 0.1,
                                              "grid": "-1:1:5"}),
+    # nesting gate closed with delta > 0, on a grid reaching both underflow tails
+    (None, "design --theta0 0 --delta 0.5 --n 5 --variance 1 --grid=-40:40:801 --format json",
+     None),
+    (None, "reliability --theta0 0 --delta 0.5 --n 5 --variance 1 --grid=-40:40:801 "
+           "--format json --r 1 --digits 17", None),
     (None, f"simulate {DESIGN} --alpha 0.01 --replicates 1000 --seed 5 --theta1 1 --r 2", None),
     (None, "simulate --theta0 0 --delta 0.5 --n 5 --variance 1 --alpha 0.2 --theta 0.1 "
            "--replicates 300 --theta1 1 --r 1", None),

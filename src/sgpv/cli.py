@@ -157,7 +157,7 @@ class _Table(NamedTuple):
 
 
 def _read_table(path: str, names: Sequence[str]) -> _Table:
-    """The columns ``names`` that the header of the CSV at ``path`` ('-': stdin) holds."""
+    """The columns ``names`` that the header of the CSV at ``path`` ('-': stdin) holds once."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -179,6 +179,9 @@ def _read_table(path: str, names: Sequence[str]) -> _Table:
     if not rows:
         raise _InputError(f"{path}: empty input (a header row is required)")
     header = [name.strip().lower() for name in rows.pop(0)]
+    for name in names:
+        if header.count(name) > 1:
+            raise _InputError(f"input needs one {name!r} column, got {header.count(name)}")
     cells = {name: [row[i] if i < len(row) else None for row in rows]
              for i, name in enumerate(header) if name in names}
     return _Table(cells, lines[1:])

@@ -126,6 +126,10 @@ def classify_codes(p_delta: np.ndarray) -> np.ndarray:
     return code
 
 
+def _count(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))  # a plain int, as JSON output expects
+
+
 def p_delta_array(
     lo: np.ndarray, hi: np.ndarray, h0: NullSpec | ExtendedInterval
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

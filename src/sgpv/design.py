@@ -20,11 +20,12 @@ convention), so the standard error of theta_hat is sqrt(V / n), not
 sqrt(V).
 
 z comes from ``_z(alpha)``, its one owner, and is kept per config. The
-array kernel ``outcome_probs_array`` computes each Phi term as one erfc
-pass over the theta column. ``prob_alt``, ``prob_null``,
-``prob_inconclusive`` and ``outcome_probs`` are one-row views of it: about
-40-75 us a call once z is known (z itself 75-90 us), so the kernel is the
-curve API.
+array kernel ``outcome_probs_array`` evaluates each normal tail once, in
+one erfc pass over the theta column: 5 passes a point with the nesting
+gate open, 3 closed; its delta = 0 call is the classical z-test.
+``prob_alt``, ``prob_null``, ``prob_inconclusive`` and ``outcome_probs``
+are one-row views of it: about 40-75 us a call once z is known (z itself
+75-90 us), so the kernel is the curve API.
 """
 
 from __future__ import annotations
@@ -121,22 +122,27 @@ class OutcomeProbs:
             raise InvalidProportion(f"outcome probabilities sum to {total!r}, not 1")
 
 
-def _cdf_diff(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Phi(upper) - Phi(lower) without upper-tail cancellation; 0 where not positive."""
+def _cdf_diff(upper: np.ndarray, lower: np.ndarray, tails=None) -> np.ndarray:
+    """Phi(upper) - Phi(lower) without upper-tail cancellation; 0 where not positive.
+
+    ``tails``, if given, is (Phi(-upper), Phi(lower)), evaluated by the caller.
+    """
     phi, flip = _normal.norm_cdf_array, upper + lower > 0.0
-    value = phi(np.where(flip, -lower, upper)) - phi(np.where(flip, -upper, lower))
+    low = np.where(flip, *tails) if tails else phi(np.where(flip, -upper, lower))
+    value = phi(np.where(flip, -lower, upper)) - low
     return np.where((upper > lower) & (value > 0.0), value, 0.0)
 
 
-def _outcome_columns(theta: np.ndarray, cfg: DesignConfig) -> tuple[np.ndarray, ...]:
-    """(p_alt, p_null, p_inconclusive) over a float array, unchecked."""
-    se, z = cfg.se, cfg.z_crit
+def _outcome_columns(theta: np.ndarray, cfg: DesignConfig, delta=None) -> tuple[np.ndarray, ...]:
+    """(p_alt, p_null, p_inconclusive) over a float array, unchecked, at delta or cfg.delta."""
+    delta, se, z = cfg.delta if delta is None else delta, cfg.se, cfg.z_crit
     with np.errstate(all="ignore"):  # 1e308 / se -> inf and inf + -inf -> NaN are handled
-        a = (cfg.theta0 - cfg.delta - theta) / se
-        b = (cfg.theta0 + cfg.delta - theta) / se
-        p_alt = _normal.norm_cdf_array(a - z) + _normal.norm_cdf_array(-b - z)
-        not_alt = _cdf_diff(b + z, a - z)  # 1 - p_alt by tail symmetry
-        if cfg.delta <= cfg.estimate_half_width:  # nesting is impossible
+        a = (cfg.theta0 - delta - theta) / se
+        b = (cfg.theta0 + delta - theta) / se
+        below, above = _normal.norm_cdf_array(a - z), _normal.norm_cdf_array(-b - z)
+        p_alt = below + above
+        not_alt = _cdf_diff(b + z, a - z, (above, below))  # 1 - p_alt; -b - z is -(b + z)
+        if delta <= cfg.estimate_half_width:  # nesting is impossible
             return p_alt, np.zeros_like(p_alt), not_alt
         p_null = _cdf_diff(b - z, a + z)
         rest = not_alt - p_null
@@ -158,8 +164,8 @@ def outcome_probs_array(theta: np.ndarray, cfg: DesignConfig) -> tuple[np.ndarra
     return columns
 
 
-def _one_row(theta: float, cfg: DesignConfig) -> list[float]:
-    return [p.item() for p in _outcome_columns(np.array([theta], dtype=float), cfg)]
+def _one_row(theta: float, cfg: DesignConfig, delta=None) -> list[float]:
+    return [p.item() for p in _outcome_columns(np.array([theta], dtype=float), cfg, delta)]
 
 
 def prob_alt(theta: float, cfg: DesignConfig) -> float:

@@ -19,8 +19,9 @@ As n grows, fdr and fcr vanish for alternatives outside the null interval,
 while fdr_test can do no better than alpha / (alpha + r).
 
 The curve API is ``reliability_rates_array``; it runs the outcome kernel at
-theta0, over the grid and over the grid at delta = 0 (the z-test: power
-P(p_delta = 0), beta P(0 < p_delta < 1)). The scalar rates are one-row
+theta0, over the grid, and over the grid at delta = 0, the kernel's z-test
+edge (power P(p_delta = 0), beta P(0 < p_delta < 1)): 8 erfc passes a grid
+point with the nesting gate open, 6 closed. The scalar rates are one-row
 views: ``fdr_sgpv`` and ``fcr_sgpv`` 150-260 us a call,
 ``classical_power`` and ``classical_beta`` 30-50 us.
 """
@@ -28,11 +29,11 @@ views: ``fdr_sgpv`` and ``fcr_sgpv`` 150-260 us a call,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignConfig, _outcome_columns, prob_alt, prob_inconclusive
+from .design import DesignConfig, _one_row, _outcome_columns, prob_alt
 from .errors import DegenerateDesign, InvalidOdds, check_probability
 
 
@@ -54,7 +55,7 @@ def _rates(theta1: np.ndarray, cfg: DesignConfig, odds: PriorOdds) -> tuple:
     """The four rate columns, unchecked."""
     alt0, null0, _ = _outcome_columns(np.array([cfg.theta0]), cfg)
     alt1, null1, _ = _outcome_columns(theta1, cfg)
-    beta = _outcome_columns(theta1, _point_null(cfg))[2]
+    beta = _outcome_columns(theta1, cfg, 0.0)[2]  # the z-test's P(0 < p_delta < 1)
     with np.errstate(all="ignore"):
         fdr = 1.0 / (1.0 + alt1 / alt0 * odds.r)
         if cfg.delta <= cfg.estimate_half_width:  # no confirmations: undefined
@@ -118,17 +119,11 @@ def _test_rates(odds: PriorOdds, alpha: float, beta: np.ndarray) -> tuple[np.nda
         return fdr, 1.0 / (1.0 + (1.0 - alpha) / (beta * odds.r))
 
 
-def _point_null(cfg: DesignConfig) -> DesignConfig:
-    point = replace(cfg, delta=0.0)
-    vars(point)["z_crit"] = cfg.z_crit  # the same alpha gives the same z
-    return point
-
-
 def classical_power(theta1: float, cfg: DesignConfig) -> float:
     """Two-sided z-test power at theta1 under the same (n, V, alpha)."""
-    return prob_alt(theta1, _point_null(cfg))
+    return _one_row(theta1, cfg, 0.0)[0]
 
 
 def classical_beta(theta1: float, cfg: DesignConfig) -> float:
     """Type II rate of the two-sided z-test, evaluated tail-stably."""
-    return prob_inconclusive(theta1, _point_null(cfg))
+    return _one_row(theta1, cfg, 0.0)[2]

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CLASSES, NullSpec, _check_bounded, classify_codes, p_delta_array
+from .core import CLASSES, NullSpec, _check_bounded, _count, classify_codes, p_delta_array
 from .errors import (
     InvalidInterval,
     InvalidProbability,
@@ -276,10 +276,6 @@ def screen_intervals(ids, lo, hi, p_raw, has_p_raw, h0: NullSpec) -> ScreenRepor
     per_code = np.bincount(classify_codes(p_delta), minlength=len(CLASSES)).tolist()
     summary = ScreenSummary(len(p_delta), *per_code)  # alternative, null, inconclusive, flagged
     return ScreenReport(ids, p_delta, gap, p_raw, has_p_raw, summary)
-
-
-def _count(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask))  # a plain int, as JSON output expects
 
 
 def attach_adjustments(report: ScreenReport, alpha: float) -> ScreenReport:

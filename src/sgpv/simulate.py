@@ -25,11 +25,10 @@ from typing import Iterator
 import numpy as np
 
 from ._normal import norm_quantile_array
-from .core import p_delta_array
+from .core import _count, p_delta_array
 from .design import DesignConfig, OutcomeProbs
 from .errors import InvalidConfig
 from .reliability import PriorOdds
-from .screening import _count
 
 _MIN_UNIFORM = 2.0**-64  # keep the inverse transform finite at u == 0
 

@@ -705,6 +705,22 @@ class TestConfigurationErrors:
         assert (got_code, err) == (code, "" if line is None else f"sgpv: {line.format(**paths)}\n")
         assert (out == "") == (code != 0)
 
+    @pytest.mark.parametrize(
+        "command, text, name",
+        [("compute", "id,lo,hi,hi\na,0.1,0.2,5\n", "hi"),
+         ("compute", "estimate,SE, se\n1,0.1,0.2\n", "se"),
+         ("screen", "id,id,estimate,lo,hi\na,b,0,-1,1\n", "id"),
+         ("track", "t,lo,hi,Lo\n1,0,1,2\n", "lo")],
+        ids=["compute-hi", "compute-se-case-and-space", "screen-id", "track-lo"],
+    )
+    def test_a_column_named_twice_is_a_header_error(self, tmp_path, capsys, command, text,
+                                                    name):
+        """The last copy of the column does not silently win; the error names no line."""
+        src = tmp_path / "in.csv"
+        src.write_text(text)
+        got = run(capsys, command, str(src), "--null-point", "0", "--delta", "1")
+        assert got == (2, "", f"sgpv: input error: input needs one {name!r} column, got 2\n")
+
     def test_whole_float_config_integer_is_that_integer(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"seed": 7.0, "replicates": 500.0}))

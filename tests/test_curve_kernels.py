@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sgpv import _normal
 from sgpv._normal import norm_cdf, norm_cdf_array
 from sgpv.design import (
     DesignConfig,
@@ -237,6 +238,37 @@ class TestReliabilityKernel:
         # fdr_sgpv is undefined at this design, fcr_sgpv is not
         cfg = DesignConfig(0.0, 1.0, 1e6, 1.0)
         assert same(fcr_sgpv(0.5, cfg, PriorOdds(1.0)), oracles.fcr_sgpv(0.5, cfg, PriorOdds(1.0)))
+
+
+class TestNormalPasses:
+    """Each normal tail is evaluated once per point, and the z-test is the delta = 0
+    call of the one outcome kernel: the elements the kernels hand to norm_cdf_array."""
+
+    GRID = np.linspace(-3.0, 3.0, 101)
+
+    @staticmethod
+    def passes(monkeypatch, kernel, *args) -> int:
+        seen, cdf = [], _normal.norm_cdf_array
+        monkeypatch.setattr(_normal, "norm_cdf_array", lambda x: seen.append(np.size(x)) or cdf(x))
+        kernel(*args)
+        monkeypatch.undo()
+        return sum(seen)
+
+    @pytest.mark.parametrize("n, per_point", [(16.0, 5), (5.0, 3)],
+                             ids=["gate-open", "gate-closed"])
+    def test_outcome_kernel(self, monkeypatch, n, per_point):
+        cfg = DesignConfig(0.0, 0.5, n, 1.0)
+        assert self.passes(monkeypatch, outcome_probs_array, self.GRID, cfg) == (
+            per_point * self.GRID.size)
+
+    @pytest.mark.parametrize("n, per_point", [(16.0, 8), (5.0, 6)],
+                             ids=["gate-open", "gate-closed"])
+    def test_reliability_kernel(self, monkeypatch, n, per_point):
+        cfg, odds = DesignConfig(0.0, 0.5, n, 1.0), PriorOdds(1.0)
+        theta0_rows = self.passes(monkeypatch, reliability_rates_array, self.GRID[:0], cfg, odds)
+        assert theta0_rows <= 10  # the design's discovery mass at theta0, twice
+        assert self.passes(monkeypatch, reliability_rates_array, self.GRID, cfg, odds) == (
+            per_point * self.GRID.size + theta0_rows)
 
 
 # ------------------------------------------------------- Monte Carlo oracle
