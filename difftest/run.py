@@ -23,6 +23,9 @@ The cases:
 - variant: ``VARIANTS``, flag forms the golden cases leave out (``--log10``,
   ``--null-lo``/``--null-hi``, ``--welch``, ``--level``, ``--alpha``,
   ``--thetas``, ``--config``), over the golden inputs;
+- usage: ``USAGE``, the help of the tool and of each subcommand, and the
+  usage errors: no subcommand, an unknown subcommand or flag, a missing
+  input, a ``--format`` or ``--digits`` the option does not take;
 - fuzz: ``--fuzz`` inputs per subcommand that reads a file (compute,
   screen, track), drawn with a fixed seed: a header and up to 24 pieces
   drawn from ``RAW_HEADERS`` and ``RAW_PIECES`` in
@@ -130,6 +133,16 @@ VARIANTS = (
                                           "r": 0.5, "alpha": 0.1}),
 )
 
+# argv of the usage cases, {input} for the path of a compute input
+USAGE = (
+    "--help", "-h",
+    *(f"{command} --help" for command in (*TABLE_COMMANDS, "simulate")),
+    "", "frobnicate", "compute {input} --null-point 0 --delta 1 --bogus",
+    "compute --null-point 0 --delta 1",
+    "compute {input} --null-point 0 --delta 1 --format xml",
+    "compute {input} --null-point 0 --delta 1 --digits x",
+)
+
 
 class Run(NamedTuple):
     code: int
@@ -214,6 +227,13 @@ def bench_cases(work: Path) -> list[Case]:
     return cases
 
 
+def usage_cases(work: Path) -> list[Case]:
+    path = work / "usage.csv"
+    path.write_text("id,lo,hi\na,0.1,0.9\n", encoding="utf-8")
+    return [Case(f"usage {k}", tuple(a.format(input=path) for a in shlex.split(argv)), None)
+            for k, argv in enumerate(USAGE)]
+
+
 def fuzz_cases(work: Path, per_command: int) -> list[Case]:
     constants = module_constants(ROOT / "tests" / "test_cli_options.py")
     headers, pieces = constants["RAW_HEADERS"], constants["RAW_PIECES"]
@@ -293,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         work.mkdir()
         base_src = unpack_base(args.base, tmp / "base")
         cases = golden_cases(work) + variant_cases(work) + bench_cases(work)
-        cases += fuzz_cases(work, args.fuzz)
+        cases += usage_cases(work) + fuzz_cases(work, args.fuzz)
         listed = expect_cases(args.expect) if args.expect else []
         replaced = {(case.argv, case.stdin) for case in listed}
         cases = [case for case in cases if (case.argv, case.stdin) not in replaced] + listed

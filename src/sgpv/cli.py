@@ -29,28 +29,13 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import _table
-from .core import CLASSES, Classification, NullSpec, classify_codes, p_delta_array
-from .design import POWER_CURVE_COLUMNS, DesignConfig, outcome_probs_array
+from .core import CLASSES, FOLD_CHANGE_NULL, Classification, NullSpec, classify_codes, p_delta_array
 from .errors import InvalidConfig, SgpvError
-from .intervals import ExtendedInterval, invalid_intervals, z_endpoints, z_interval
-from .reliability import RELIABILITY_CURVE_COLUMNS, PriorOdds, reliability_rates_array
-from .screening import (
-    FOLD_CHANGE_NULL,
-    GroupSummary,
-    attach_adjustments,
-    cross_tab,
-    invalid_summaries,
-    log10_array,
-    log10_interval,
-    ranked_indices,
-    screen_intervals,
-    track_arrays,
-    two_sample_ci,
-    two_sample_ci_array,
-    unordered_times,
-    valid_p_values,
+from .intervals import (
+    ExtendedInterval, invalid_intervals, log10_array, log10_interval, z_endpoints, z_interval,
 )
-from .simulate import SimConfig, simulate_outcomes, simulate_reliability
+
+# design, reliability, screening and simulate are imported where used: a command loads what it runs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,7 +87,8 @@ def _resolve_null(resolved: dict, allow_fold_change_default: bool) -> NullSpec:
     raise InvalidConfig("an interval null is required: --null-point/--delta or --null-lo/--null-hi")
 
 
-def _resolve_design(resolved: dict) -> DesignConfig:
+def _resolve_design(resolved: dict):
+    from .design import DesignConfig
     values = []
     for name in ("theta0", "delta", "n", "variance"):
         if resolved[name] is None:
@@ -258,6 +244,7 @@ def _interval_rules(interval: Callable, lo: np.ndarray, hi: np.ndarray, log10_mo
 
 def _p_value_rule(p: np.ndarray, present=True) -> _Rule:
     """The rule that a p-value, where ``present``, lies in [0, 1]."""
+    from .screening import valid_p_values
     return (present & ~valid_p_values(p),
             lambda k: f"p-value must lie in [0, 1], got {p[k].item()!r}")
 
@@ -337,12 +324,14 @@ def _curve_columns(names: Sequence[str], grid: np.ndarray, values) -> list[_tabl
 
 
 def _cmd_design(resolved: dict) -> _Output:
+    from .design import POWER_CURVE_COLUMNS, outcome_probs_array
     cfg = _resolve_design(resolved)
     grid = _resolve_grid(resolved)
     return _Output(_curve_columns(POWER_CURVE_COLUMNS, grid, outcome_probs_array(grid, cfg)))
 
 
 def _cmd_reliability(resolved: dict) -> _Output:
+    from .reliability import RELIABILITY_CURVE_COLUMNS, PriorOdds, reliability_rates_array
     cfg = _resolve_design(resolved)
     if resolved["r"] is None:
         raise InvalidConfig("--r (prior odds) is required")
@@ -357,6 +346,7 @@ def _cmd_reliability(resolved: dict) -> _Output:
 
 def _screen_report(resolved: dict, null_spec: NullSpec):
     """The screen of the input, and whether its form gives every row a raw p-value."""
+    from .screening import screen_intervals
     table = _read_table(resolved["input"], ("id", "estimate", "lo", "hi", "p_value",
                                             "n1", "mean1", "sd1", "n2", "mean2", "sd2"))
     cols = table.cells
@@ -402,6 +392,7 @@ def _screen_intervals(table: _Table, log10_mode: bool, crosstab: bool):
 def _group(table: _Table, g: str):
     """Group ``g``'s n, mean and sd columns, its rules (cells, then the
     summary) and its per-row GroupSummary."""
+    from .screening import GroupSummary, invalid_summaries
     name = "n" + g
     (n, mean, sd), (n_rule, *rules) = _read_numbers(table, (name, "mean" + g, "sd" + g))
     cells = table.cells[name]
@@ -420,6 +411,7 @@ def _group_intervals(table: _Table, level: float, welch: bool):
     Within a line the first group's summary is checked before the second
     group is read.
     """
+    from .screening import two_sample_ci, two_sample_ci_array
     first, first_rules, first_summary = _group(table, "1")
     second, second_rules, second_summary = _group(table, "2")
     _, lo, hi, p_raw, _ = two_sample_ci_array(*first, *second, level, welch)
@@ -434,6 +426,7 @@ def _group_intervals(table: _Table, level: float, welch: bool):
 
 
 def _cmd_screen(resolved: dict) -> _Output:
+    from .screening import attach_adjustments, cross_tab, ranked_indices
     log10_mode, alpha, want_crosstab = resolved["log10"], resolved["alpha"], resolved["crosstab"]
     null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
 
@@ -473,6 +466,7 @@ def _cmd_screen(resolved: dict) -> _Output:
 
 
 def _cmd_track(resolved: dict) -> _Output:
+    from .screening import track_arrays, unordered_times
     null_spec = _resolve_null(resolved, allow_fold_change_default=False)
 
     table = _read_table(resolved["input"], ("t", "lo", "hi"))
@@ -500,6 +494,9 @@ def _cmd_track(resolved: dict) -> _Output:
 
 
 def _cmd_simulate(resolved: dict) -> dict:
+    from .design import POWER_CURVE_COLUMNS, outcome_probs_array
+    from .reliability import PriorOdds, reliability_rates_array
+    from .simulate import SimConfig, simulate_outcomes, simulate_reliability
     design = _resolve_design(resolved)
     theta = design.theta0 if resolved["theta"] is None else resolved["theta"]
     if resolved["replicates"] is None:

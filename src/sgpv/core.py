@@ -25,7 +25,6 @@ finite endpoints overflows, and p_delta is exact up to the largest double.
 
 from __future__ import annotations
 
-import decimal
 import enum
 import math
 from dataclasses import dataclass
@@ -80,6 +79,10 @@ class NullSpec:
         """Null interval [lo, hi]; delta is half the length."""
         ival = ExtendedInterval(lo, hi)
         return cls(ival, _half_length(ival))
+
+
+#: Default fold-change null on the log10 scale: fold changes inside (1/2, 2).
+FOLD_CHANGE_NULL = NullSpec.symmetric(0.0, math.log10(2.0))
 
 
 def _half_length(null: ExtendedInterval) -> float:
@@ -264,6 +267,7 @@ def max_p_over_null(estimate: float, se: float, h0: NullSpec) -> float:
 
 def round_half_away(x: float, digits: int = 4) -> float:
     """Round half away from zero; the display convention for p_delta. Keeps a non-finite x."""
+    import decimal  # imported on first use: no command rounds this way
     if not math.isfinite(x):
         return x
     exponent = decimal.Decimal(1).scaleb(-digits)

@@ -4,6 +4,7 @@ These carry both interval estimates and interval null hypotheses.
 Endpoints may be infinite (one-sided estimates such as ``[c, inf)``),
 NaN is rejected outright, and length / intersection follow measure
 conventions: a shared endpoint is a nonempty overlap of length zero.
+``log10_interval`` maps a positive-axis interval onto the log10 scale.
 """
 
 from __future__ import annotations
@@ -92,3 +93,17 @@ def z_endpoints(estimate, se, level: float):
     with np.errstate(invalid="ignore", over="ignore"):
         half = norm_quantile(0.5 * (1.0 + level)) * se
         return estimate - half, estimate + half
+
+
+def log10_array(values: np.ndarray) -> np.ndarray:
+    """log10_interval's map, unchecked: math.log10 per element (np.log10 can miss an ulp)."""
+    return np.fromiter(map(math.log10, values.tolist()), dtype=float, count=len(values))
+
+
+def log10_interval(interval: ExtendedInterval) -> ExtendedInterval:
+    """Map a positive-axis interval onto the log10 scale."""
+    if interval.lo <= 0:
+        raise InvalidInterval(
+            f"log10 rescaling needs strictly positive endpoints, got {interval}"
+        )
+    return ExtendedInterval(math.log10(interval.lo), math.log10(interval.hi))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignConfig, _one_row, _outcome_columns, prob_alt
+from .design import DesignConfig, _one_row, _outcome_columns
 from .errors import DegenerateDesign, InvalidOdds, check_probability
 
 
@@ -51,9 +51,13 @@ class PriorOdds:
 RELIABILITY_CURVE_COLUMNS = ("theta1", "fdr_sgpv", "fcr_sgpv", "fdr_test", "fnr_test")
 
 
-def _rates(theta1: np.ndarray, cfg: DesignConfig, odds: PriorOdds) -> tuple:
-    """The four rate columns, unchecked."""
-    alt0, null0, _ = _outcome_columns(np.array([cfg.theta0]), cfg)
+def _rates(theta1, cfg: DesignConfig, odds: PriorOdds, checked: bool = True) -> tuple:
+    """The four rate columns; ``checked`` raises DegenerateDesign first at a degenerate design."""
+    alt0, null0, _ = _outcome_columns(np.array([cfg.theta0], dtype=float), cfg)
+    if checked and alt0[0] <= 0.0:
+        raise DegenerateDesign("P(p_delta = 0 | theta0) underflowed to zero; the Bayes ratio "
+                               "is undefined at this design")
+    theta1 = np.asarray(theta1, dtype=float)
     alt1, null1, _ = _outcome_columns(theta1, cfg)
     beta = _outcome_columns(theta1, cfg, 0.0)[2]  # the z-test's P(0 < p_delta < 1)
     with np.errstate(all="ignore"):
@@ -71,12 +75,7 @@ def reliability_rates_array(theta1: np.ndarray, cfg: DesignConfig, odds: PriorOd
     fcr_sgpv is all None when the gate is closed. Raises DegenerateDesign
     when P(p_delta = 0 | theta0) underflows to zero.
     """
-    if prob_alt(cfg.theta0, cfg) <= 0.0:
-        raise DegenerateDesign(
-            "P(p_delta = 0 | theta0) underflowed to zero; the Bayes ratio "
-            "is undefined at this design"
-        )
-    return _rates(np.asarray(theta1, dtype=float), cfg, odds)
+    return _rates(theta1, cfg, odds)
 
 
 def fdr_sgpv(theta1: float, cfg: DesignConfig, odds: PriorOdds) -> float:
@@ -90,7 +89,7 @@ def fcr_sgpv(theta1: float, cfg: DesignConfig, odds: PriorOdds) -> float | None:
     None signals that the interval estimate is too wide to ever nest in
     the null interval, so confirmation events cannot occur.
     """
-    return _rates(np.array([theta1], dtype=float), cfg, odds)[1].item()
+    return _rates([theta1], cfg, odds, checked=False)[1].item()
 
 
 def fdr_test(odds: PriorOdds, alpha: float, beta: float) -> float:

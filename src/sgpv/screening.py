@@ -5,8 +5,9 @@ optionally with classical p-values) into second-generation p-values against
 a shared interval null (``screen_intervals``), rank the definitive findings
 by delta-gap (``ranked_indices``), and tabulate the verdicts against
 classical multiplicity adjustments (Bonferroni and Benjamini-Hochberg).
-Fold-change screens are handled on the log10 scale; the conventional "fold
-change beyond 2" null is [-log10(2), +log10(2)].
+Fold-change screens are handled on the log10 scale (``intervals.log10_array``);
+the conventional "fold change beyond 2" null is ``core.FOLD_CHANGE_NULL``,
+[-log10(2), +log10(2)].
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from .core import CLASSES, NullSpec, _check_bounded, _count, classify_codes, p_delta_array
 from .errors import (
-    InvalidInterval,
     InvalidProbability,
     InvalidSeries,
     InvalidSummary,
@@ -33,9 +33,6 @@ from .errors import (
     check_probability,
 )
 from .intervals import ExtendedInterval
-
-#: Default fold-change null on the log10 scale: fold changes inside (1/2, 2).
-FOLD_CHANGE_NULL = NullSpec.symmetric(0.0, math.log10(2.0))
 
 
 @dataclass(frozen=True)
@@ -408,17 +405,3 @@ def ranked_indices(report: ScreenReport) -> list[int]:
     gap = report.delta_gap[ranked]
     size = np.where((p == 0.0) & ~np.isnan(gap), np.abs(gap), 0.0)
     return ranked[np.lexsort((-size, p))].tolist()  # lexsort is stable
-
-
-def log10_array(values: np.ndarray) -> np.ndarray:
-    """log10_interval's map, unchecked: math.log10 per element (np.log10 can miss an ulp)."""
-    return np.fromiter(map(math.log10, values.tolist()), dtype=float, count=len(values))
-
-
-def log10_interval(interval: ExtendedInterval) -> ExtendedInterval:
-    """Map a positive-axis interval onto the log10 scale."""
-    if interval.lo <= 0:
-        raise InvalidInterval(
-            f"log10 rescaling needs strictly positive endpoints, got {interval}"
-        )
-    return ExtendedInterval(math.log10(interval.lo), math.log10(interval.hi))

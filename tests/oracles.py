@@ -52,12 +52,13 @@ error at the same first point.
 The CLI table oracle is the row-at-a-time pipeline: ``read_table`` keeps
 stripped fields per line, ``parse_compute_rows``,
 ``parse_interval_rows``, ``parse_group_rows`` and ``parse_track_rows``
-build one interval object per row and raise at the first bad line, and
-``write_csv``/``json_text`` format each cell by its Python type.
-``bh_qvalues`` and ``ranked_indices`` are the Python sort-and-scan
-versions of the screening adjustments. The columnar CLI and
-its numpy adjustments must give the same bytes, the same error lines and
-bitwise the same q-values and ranks.
+find their columns through ``header_columns`` (a column the command reads
+named twice is an error), build one interval object per row and raise at
+the first bad line, and ``write_csv``/``json_text`` format each cell by
+its Python type. ``bh_qvalues`` and ``ranked_indices`` are the Python
+sort-and-scan versions of the screening adjustments. The columnar CLI
+and its numpy adjustments must give the same bytes, the same error lines
+and bitwise the same q-values and ranks.
 """
 
 from __future__ import annotations
@@ -625,6 +626,20 @@ def read_table(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, numbered[1:]
 
 
+COMPUTE_NAMES = ("id", "lo", "hi", "estimate", "se")
+SCREEN_NAMES = ("id", "estimate", "lo", "hi", "p_value", "n1", "mean1", "sd1", "n2", "mean2", "sd2")
+TRACK_NAMES = ("t", "lo", "hi")
+
+
+def header_columns(header: list[str], names: Sequence[str]) -> dict[str, int]:
+    """The index of each of ``names`` that ``header`` holds; the first of
+    ``names`` it holds more than once raises."""
+    for name in names:
+        if header.count(name) > 1:
+            raise InputError(f"input needs one {name!r} column, got {header.count(name)}")
+    return {name: i for i, name in enumerate(header) if name in names}
+
+
 def _row_id(fields: list[str], idx: int, lineno: int) -> str:
     if idx >= len(fields):
         raise InputError(f"line {lineno}: missing value for 'id'")
@@ -650,7 +665,7 @@ def parse_compute_rows(
     header: list[str], rows, level: float, log10_mode: bool
 ) -> list[tuple[str, ExtendedInterval]]:
     """(id, interval) per row of a compute input; the first bad row raises."""
-    cols = {name: i for i, name in enumerate(header)}
+    cols = header_columns(header, COMPUTE_NAMES)
     if "lo" in cols and "hi" in cols:
         names, make_interval = ("lo", "hi"), ExtendedInterval
     elif "estimate" in cols and "se" in cols:
@@ -677,7 +692,7 @@ def parse_compute_rows(
 def parse_interval_rows(header: list[str], rows, log10_mode: bool) -> list[tuple]:
     """(id, estimate, interval, p-value or None) per row of an interval-form
     screen input; the first bad row raises."""
-    cols = {name: i for i, name in enumerate(header)}
+    cols = header_columns(header, SCREEN_NAMES)
     out = []
     for lineno, fields in rows:
         row_id = _row_id(fields, cols["id"], lineno)
@@ -719,7 +734,7 @@ def parse_group_rows(header: list[str], rows, level: float, welch: bool) -> list
     line the first group's summary is checked before the second group is
     read. The t-test is the scalar ``two_sample_ci`` above.
     """
-    cols = {name: i for i, name in enumerate(header)}
+    cols = header_columns(header, SCREEN_NAMES)
     groups = [[(cols[name + g], name + g) for name in ("n", "mean", "sd")] for g in "12"]
     out = []
     for lineno, fields in rows:
@@ -754,7 +769,7 @@ def parse_track_rows(header: list[str], rows) -> list[tuple[float, ExtendedInter
     or does not exceed the one before it, then an estimate covering the
     whole real line (the message ``second_gen_p`` raises for it).
     """
-    cols = {name: i for i, name in enumerate(header)}
+    cols = header_columns(header, TRACK_NAMES)
     out = []
     for lineno, fields in rows:
         t = _row_float(fields, cols["t"], "t", lineno)

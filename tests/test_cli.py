@@ -543,7 +543,7 @@ class TestSimulate:
         assert err.startswith("sgpv: configuration error: ")
 
     @pytest.mark.parametrize("n", ["16", "5"], ids=["gate-open", "gate-closed"])
-    def test_closed_forms_are_the_library_values_from_five_kernel_runs(self, capsys,
+    def test_closed_forms_are_the_library_values_from_four_kernel_runs(self, capsys,
                                                                        monkeypatch, n):
         runs, kernel = [], sgpv.design._outcome_columns
 
@@ -557,7 +557,7 @@ class TestSimulate:
                            "--variance", "1", "--theta", "0.25", "--replicates", "100",
                            "--theta1", "1", "--r", "2")
         monkeypatch.undo()
-        assert (code, len(runs)) == (0, 5)
+        assert (code, len(runs)) == (0, 4)  # theta, then theta0, theta1 and theta1 at delta 0
         payload, cfg, odds = json.loads(out), DesignConfig(0, 0.5, float(n), 1), PriorOdds(2.0)
         assert payload["closed_form"] == asdict(outcome_probs(0.25, cfg))
         block = payload["reliability"]

@@ -561,3 +561,37 @@ def test_track_error_line_matches_oracle(work_dir, seed, count, late_defect, def
     code, out, err = run_cli(work_dir, text, ["track", *NULL_FLAGS])
     assert (code, out) == (2, "")
     assert (code, err) == oracle_track_error(text)
+
+
+# A header that names a column twice: one the command reads (an error naming the first
+# such column in the command's order, before the input form is checked) or one it does not.
+DUPLICATE_HEADERS = {
+    "compute-hi": ("compute", "id,lo,hi,hi\na,0.1,0.2,5\n"),
+    "compute-order": ("compute", "id,hi, Hi,lo,LO\na,0.2,0.3,0.1,0\n"),
+    "compute-before-form": ("compute", "id,se,se\na,0.1,0.2\n"),
+    "compute-unread": ("compute", "id,lo,hi,note,note\na,0.1,0.2,x,y\n"),
+    "screen-p_value": ("screen", "id,estimate,lo,hi,p_value,p_value\na,0,-1,1,0.5,0.2\n"),
+    "screen-other-form": ("screen", "id,lo,hi,n1,n1\na,-1,1,3,4\n"),
+    "screen-unread": ("screen", "id,lo,hi,note,note\na,-1,1,x,y\n"),
+    "screen-groups": ("screen", "id,n1,mean1,sd1,n2,mean2,sd2,sd1\na,5,1,1,6,2,1.5,2\n"),
+    "screen-groups-unread": ("screen", "id,n1,mean1,sd1,n2,mean2,sd2,x,x\na,5,1,1,6,2,1.5,,\n"),
+    "track-t": ("track", "t,lo,hi,t\n1,0,1,2\n"),
+    "track-unread": ("track", "t,lo,hi,x,x\n1,0,1,,\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATE_HEADERS))
+def test_duplicated_header_matches_oracle(work_dir, case):
+    command, text = DUPLICATE_HEADERS[case]
+    got = run_cli(work_dir, text, [command, *NULL_FLAGS])
+    if command == "compute":
+        assert got == oracle_compute(text, H0)
+        return
+    if command == "track":
+        want = oracle_track_error(text)
+    elif "lo" in text.partition("\n")[0].split(","):
+        want = oracle_screen_error(text)
+    else:
+        want = oracle_group_error(text, welch=False)
+    assert (got[0], got[2]) == (want or (0, ""))
+    assert (got[1] == "") == (want is not None)

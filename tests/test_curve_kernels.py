@@ -261,12 +261,13 @@ class TestNormalPasses:
         assert self.passes(monkeypatch, outcome_probs_array, self.GRID, cfg) == (
             per_point * self.GRID.size)
 
-    @pytest.mark.parametrize("n, per_point", [(16.0, 8), (5.0, 6)],
+    @pytest.mark.parametrize("n, per_point, theta0_rows", [(16.0, 8, 5), (5.0, 6, 3)],
                              ids=["gate-open", "gate-closed"])
-    def test_reliability_kernel(self, monkeypatch, n, per_point):
+    def test_reliability_kernel(self, monkeypatch, n, per_point, theta0_rows):
         cfg, odds = DesignConfig(0.0, 0.5, n, 1.0), PriorOdds(1.0)
-        theta0_rows = self.passes(monkeypatch, reliability_rates_array, self.GRID[:0], cfg, odds)
-        assert theta0_rows <= 10  # the design's discovery mass at theta0, twice
+        # the outcome kernel's one row at theta0, which also gives the discovery mass
+        assert self.passes(monkeypatch, reliability_rates_array, self.GRID[:0], cfg, odds) == (
+            theta0_rows)
         assert self.passes(monkeypatch, reliability_rates_array, self.GRID, cfg, odds) == (
             per_point * self.GRID.size + theta0_rows)
 

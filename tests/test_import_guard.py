@@ -1,5 +1,7 @@
-"""scipy stays off the import path of every subcommand but two-group screening,
-and two-group screening loads only scipy's compiled t ufuncs.
+"""Each subcommand loads only the sgpv modules it runs, ``import sgpv`` loads
+only ``sgpv.errors``, scipy stays off the import path of every subcommand but
+two-group screening, and two-group screening loads only scipy's compiled t
+ufuncs.
 
 ``import scipy.special`` costs 0.23-0.30 s per CLI run (Python 3.11, scipy
 1.17, a shared 2-vCPU VM), most of it in its array-API layer, so a top-level
@@ -17,6 +19,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import sgpv
 
@@ -98,6 +102,28 @@ T_GRID = textwrap.dedent(
     """
 )
 
+# Runs the argv in argv[1] (JSON) and prints the sgpv modules the process holds.
+ONE_COMMAND = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import sgpv.cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sgpv.cli.main(json.loads(sys.argv[1])) == 0
+    print(" ".join(sorted(m for m in sys.modules if m.startswith("sgpv."))))
+    """
+)
+TABLE_MODULES = ("_normal", "_table", "cli", "core", "errors", "intervals")
+LOADED = {
+    "compute": TABLE_MODULES,
+    "track": (*TABLE_MODULES, "screening"),
+    "screen": (*TABLE_MODULES, "screening"),
+    "design": (*TABLE_MODULES, "design"),
+    "reliability": (*TABLE_MODULES, "design", "reliability"),
+    "simulate": (*TABLE_MODULES, "design", "reliability", "simulate"),
+}
+SUBMODULES = ("_normal", "core", "design", "intervals", "reliability", "screening", "simulate")
+
 FAST = ""
 # No file matches the extension suffixes, so the loader falls back.
 NO_EXTENSION = "import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES[:] = ['.absent']"
@@ -174,3 +200,45 @@ def test_scipy_special_and_stats_work_after_the_fast_path():
         """
     ))
     assert out.split()[0] == "24.0"
+
+
+@pytest.mark.parametrize("command", sorted(LOADED))
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command):
+    (tmp_path / "iv.csv").write_text("id,lo,hi\na,0.1,0.9\nb,-3,-2\n")
+    (tmp_path / "track.csv").write_text("t,lo,hi\n1,-0.1,0.1\n2,0.5,1.5\n")
+    null = ["--null-point", "0", "--delta", "0.5"]
+    design = ["--theta0", "0", "--delta", "0.3", "--n", "16", "--variance", "1"]
+    argv = {
+        "compute": ["compute", str(tmp_path / "iv.csv"), *null],
+        "track": ["track", str(tmp_path / "track.csv"), *null],
+        "screen": ["screen", str(tmp_path / "iv.csv"), *null],
+        "design": ["design", *design, "--thetas", "0,0.5"],
+        "reliability": ["reliability", *design, "--r", "1", "--thetas", "0.5"],
+        "simulate": ["simulate", *design, "--replicates", "20", "--theta1", "1", "--r", "1"],
+    }[command]
+    loaded = run(ONE_COMMAND, json.dumps(argv)).split()
+    assert loaded == sorted("sgpv." + name for name in LOADED[command])
+
+
+def test_import_sgpv_loads_only_errors_and_no_numpy():
+    out = run("import sys, sgpv; print(' '.join(sorted(m for m in sys.modules "
+              "if m.partition('.')[0] in ('sgpv', 'numpy'))))")
+    assert out.split() == ["sgpv", "sgpv.errors"]
+
+
+def test_names_and_modules_resolve_on_first_use():
+    run(textwrap.dedent(
+        f"""
+        import sys, sgpv
+        assert sgpv.screening.ranked_indices is sys.modules["sgpv.screening"].ranked_indices
+        assert set(dir(sgpv)) >= set(sgpv.__all__)
+        for name in {SUBMODULES!r}:
+            assert getattr(sgpv, name) is sys.modules["sgpv." + name], name
+        assert sgpv.std_normal_cdf is sgpv._normal.norm_cdf
+        assert sgpv.std_normal_quantile is sgpv._normal.norm_quantile
+        assert sorted(sgpv._HOME) == [name for name in sgpv.__all__ if name != "errors"]
+        for name in sgpv.__all__:
+            getattr(sgpv, name)
+        assert "sgpv.cli" not in sys.modules and "sgpv._table" not in sys.modules
+        """
+    ))
