@@ -41,8 +41,11 @@ The cases:
 The harness imports only the standard library. The test constants are read
 with ``ast`` from the test files, without importing them;
 ``perfbench/workloads.py`` is imported to write the benchmark inputs, and
-needs numpy, as sgpv does. The last line of the report is the summary;
-the exit status is 0 when every case is identical or expected, 1 otherwise.
+needs numpy, as sgpv does. Before the summary, the report gives the line
+count of each ``src/sgpv/*.py`` file that differs between the two trees
+(``core.py: 275 -> 266``, 0 where a tree lacks the file), then the total.
+The last line of the report is the summary; the exit status is 0 when
+every case is identical or expected, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -269,6 +272,11 @@ def unpack_base(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def line_counts(src: Path) -> dict[str, int]:
+    """Lines of each ``sgpv/*.py`` file under ``src``, as ``wc -l`` counts them."""
+    return {path.name: path.read_bytes().count(b"\n") for path in (src / "sgpv").glob("*.py")}
+
+
 def run_case(case: Case, src: Path, cwd: Path) -> Run:
     if case.out is not None and os.path.lexists(case.out):
         os.remove(case.out)
@@ -335,6 +343,11 @@ def main(argv: list[str] | None = None) -> int:
                 different += 1
                 print(f"DIFFERENT {case.name}: sgpv {shlex.join(case.argv)}\n    {verdict}",
                       flush=True)
+        base_lines, head_lines = line_counts(base_src), line_counts(ROOT / "src")
+        for name in sorted(base_lines.keys() | head_lines.keys()):
+            if base_lines.get(name, 0) != head_lines.get(name, 0):
+                print(f"{name}: {base_lines.get(name, 0)} -> {head_lines.get(name, 0)}")
+        print(f"src/sgpv: {sum(base_lines.values())} -> {sum(head_lines.values())} lines")
     elapsed = time.perf_counter() - started
     print(f"difftest against {args.base}: {len(cases)} cases, "
           f"{len(cases) - different - expected} identical, {expected} expected, "

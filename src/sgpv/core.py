@@ -31,15 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidInterval,
-    InvalidProportion,
-    InvalidScale,
-    UnboundedEstimate,
-)
+from ._normal import _SQRT2
+from .errors import InvalidInterval, UnboundedEstimate, check_proportion, check_standard_error
 from .intervals import ExtendedInterval
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class Classification(enum.Enum):
@@ -112,8 +106,7 @@ CLASSES = (*Classification, None)
 
 def classify(p_delta: float) -> Classification:
     """Map a proportion to its tri-state verdict (0, 1, or in between)."""
-    if math.isnan(p_delta) or not 0.0 <= p_delta <= 1.0:
-        raise InvalidProportion(f"p_delta must lie in [0, 1], got {p_delta!r}")
+    check_proportion("p_delta", p_delta)
     return CLASSES[classify_codes(p_delta)]
 
 
@@ -245,8 +238,7 @@ def delta_gap(i: ExtendedInterval, h0: NullSpec) -> float | None:
 
 def traditional_p(estimate: float, se: float, theta0: float) -> float:
     """Two-sided z-test p-value against the point null theta0."""
-    if not se > 0:
-        raise InvalidScale(f"standard error must be positive, got {se!r}")
+    check_standard_error(se)
     z = abs(estimate - theta0) / se
     return math.erfc(z / _SQRT2)  # == 2 * Phi(-z)
 
@@ -257,8 +249,7 @@ def max_p_over_null(estimate: float, se: float, h0: NullSpec) -> float:
     Equals 1 when the estimate falls inside the interval; otherwise the
     z-test p-value against the nearest edge.
     """
-    if not se > 0:
-        raise InvalidScale(f"standard error must be positive, got {se!r}")
+    check_standard_error(se)
     if h0.interval.contains(estimate):
         return 1.0
     d = max(h0.interval.lo - estimate, estimate - h0.interval.hi)

@@ -43,6 +43,7 @@ from .errors import (
     InvalidProportion,
     InvalidScale,
     check_probability,
+    check_proportion,
 )
 from .intervals import ExtendedInterval
 
@@ -114,9 +115,7 @@ class OutcomeProbs:
 
     def __post_init__(self) -> None:
         for name in ("p_alt", "p_null", "p_inconclusive"):
-            p = getattr(self, name)
-            if math.isnan(p) or not 0.0 <= p <= 1.0:
-                raise InvalidProportion(f"{name} must lie in [0, 1], got {p!r}")
+            check_proportion(name, getattr(self, name))
         total = self.p_alt + self.p_null + self.p_inconclusive
         if abs(total - 1.0) > _PARTITION_TOL:
             raise InvalidProportion(f"outcome probabilities sum to {total!r}, not 1")

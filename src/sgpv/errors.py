@@ -1,4 +1,4 @@
-"""Semantic exception types shared across the package, and the open-unit-interval check."""
+"""Semantic exception types shared across the package, and the range checks that raise them."""
 
 
 class SgpvError(Exception):
@@ -25,6 +25,18 @@ def check_probability(name: str, value: float) -> None:
     """Raise InvalidProbability unless ``value`` lies in the open interval (0, 1)."""
     if not 0.0 < value < 1.0:
         raise InvalidProbability(f"{name} must be in (0, 1), got {value!r}")
+
+
+def check_proportion(name: str, value: float) -> None:
+    """Raise InvalidProportion unless ``value`` lies in the closed interval [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise InvalidProportion(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def check_standard_error(se: float) -> None:
+    """Raise InvalidScale unless the standard error ``se`` is positive."""
+    if not se > 0:
+        raise InvalidScale(f"standard error must be positive, got {se!r}")
 
 
 class InvalidProportion(SgpvError, ValueError):

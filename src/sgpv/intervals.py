@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import norm_quantile
-from .errors import InvalidInterval, InvalidScale, TruncationEmpty, check_probability
+from .errors import InvalidInterval, TruncationEmpty, check_probability, check_standard_error
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ def truncate(i: ExtendedInterval, bounds: ExtendedInterval) -> ExtendedInterval:
 
 def z_interval(estimate: float, se: float, level: float = 0.95) -> ExtendedInterval:
     """Normal-theory interval estimate +/- z * se at the given confidence level."""
-    if not se > 0:
-        raise InvalidScale(f"standard error must be positive, got {se!r}")
+    check_standard_error(se)
     check_probability("confidence level", level)
     return ExtendedInterval(*z_endpoints(estimate, se, level))
 

@@ -98,23 +98,6 @@ class CrossTab:
     sgpv_zero_not_significant: int
     sgpv_positive_not_significant: int
 
-    @property
-    def total(self) -> int:
-        return (
-            self.sgpv_zero_significant
-            + self.sgpv_positive_significant
-            + self.sgpv_zero_not_significant
-            + self.sgpv_positive_not_significant
-        )
-
-    @property
-    def sgpv_zero_total(self) -> int:
-        return self.sgpv_zero_significant + self.sgpv_zero_not_significant
-
-    @property
-    def significant_total(self) -> int:
-        return self.sgpv_zero_significant + self.sgpv_positive_significant
-
 
 _SE_OVERFLOW = "the standard error of the difference under- or overflows"
 

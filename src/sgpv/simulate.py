@@ -19,6 +19,7 @@ Outcome runs consume lane 0 per replicate; reliability runs consume lane
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,6 +34,12 @@ from .reliability import PriorOdds
 _MIN_UNIFORM = 2.0**-64  # keep the inverse transform finite at u == 0
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise InvalidConfig unless ``value`` is an int or numpy integer (a float or bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation run: a design, a data-generating truth, size, seed."""
@@ -45,6 +52,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta):
             raise InvalidConfig(f"theta must be finite, got {self.theta!r}")
+        _check_integer("replicates", self.replicates)
+        _check_integer("seed", self.seed)
         if self.replicates < 1:
             raise InvalidConfig(f"replicates must be >= 1, got {self.replicates!r}")
         if not 0 <= self.seed < 2**64:
@@ -57,10 +66,6 @@ class SimResult:
 
     counts: tuple[int, int, int]  # (n_alt, n_null, n_inconclusive)
     empirical: OutcomeProbs
-
-    @classmethod
-    def from_counts(cls, counts: tuple[int, int, int], replicates: int) -> SimResult:
-        return cls(counts, OutcomeProbs(*(c / replicates for c in counts)))
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,7 @@ def _uniform_lanes(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _chunk_ranges(replicates: int, chunks: int) -> Iterator[tuple[int, int]]:
+    _check_integer("chunks", chunks)
     if chunks < 1:
         raise InvalidConfig(f"chunks must be >= 1, got {chunks!r}")
     size = -(-replicates // chunks)  # ceil
@@ -118,7 +124,7 @@ def simulate_outcomes(cfg: SimConfig, chunks: int = 1) -> SimResult:
         n_alt += _count(p == 0.0)
         n_null += _count(p == 1.0)
     counts = (n_alt, n_null, cfg.replicates - n_alt - n_null)
-    return SimResult.from_counts(counts, cfg.replicates)
+    return SimResult(counts, OutcomeProbs(*(c / cfg.replicates for c in counts)))
 
 
 def simulate_reliability(

@@ -171,13 +171,22 @@ class TestPDeltaArray:
         check_agreement(estimates, null)
 
     @PROPERTY
-    @given(st.lists(intervals(top=True), min_size=1, max_size=30), intervals(top=True))
-    @example([scaled((1e308, 1.7e308), -1023)], scaled((-1.7e308, -1e308), -1023))  # gap 5.71429
-    @example([(-1.5, 1.5), (-1.9, 1.0), (1.0, 1.9), (-1.5, INF)], (-0.5, 0.5))
-    def test_matches_scalar_rule_near_the_largest_double(self, estimates, null):
+    @given(st.lists(intervals(top=True), min_size=1, max_size=30), intervals(top=True),
+           st.none() | st.lists(st.booleans(), min_size=31, max_size=31))
+    @example([scaled((1e308, 1.7e308), -1023)], scaled((-1.7e308, -1e308), -1023), None)
+    @example([(-1.5, 1.5), (-1.9, 1.0), (1.0, 1.9), (-1.5, INF)], (-0.5, 0.5), None)
+    @example([(-1.5, 1.5), (-1.9, 1.0), (1.0, 1.9), (-1.5, INF), (5e-324, 1.0)], (0.0, 1.5),
+             [False, True, False, True, False, False] + [False] * 25)
+    @example([(-1.5, 1.5), (-5e-324, 5e-324), (0.5, INF), (1.9, INF)], (-1.5, 1.5),
+             [True, True, False, False, True] + [False] * 26)
+    def test_matches_scalar_rule_near_the_largest_double(self, estimates, null, flags):
         """The draws times 2**1023: any difference of endpoints, the gap
-        included, may overflow."""
-        check_agreement([scaled(e) for e in estimates], scaled(null))
+        included, may overflow. With ``flags``, only the null (flags[0])
+        and the rows (flags[1:]) flagged True are scaled, so a batch mixes
+        overflowing rows with ordinary ones, which keep their unscaled bits."""
+        flags = [True] * 31 if flags is None else flags
+        rows = [scaled(e) if flag else e for e, flag in zip(estimates, flags[1:])]
+        check_agreement(rows, scaled(null) if flags[0] else null)
 
     def test_one_sided_overlap_of_one_subnormal_step(self):
         # |I ∩ H0| is 2**-1074: halving it first rounds to 0, a wrong "no overlap"

@@ -1,7 +1,8 @@
 """Each interval, verdict and design rule has one owner; its callers agree with it.
 
 The array validity mask, the z endpoints, the verdict codes, the design's
-half-width and the null's half-length are each stated once in the library.
+half-width, the null's half-length and the standard-error and [0, 1]
+checks are each stated once in the library.
 These properties check every form against the scalar rule it replaces
 (``ExtendedInterval`` itself, or the restatement kept in ``oracles``), on
 floats that include NaN, infinities, equal endpoints and subnormals.
@@ -16,9 +17,17 @@ from hypothesis import strategies as st
 
 import oracles
 from sgpv import reliability
-from sgpv.core import CLASSES, NullSpec, classify, classify_codes, p_delta_array
-from sgpv.design import DesignConfig, prob_null
-from sgpv.errors import InvalidInterval, InvalidProportion, InvalidSummary
+from sgpv.core import (
+    CLASSES,
+    NullSpec,
+    classify,
+    classify_codes,
+    max_p_over_null,
+    p_delta_array,
+    traditional_p,
+)
+from sgpv.design import DesignConfig, OutcomeProbs, prob_null
+from sgpv.errors import InvalidInterval, InvalidProportion, InvalidScale, InvalidSummary
 from sgpv.intervals import ExtendedInterval, invalid_intervals, z_endpoints, z_interval
 from sgpv.reliability import PriorOdds
 from sgpv.screening import GroupSummary, invalid_summaries
@@ -106,6 +115,27 @@ def test_classify_is_its_range_check_then_the_codes(p):
         assert raised.value.args == exc.args
         return
     assert classify(p) is want is CLASSES[classify_codes(np.array([p]))[0]]
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_verdict_and_outcome_probabilities_share_the_closed_unit_check(p):
+    calls = {"p_delta": lambda: classify(p), "p_alt": lambda: OutcomeProbs(p, 0.5, 0.5),
+             "p_null": lambda: OutcomeProbs(0.5, p, 0.5),
+             "p_inconclusive": lambda: OutcomeProbs(0.5, 0.5, p)}
+    for name, call in calls.items():
+        with pytest.raises(InvalidProportion) as raised:
+            call()
+        assert raised.value.args == (f"{name} must lie in [0, 1], got {p!r}",)
+
+
+@pytest.mark.parametrize("se", [0, -0.0, -1, math.nan])
+def test_interval_and_z_tests_share_the_standard_error_check(se):
+    inside = NullSpec.symmetric(0.0, 0.5)  # max_p_over_null checks se before its early 1.0
+    for call in (lambda: z_interval(0.0, se), lambda: traditional_p(0.0, se, 1.0),
+                 lambda: max_p_over_null(0.0, se, inside)):
+        with pytest.raises(InvalidScale) as raised:
+            call()
+        assert raised.value.args == (f"standard error must be positive, got {se!r}",)
 
 
 designs = st.builds(

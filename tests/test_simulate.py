@@ -177,6 +177,28 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             simulate_outcomes(SimConfig(FIG5, 0.0, 10, 1), chunks=0)
 
+    @pytest.mark.parametrize("field", ["replicates", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 10.0, math.nan, "10", True])
+    def test_rejects_values_that_are_not_integers(self, field, value):
+        # Philox truncates a float key: seed 1.5 would silently run as seed 1
+        with pytest.raises(InvalidConfig) as raised:
+            SimConfig(FIG5, 0.0, **{"replicates": 10, "seed": 1, field: value})
+        assert raised.value.args == (f"{field} must be an integer, got {value!r}",)
+
+    @pytest.mark.parametrize("chunks", [1.5, 2.0, "2", True])
+    def test_rejects_chunks_that_are_not_integers(self, chunks):
+        cfg = SimConfig(FIG5, 0.0, 10, 1)
+        for run in (lambda: simulate_outcomes(cfg, chunks),
+                    lambda: simulate_reliability(cfg, PriorOdds(1.0), 1.0, chunks)):
+            with pytest.raises(InvalidConfig) as raised:
+                run()
+            assert raised.value.args == (f"chunks must be an integer, got {chunks!r}",)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = SimConfig(FIG5, 0.3, np.int64(2000), np.uint64(1))
+        want = simulate_outcomes(SimConfig(FIG5, 0.3, 2000, 1), chunks=3).counts
+        assert simulate_outcomes(cfg, chunks=np.int32(3)).counts == want
+
     @pytest.mark.parametrize("replicates", [10**20, 2**61])
     def test_replicates_beyond_one_array_raise_invalid_config(self, replicates):
         # numpy refuses both shapes before allocating anything
