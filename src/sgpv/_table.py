@@ -1,11 +1,12 @@
-"""The one serializer for tabular output, shared by the CLI and the library.
+"""The one serializer of the CLI's output; only ``cli`` imports it.
 
 A table is a sequence of typed columns of equal length. In CSV a float
 has ``digits`` significant digits (``nan`` and ``inf`` included), a code
 cell is its label (a bool is ``true``/``false``), an int or a text is
 itself, and a cell is empty where its column's ``empty`` mask says so or
 the column is blank. JSON is ``json.dumps({"rows": [{column: value, ...},
-...], **extra}, indent=2)``, with null for an empty cell. Both writers
+...], **extra}, indent=2)``, with null for an empty cell, and without
+``rows`` when the columns are None (simulate's document). Both writers
 stream ``BLOCK_ROWS`` rows at a time through one ``%`` row template per
 table; a ``%s`` field takes a column's cells rendered once per block, a
 ``%.Ng`` field the raw values of an unmasked float column in CSV.
@@ -129,8 +130,12 @@ def write_csv(fh: TextIO, columns: Sequence[Column], digits: int) -> None:
     fh.writelines(_blocks(columns, template + "\n", fmt, none))
 
 
-def write_json(fh: TextIO, columns: Sequence[Column], **extra: Any) -> None:
-    """Stream a table to ``fh`` as indented JSON; ``extra`` keys follow ``rows``."""
+def write_json(fh: TextIO, columns: Sequence[Column] | None, **extra: Any) -> None:
+    """Stream a table to ``fh`` as indented JSON; ``extra`` keys follow ``rows``,
+    which is left out when ``columns`` is None."""
+    if columns is None:
+        fh.write(json.dumps(extra, indent=2) + "\n")
+        return
     # Each row opens with the comma after the row before; the first row drops it.
     fields = ",\n".join(f'      {json.dumps(c.name).replace("%", "%%")}: %s' for c in columns)
     template = ",\n    {\n" + fields + "\n    }"

@@ -68,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------- helpers
 
 
-def _resolve_null(resolved: dict, allow_fold_change_default: bool) -> NullSpec:
+def _resolve_null(resolved: dict) -> NullSpec:
     point, delta, lo, hi = (resolved[k] for k in ("null_point", "delta", "null_lo", "null_hi"))
     point_form = point is not None or delta is not None
     range_form = lo is not None or hi is not None
@@ -82,7 +82,7 @@ def _resolve_null(resolved: dict, allow_fold_change_default: bool) -> NullSpec:
         if lo is None or hi is None:
             raise InvalidConfig("--null-lo and --null-hi must be given together")
         return NullSpec.from_interval(lo, hi)
-    if allow_fold_change_default:
+    if resolved.get("log10"):  # only compute and screen take --log10
         return FOLD_CHANGE_NULL
     raise InvalidConfig("an interval null is required: --null-point/--delta or --null-lo/--null-hi")
 
@@ -250,9 +250,9 @@ def _p_value_rule(p: np.ndarray, present=True) -> _Rule:
 
 
 class _Output(NamedTuple):
-    """A handler's table, the entries after its rows in JSON, and a CSV block for stdout."""
+    """A handler's table (or None), the entries after its rows in JSON, and a CSV stdout block."""
 
-    columns: Sequence[_table.Column]
+    columns: Sequence[_table.Column] | None
     extra: dict = {}
     trailer: str = ""
 
@@ -278,18 +278,17 @@ def _compute_intervals(path: str, level: float, log10_mode: bool):
     table = _read_table(path, ("id", "lo", "hi", "estimate", "se"))
     cols = table.cells
     if "lo" in cols and "hi" in cols:
-        names, make = ("lo", "hi"), ExtendedInterval
+        (lo, hi), rules = _read_numbers(table, ("lo", "hi"))
+        interval = _per_row(ExtendedInterval, lo, hi)
     elif "estimate" in cols and "se" in cols:
-        names, make = ("estimate", "se"), functools.partial(z_interval, level=level)
+        (estimate, se), rules = _read_numbers(table, ("estimate", "se"))
+        interval = _per_row(functools.partial(z_interval, level=level), estimate, se)
+        rules.append((~(se > 0.0), interval))
+        lo, hi = z_endpoints(estimate, se, level)  # z_interval's own arithmetic
     else:
         raise _InputError("input needs either lo,hi or estimate,se columns (id optional)")
-    (lo, hi), rules = _read_numbers(table, names)
     if "id" in cols:
         rules.insert(0, _id_rule(table))
-    interval = _per_row(make, lo, hi)
-    if make is not ExtendedInterval:  # hi holds se; z_interval's own arithmetic follows
-        rules.append((~(hi > 0.0), interval))
-        lo, hi = z_endpoints(lo, hi, level)
     _check(table, rules + _interval_rules(interval, lo, hi, log10_mode))
     if log10_mode:
         lo, hi = log10_array(lo), log10_array(hi)
@@ -298,10 +297,8 @@ def _compute_intervals(path: str, level: float, log10_mode: bool):
 
 
 def _cmd_compute(resolved: dict) -> _Output:
-    log10_mode = resolved["log10"]
-    null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
-
-    ids, lo, hi = _compute_intervals(resolved["input"], resolved["level"], log10_mode)
+    null_spec = _resolve_null(resolved)
+    ids, lo, hi = _compute_intervals(resolved["input"], resolved["level"], resolved["log10"])
     p_delta, corrected, gap = p_delta_array(lo, hi, null_spec)
     p_col, class_col, gap_col = _verdict_columns(p_delta, gap)
     corrected = np.where(np.isnan(p_delta), 2, corrected)  # code 2: an empty cell
@@ -344,29 +341,6 @@ def _cmd_reliability(resolved: dict) -> _Output:
 # ------------------------------------------------------------------ screen
 
 
-def _screen_report(resolved: dict, null_spec: NullSpec):
-    """The screen of the input, and whether its form gives every row a raw p-value."""
-    from .screening import screen_intervals
-    table = _read_table(resolved["input"], ("id", "estimate", "lo", "hi", "p_value",
-                                            "n1", "mean1", "sd1", "n2", "mean2", "sd2"))
-    cols = table.cells
-    interval_form = {"id", "lo", "hi"} <= set(cols)  # wins over the two-group columns
-    if not interval_form and not {"id", "n1", "mean1", "sd1", "n2", "mean2", "sd2"} <= set(cols):
-        raise _InputError("input needs id,estimate,lo,hi[,p_value] or "
-                          "id,n1,mean1,sd1,n2,mean2,sd2 columns")
-    if not interval_form:
-        if resolved["log10"]:
-            raise InvalidConfig("--log10 applies to interval inputs; two-group summaries are "
-                                "analyzed on the scale they are given")
-        lo, hi, p_raw = _group_intervals(table, resolved["level"], resolved["welch"])
-        has_p_raw = np.ones(len(p_raw), dtype=bool)
-    else:
-        lo, hi, p_raw, has_p_raw = _screen_intervals(table, resolved["log10"], resolved["crosstab"])
-    ids = list(map(str.strip, cols["id"]))
-    report = screen_intervals(ids, lo, hi, p_raw, has_p_raw, null_spec)
-    return report, not interval_form or ("p_value" in cols and bool(has_p_raw.all()))
-
-
 def _screen_intervals(table: _Table, log10_mode: bool, crosstab: bool):
     """lo, hi, p_raw and its presence mask of an id,[estimate,]lo,hi[,p_value] input;
     with a p_value column, --crosstab needs a p-value on every row."""
@@ -406,7 +380,7 @@ def _group(table: _Table, g: str):
 
 
 def _group_intervals(table: _Table, level: float, welch: bool):
-    """lo, hi and p_raw of a two-group input: one array t-test over every row.
+    """lo, hi, p_raw and has_p_raw (all True) of a two-group input: one array t-test.
 
     Within a line the first group's summary is checked before the second
     group is read.
@@ -422,15 +396,31 @@ def _group_intervals(table: _Table, level: float, welch: bool):
     rules = [_id_rule(table), *first_rules, *second_rules]
     rules += _interval_rules(t_test, lo, hi)  # lo, hi are NaN where two_sample_ci raises
     _check(table, [*rules, _p_value_rule(p_raw)])
-    return lo, hi, p_raw
+    return lo, hi, p_raw, np.ones(len(p_raw), dtype=bool)
 
 
 def _cmd_screen(resolved: dict) -> _Output:
-    from .screening import attach_adjustments, cross_tab, ranked_indices
+    from .screening import attach_adjustments, cross_tab, ranked_indices, screen_intervals
     log10_mode, alpha, want_crosstab = resolved["log10"], resolved["alpha"], resolved["crosstab"]
-    null_spec = _resolve_null(resolved, allow_fold_change_default=log10_mode)
+    null_spec = _resolve_null(resolved)
 
-    report, have_pvalues = _screen_report(resolved, null_spec)
+    table = _read_table(resolved["input"], ("id", "estimate", "lo", "hi", "p_value",
+                                            "n1", "mean1", "sd1", "n2", "mean2", "sd2"))
+    cols = table.cells
+    if {"id", "lo", "hi"} <= set(cols):  # wins over the two-group columns
+        lo, hi, p_raw, has_p_raw = _screen_intervals(table, log10_mode, want_crosstab)
+        have_pvalues = "p_value" in cols and bool(has_p_raw.all())
+    elif {"id", "n1", "mean1", "sd1", "n2", "mean2", "sd2"} <= set(cols):
+        if log10_mode:
+            raise InvalidConfig("--log10 applies to interval inputs; two-group summaries are "
+                                "analyzed on the scale they are given")
+        lo, hi, p_raw, has_p_raw = _group_intervals(table, resolved["level"], resolved["welch"])
+        have_pvalues = True
+    else:
+        raise _InputError("input needs id,estimate,lo,hi[,p_value] or "
+                          "id,n1,mean1,sd1,n2,mean2,sd2 columns")
+    report = screen_intervals(list(map(str.strip, cols["id"])), lo, hi, p_raw, has_p_raw,
+                              null_spec)
     if have_pvalues:
         report = attach_adjustments(report, alpha)
     if want_crosstab and not have_pvalues:
@@ -467,7 +457,7 @@ def _cmd_screen(resolved: dict) -> _Output:
 
 def _cmd_track(resolved: dict) -> _Output:
     from .screening import track_arrays, unordered_times
-    null_spec = _resolve_null(resolved, allow_fold_change_default=False)
+    null_spec = _resolve_null(resolved)
 
     table = _read_table(resolved["input"], ("t", "lo", "hi"))
     if not {"t", "lo", "hi"} <= set(table.cells):
@@ -493,7 +483,7 @@ def _cmd_track(resolved: dict) -> _Output:
 # ---------------------------------------------------------------- simulate
 
 
-def _cmd_simulate(resolved: dict) -> dict:
+def _cmd_simulate(resolved: dict) -> _Output:
     from .design import POWER_CURVE_COLUMNS, outcome_probs_array
     from .reliability import PriorOdds, reliability_rates_array
     from .simulate import SimConfig, simulate_outcomes, simulate_reliability
@@ -534,7 +524,7 @@ def _cmd_simulate(resolved: dict) -> dict:
             "n_discoveries": rel.n_discoveries,
             "n_confirmations": rel.n_confirmations,
         }
-    return payload
+    return _Output(None, payload)
 
 
 # ------------------------------------------------------ options and parser
@@ -702,15 +692,13 @@ def _stdout() -> TextIO:
                 errors=sys.stdout.errors, closefd=False)
 
 
-def _write(result: _Output | dict, resolved: dict, out: TextIO | None) -> None:
-    """Write a handler's result (a dict is a JSON document) to ``out``, or stdout when None."""
+def _write(result: _Output, resolved: dict, out: TextIO | None) -> None:
+    """Write a handler's result in its --format to ``out``, or stdout when None."""
     fh, name = (_stdout(), "stdout") if out is None else (out, resolved["out"])
     try:
         if out is not None and os.path.isfile(resolved["out"]):
             out.truncate(0)  # opened to append, so that a failed run leaves it as it was
-        if isinstance(result, dict):
-            fh.write(json.dumps(result, indent=2) + "\n")
-        elif resolved["format"] == "json":
+        if resolved["format"] == "json":
             _table.write_json(fh, result.columns, **result.extra)
         else:
             _table.write_csv(fh, result.columns, resolved["digits"])

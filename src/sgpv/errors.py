@@ -60,7 +60,8 @@ class InvalidSummary(SgpvError, ValueError):
 
 
 class InvalidSeries(SgpvError, ValueError):
-    """A time series is empty or its time points are not strictly increasing."""
+    """A time series is empty or its time points do not strictly increase, or the
+    columns of a series or a screen differ in length."""
 
 
 class MissingComparator(SgpvError):

@@ -250,6 +250,7 @@ def screen_intervals(ids, lo, hi, p_raw, has_p_raw, h0: NullSpec) -> ScreenRepor
     require. A row whose interval covers the whole real line is flagged
     (p_delta NaN) instead of failing the screen.
     """
+    _check_rows(ids=ids, lo=lo, hi=hi, p_raw=p_raw, has_p_raw=has_p_raw)
     p_delta, _, gap = p_delta_array(lo, hi, h0)
     p_raw = np.asarray(p_raw, dtype=float).reshape(p_delta.shape)
     has_p_raw = np.asarray(has_p_raw, dtype=bool).reshape(p_delta.shape)
@@ -357,6 +358,14 @@ def cross_tab(report: ScreenReport, alpha: float) -> CrossTab:
     )
 
 
+def _check_rows(**columns) -> None:
+    """Raise InvalidSeries unless every column holds one entry per row (a scalar is one)."""
+    lengths = {name: len(c) if np.iterable(c) else 1 for name, c in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise InvalidSeries("columns must have one entry per row, got "
+                            + ", ".join(f"{name} {n}" for name, n in lengths.items()))
+
+
 def unordered_times(t: np.ndarray) -> np.ndarray:
     """Where a time point is NaN or does not exceed the one before it."""
     return np.isnan(t) | np.append(False, ~(t[1:] > t[:-1]))
@@ -367,8 +376,10 @@ def track_arrays(t, lo, hi, h0: NullSpec) -> tuple[np.ndarray, np.ndarray]:
 
     ``t``, ``lo`` and ``hi`` are one entry per point. Returns p_delta and the
     classification codes (indices into ``core.CLASSES``). Raises InvalidSeries
-    for an empty series or a time point ``unordered_times`` marks, and
-    UnboundedEstimate for an estimate covering the whole real line."""
+    for columns of different lengths, an empty series or a time point
+    ``unordered_times`` marks, and UnboundedEstimate for an estimate covering
+    the whole real line."""
+    _check_rows(t=t, lo=lo, hi=hi)
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise InvalidSeries("series is empty")

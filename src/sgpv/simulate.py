@@ -58,6 +58,8 @@ class SimConfig:
             raise InvalidConfig(f"replicates must be >= 1, got {self.replicates!r}")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "replicates", int(self.replicates))  # so the counts are ints
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)

@@ -618,6 +618,10 @@ class TestConfigFile:
 DESIGN = ("--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1")
 
 
+NO_NULL = ("configuration error: an interval null is required: "
+           "--null-point/--delta or --null-lo/--null-hi")
+
+
 class TestConfigurationErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -685,11 +689,20 @@ class TestConfigurationErrors:
             (("design", *DESIGN, "--thetas", "0"), [1, 2], 3,
              "configuration error: config file {config} must hold a JSON object"),
             (("simulate", *DESIGN, "--replicates", "10"), {"seed": 7.0}, 0, None),
+            # the null flags are resolved before the input is read
+            (("compute", "{input}"), None, 3, NO_NULL),
+            (("screen", "{input}"), None, 3, NO_NULL),
+            (("track", "{input}"), None, 3, NO_NULL),
+            (("compute", "{input}", "--null-point", "0", "--delta", "1", "--null-lo", "0",
+              "--null-hi", "1"), None, 3,
+             "configuration error: give either --null-point/--delta or --null-lo/--null-hi, "
+             "not both"),
         ],
         ids=["null-point-alone", "null-lo-alone", "grid-and-thetas", "no-grid",
              "malformed-thetas", "empty-thetas", "reliability-no-r", "simulate-no-replicates",
              "theta1-no-r", "screen-columns", "track-columns", "config-not-object",
-             "config-whole-float-integer"],
+             "config-whole-float-integer", "compute-no-null", "screen-no-null", "track-no-null",
+             "both-null-forms"],
     )
     def test_resolution_errors(self, tmp_path, capsys, argv, file_cfg, code, line):
         """Each error of resolving options and input forms, with its exact line."""

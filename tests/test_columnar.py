@@ -260,6 +260,15 @@ def test_writers_match_row_oracle(table, digits, extra):
     assert_json_matches(columns, names, rows, **extra)
 
 
+@PROPERTY
+@given(EXTRA.filter(bool))
+def test_json_without_columns_is_extra_alone(extra):
+    """No columns: the document is ``extra`` as json.dumps lays it out (simulate's)."""
+    buf = io.StringIO()
+    _table.write_json(buf, None, **extra)
+    assert buf.getvalue() == json.dumps(extra, indent=2) + "\n"
+
+
 # ------------------------------------------------------------- q-values, ranks
 
 P_VALUES = st.lists(

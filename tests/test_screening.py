@@ -130,6 +130,18 @@ class TestBatchSgpv:
         report = screen([(interval.lo, interval.hi)], FOLD_CHANGE_NULL, ids=["gene6345"])
         assert report.p_delta[0] == 0.0
 
+    @pytest.mark.parametrize(
+        "ids, lo, hi, p_raw, lengths",
+        [(["a", "b"], [1, 2], [3], [0.1, 0.2], "ids 2, lo 2, hi 1, p_raw 2"),
+         (["a"], [1, 2], [2, 3], [0.1, 0.2], "ids 1, lo 2, hi 2, p_raw 2"),
+         (["a", "b"], [1, 2], [2, 3], [0.1], "ids 2, lo 2, hi 2, p_raw 1")],
+        ids=["short-hi", "short-ids", "short-p-raw"],
+    )
+    def test_columns_of_different_lengths_raise(self, ids, lo, hi, p_raw, lengths):
+        """A short column is neither broadcast nor read past its end."""
+        with pytest.raises(InvalidSeries, match=f"got {lengths}, has_p_raw 2$"):
+            screen_intervals(ids, lo, hi, p_raw, [True, True], NullSpec.symmetric(0, 0.5))
+
     def test_unbounded_row_is_flagged_not_fatal(self):
         report = screen([(0.0, 1.0), (-math.inf, math.inf)], NullSpec.symmetric(0.0, 0.5))
         assert report.flagged.tolist() == [False, True]
@@ -348,6 +360,16 @@ class TestPointwiseTrack:
             track([(1.0, 0, 1), (1.0, 0, 1)], SURVIVAL_NULL)
         with pytest.raises(InvalidSeries):
             track([], SURVIVAL_NULL)
+
+    @pytest.mark.parametrize(
+        "t, lo, hi, lengths",
+        [([1.0, 2.0], [1, 2, 3], [2, 3, 4], "t 2, lo 3, hi 3"),
+         ([1.0, 2.0], [1.0], [2.0, 3.0], "t 2, lo 1, hi 2")],
+        ids=["long-bounds", "short-lo"],
+    )
+    def test_columns_of_different_lengths_raise(self, t, lo, hi, lengths):
+        with pytest.raises(InvalidSeries, match=f"one entry per row, got {lengths}$"):
+            track_arrays(t, lo, hi, SURVIVAL_NULL)
 
     def test_whole_line_point_raises(self):
         with pytest.raises(UnboundedEstimate, match="truncate"):

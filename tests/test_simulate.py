@@ -197,7 +197,11 @@ class TestValidation:
     def test_numpy_integers_are_integers(self):
         cfg = SimConfig(FIG5, 0.3, np.int64(2000), np.uint64(1))
         want = simulate_outcomes(SimConfig(FIG5, 0.3, 2000, 1), chunks=3).counts
-        assert simulate_outcomes(cfg, chunks=np.int32(3)).counts == want
+        got = simulate_outcomes(cfg, chunks=np.int32(3)).counts
+        assert got == want
+        assert [type(c) for c in got] == [int, int, int]
+        assert json.loads(json.dumps(got)) == list(want)
+        assert type(cfg.replicates) is int and type(cfg.seed) is int
 
     @pytest.mark.parametrize("replicates", [10**20, 2**61])
     def test_replicates_beyond_one_array_raise_invalid_config(self, replicates):
