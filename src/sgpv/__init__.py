@@ -60,58 +60,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "CrossTab",
-    "DesignConfig",
-    "ExtendedInterval",
-    "FOLD_CHANGE_NULL",
-    "GroupSummary",
-    "NullSpec",
-    "OutcomeProbs",
-    "PriorOdds",
-    "ReliabilitySimResult",
-    "ScreenReport",
-    "ScreenSummary",
-    "SgpvResult",
-    "SimConfig",
-    "SimResult",
-    "attach_adjustments",
-    "bh_qvalues",
-    "bonferroni_flags",
-    "classical_beta",
-    "classical_power",
-    "classify",
-    "correction_trigger_power",
-    "cross_tab",
-    "delta_gap",
-    "errors",
-    "fcr_sgpv",
-    "fdr_sgpv",
-    "fdr_test",
-    "fnr_test",
-    "intersect",
-    "length",
-    "log10_interval",
-    "max_p_over_null",
-    "outcome_probs",
-    "outcome_probs_array",
-    "prob_alt",
-    "prob_inconclusive",
-    "prob_null",
-    "ranked_indices",
-    "reliability_rates_array",
-    "required_interval_ratio",
-    "round_half_away",
-    "screen_intervals",
-    "second_gen_p",
-    "simulate_outcomes",
-    "simulate_reliability",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "track_arrays",
-    "traditional_p",
-    "truncate",
-    "two_sample_ci",
-    "z_interval",
-]
+__all__ = sorted([*_HOME, "errors"])

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from itertools import compress
+from itertools import compress, repeat
 from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -135,24 +135,75 @@ def _resolve_grid(resolved: dict) -> np.ndarray:
     return np.array(values)
 
 
+class _Numbers:
+    """A number column of a plain table: its floats, and row k's field text when asked."""
+
+    def __init__(self, values: np.ndarray, lines: list[str], index: int):
+        self.values, self._lines, self._index = values, lines, index
+
+    def __getitem__(self, k: int) -> str:
+        return self._lines[k].split(",")[self._index]
+
+
 class _Table(NamedTuple):
     """The data rows of an input CSV by column, fields as read, blank rows dropped."""
 
-    cells: dict[str, list[str | None]]  # by stripped, lower-cased header; None past a row's end
-    lines: list[int]  # the 1-based record number of each row
+    cells: dict  # by stripped, lower-cased header: fields (None past a row's end) or _Numbers
+    lines: Sequence[int]  # the 1-based record number of each row
 
 
 def _read_table(path: str, names: Sequence[str]) -> _Table:
-    """The columns ``names`` that the header of the CSV at ``path`` ('-': stdin) holds once."""
+    """The columns ``names`` that the header of the UTF-8 CSV at ``path`` ('-': stdin) holds once.
+
+    ``_plain_table`` reads the text with str.split and one np.loadtxt call for the number
+    columns (all names but id). It declines, and ``_csv_table`` (csv.reader, float()) reads it,
+    on non-ASCII text, a '"', an ASCII control character but newline and tab, a line over the
+    csv field limit, no data row, a column named twice, no number column, a row whose field
+    count is not the header's, or a cell loadtxt refuses (so a blank row).
+    """
     try:
         if path == "-":
-            text = sys.stdin.read()
+            stdin = getattr(sys.stdin, "buffer", None)  # a text stand-in may have none
+            text = sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
         else:
             with open(path, encoding="utf-8", newline="") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))  # U+FEFF: byte-order mark
+    text = text.removeprefix("\ufeff")  # U+FEFF: byte-order mark
+    return _plain_table(text, names) or _csv_table(text, names, path)
+
+
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"  # printable ASCII but '"'
+
+
+def _plain_table(text: str, names: Sequence[str]) -> _Table | None:
+    """The table ``_csv_table`` reads from ``text``, or None where this path cannot promise it."""
+    if not text.isascii() or text.encode().translate(None, _PLAIN):  # isascii() is O(1)
+        return None
+    lines = text.removesuffix("\n").split("\n")  # the final newline ends the last row
+    header, body = [name.strip().lower() for name in lines[0].split(",")], lines[1:]
+    numbers = [i for i, name in enumerate(header) if name in names and name != "id"]
+    if (not numbers or "" in body  # loadtxt skips an empty line
+            or max(map(len, lines)) > csv.field_size_limit()
+            or any(header.count(name) > 1 for name in names)
+            or set(map(str.count, body, repeat(","))) != {len(header) - 1}):  # set() if no row
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=",", usecols=numbers, dtype=float, ndmin=2,
+                            comments=None, quotechar=None)
+    except ValueError:  # a cell loadtxt refuses
+        return None
+    cells = {header[i]: _Numbers(col, body, i) for i, col in zip(numbers, values.T.copy())}
+    if "id" in names and "id" in header:
+        i = header.index("id")
+        cells["id"] = [line.split(",", i + 1)[i] for line in body]
+    return _Table(cells, range(2, len(body) + 2))
+
+
+def _csv_table(text: str, names: Sequence[str], path: str) -> _Table:
+    """The table ``csv.reader`` reads from ``text``, the input at ``path``."""
+    reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
     except csv.Error as exc:
@@ -179,8 +230,8 @@ def _column(table: _Table, name: str) -> tuple[np.ndarray, np.ndarray]:
     A missing cell, or a cell that is not a number, gives NaN and False.
     """
     cells, count = table.cells[name], len(table.lines)
-    with contextlib.suppress(TypeError, ValueError):  # float(None), float("abc")
-        return np.fromiter(map(float, cells), dtype=float, count=count), np.ones(count, bool)
+    if isinstance(cells, _Numbers):  # the plain path's: every cell is a number
+        return cells.values, np.ones(count, bool)
     values, readable = np.full(count, np.nan), np.zeros(count, dtype=bool)
     for k, cell in enumerate(cells):
         try:
@@ -350,7 +401,9 @@ def _screen_intervals(table: _Table, log10_mode: bool, crosstab: bool):
     p_raw, has_p_raw = np.full(len(lo), np.nan), np.zeros(len(lo), dtype=bool)
     if "p_value" in cols:  # a missing or blank p_value cell is no p-value
         p_raw, readable = _column(table, "p_value")
-        has_p_raw = np.array([c is not None and c.strip() != "" for c in cols["p_value"]], bool)
+        has_p_raw = readable.copy()  # a number is neither missing nor blank
+        for k in np.flatnonzero(~readable):
+            has_p_raw[k] = cols["p_value"][k] is not None and cols["p_value"][k].strip() != ""
         rules.append((has_p_raw & ~readable, lambda k: "bad value for 'p_value'"))
     rules += _interval_rules(_per_row(ExtendedInterval, lo, hi), lo, hi, log10_mode)
     rules = [_id_rule(table), *rules, _p_value_rule(p_raw, has_p_raw)]

@@ -1051,6 +1051,38 @@ class TestUnreadableInput:
         assert out == ""
         assert err.startswith("sgpv: input error: ")
 
+    # stdin as the process gets it: under the C locale Python decodes it with surrogateescape,
+    # under PYTHONIOENCODING=latin-1 as Latin-1; either way the bytes are not UTF-8 CSV
+    @pytest.mark.parametrize("env", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "latin-1"}],
+                             ids=["c-locale", "latin-1"])
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+    def test_stdin_not_utf8_exit_2(self, tmp_path, env, out):
+        argv = [sys.executable, "-m", "sgpv.cli", "compute", "-", "--null-point", "0",
+                "--delta", "0.5"] + (["--out", str(tmp_path / "o.csv")] if out else [])
+        base = {k: v for k, v in os.environ.items() if k not in ("LC_ALL", "PYTHONIOENCODING")}
+        base["PYTHONPATH"] = str(Path(sgpv.__file__).resolve().parents[1])
+        done = subprocess.run(argv, input=b"id,lo,hi\n\xe9,1,2\n", capture_output=True,
+                              env={**base, **env}, timeout=120)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == (b"sgpv: input error: cannot read -: 'utf-8' codec can't decode "
+                               b"byte 0xe9 in position 9: invalid continuation byte\n")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_stdin_is_read_as_a_file_is(self, tmp_path):
+        data = "id,lo,hi\r\n\"\u00e9\r\nx\",1,2\r\n".encode()
+        src = tmp_path / "in.csv"
+        src.write_bytes(data)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(LC_ALL="C", PYTHONPATH=str(Path(sgpv.__file__).resolve().parents[1]))
+        runs = [subprocess.run([sys.executable, "-m", "sgpv.cli", "compute", path, "--null-point",
+                                "0", "--delta", "0.5", "--format", "json"], input=data,
+                               capture_output=True, env=env, timeout=120)
+                for path in (str(src), "-")]
+        assert runs[0].returncode == 0
+        assert json.loads(runs[0].stdout)["rows"][0]["id"] == "\u00e9\r\nx"
+        assert (runs[1].returncode, runs[1].stdout, runs[1].stderr) == (
+            runs[0].returncode, runs[0].stdout, runs[0].stderr)
+
     def test_config_not_utf8_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_bytes(b'{"alpha": "\xff"}')

@@ -219,10 +219,13 @@ def test_simulate_takes_only_its_options(capsys, flags, message):
     assert captured.err == f"sgpv: configuration error: {message}\n"
 
 
-# Raw input bytes: encodings, NUL, carriage returns, quotes and fields over the csv module's limit.
+# Raw input bytes: encodings, NUL, carriage returns, quotes, fields over the csv module's limit,
+# and cells float() and np.loadtxt read differently (a file separator, underscores, an Arabic
+# digit) or that loadtxt could take for a comment or a separator (#, tab).
 RAW_PIECES = [b"\xff", b"\xfe\xff", b"\xef\xbb\xbf", b"\xc3\xa9", b"\x00", b"\r", b"\r\n", b"\n",
               b",", b'"', b" ", b"1", b"-2.5", b"0.3", b"nan", b"inf", b"1e400", b"abc",
-              b"1" * 140_000, b'"' + b"x" * 140_000 + b'"']
+              b"1" * 140_000, b'"' + b"x" * 140_000 + b'"',
+              b"\x1c", b"1_0", b"#", b"\t", "\u0661".encode()]
 RAW_HEADERS = [
     ("compute", b"id,lo,hi"), ("compute", b"estimate,se"), ("screen", b"id,estimate,lo,hi,p_value"),
     ("screen", b"id,n1,mean1,sd1,n2,mean2,sd2"), ("track", b"t,lo,hi"), ("compute", b""),

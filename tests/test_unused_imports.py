@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses.
 
 A name counts as used when the module reads it anywhere (annotations
-included) or lists it in ``__all__``; an import line marked
+included) or names it in a string constant of ``__all__``'s value (a list, or
+an expression such as ``sorted([*_HOME, "errors"])``); an import line marked
 ``# noqa: F401`` is a deliberate re-export and is skipped.
 """
 
@@ -31,7 +32,8 @@ def _unused_imports(source: str) -> list[tuple[int, str]]:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            used.update(n.value for n in ast.walk(node.value)
+                        if isinstance(n, ast.Constant) and isinstance(n.value, str))
     return [(line, name) for line, name in imported if name not in used]
 
 
@@ -54,3 +56,9 @@ def test_finds_an_unused_import():
         "x: dumps = 1\n"
     )
     assert _unused_imports(source) == [(1, "itemgetter"), (2, "os")]
+    built = (  # a built __all__: only its own string constants count
+        "from json import dumps, loads\n"
+        "_HOME = {'dumps': 'json'}\n"
+        "__all__ = sorted([*_HOME, 'loads'])\n"
+    )
+    assert _unused_imports(built) == [(1, "dumps")]
