@@ -31,9 +31,10 @@ The cases:
   drawn from ``RAW_HEADERS`` and ``RAW_PIECES`` in
   ``tests/test_cli_options.py``, written with ``--out``;
 - expect: with ``--expect FILE``, the intended differences of the working
-  tree, a JSON list of objects with ``argv``, optional ``stdin`` text, the
-  new ``stdout`` (``code`` 0 and empty ``stderr`` unless given) and a
-  free-text ``why`` that the harness does not read. Such a case is
+  tree, a JSON list of objects with ``argv``, optional ``stdin`` text, an
+  optional ``closed`` list of the streams (``stdin``, ``stderr``) that the
+  child starts without, the new ``stdout`` (``code`` 0 and empty ``stderr``
+  unless given) and a free-text ``why`` that the harness does not read. Such a case is
   expected when its working-tree run gives exactly that output and the
   base run differs from it. An entry with the argv and stdin of one of the
   cases above stands in for that case.
@@ -160,6 +161,7 @@ class Case(NamedTuple):
     out: str | None  # the --out path the case writes, if any
     stdin: bytes | None = None  # None: read from /dev/null
     want: Run | None = None  # the working tree's output, for an intended difference
+    closed: tuple[int, ...] = ()  # descriptors the child starts without
 
 
 def module_constants(path: Path) -> dict:
@@ -259,7 +261,8 @@ def expect_cases(path: Path) -> list[Case]:
     return [Case(f"expect {k}", tuple(e["argv"]), None,
                  e["stdin"].encode("utf-8") if "stdin" in e else None,
                  Run(e.get("code", 0), e["stdout"].encode("utf-8"),
-                     e.get("stderr", "").encode("utf-8"), None))
+                     e.get("stderr", "").encode("utf-8"), None),
+                 tuple({"stdin": 0, "stderr": 2}[name] for name in e.get("closed", ())))
             for k, e in enumerate(entries)]
 
 
@@ -283,7 +286,9 @@ def run_case(case: Case, src: Path, cwd: Path) -> Run:
     env = dict(os.environ, PYTHONPATH=str(src))
     stdin = {"stdin": subprocess.DEVNULL} if case.stdin is None else {"input": case.stdin}
     proc = subprocess.run([sys.executable, "-m", "sgpv.cli", *case.argv], cwd=cwd, env=env,
-                          **stdin, capture_output=True, timeout=CHILD_TIMEOUT_S, check=False)
+                          **stdin, capture_output=True, timeout=CHILD_TIMEOUT_S, check=False,
+                          preexec_fn=(lambda: [os.close(fd) for fd in case.closed])
+                          if case.closed else None)
     out = None
     if case.out is not None and os.path.isfile(case.out):
         out = Path(case.out).read_bytes()

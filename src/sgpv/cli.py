@@ -4,14 +4,24 @@ Subcommands: compute, design, reliability, screen, track, simulate.
 Exit codes: 0 on success; 2 for an input error (_InputError), which names
 its line unless it concerns the file or its header; 3 for a configuration
 or write error: any SgpvError (the CLI raises errors.InvalidConfig) or a
-MemoryError. Every option is declared once, in OPTIONS: a flag wins over
-the same key in a JSON config file (--config), which wins over the default,
-and both are checked by the option's kind. An input's byte-order mark is dropped.
+MemoryError; 130 on an interrupt. A failed run removes the --out it created.
+run() and python -m sgpv.cli turn the cyclic garbage collector off and freeze
+what is live before exit, which leaves the teardown collections nothing to
+walk; main() and an import leave the collector alone. Every option is
+declared once, in OPTIONS: a flag wins over the same key in a JSON config
+file (--config), which wins over the default, and both are checked by the
+option's kind. An input's byte-order mark is dropped.
 Floats in CSV output are rounded to --digits significant digits; JSON
 output keeps full precision.
 """
 
 from __future__ import annotations
+
+import gc
+import sys
+
+if __name__ == "__main__":  # python -m sgpv.cli: collect nothing while the modules load
+    gc.disable()
 
 import argparse
 import contextlib
@@ -21,7 +31,6 @@ import io
 import json
 import math
 import os
-import sys
 from dataclasses import asdict
 from itertools import compress, repeat
 from typing import Callable, NamedTuple, Sequence, TextIO
@@ -40,6 +49,7 @@ from .intervals import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
+EXIT_INTERRUPT = 130
 
 # cell labels of the code columns
 CLASS_LABELS = tuple(c and c.value for c in CLASSES)
@@ -163,6 +173,8 @@ def _read_table(path: str, names: Sequence[str]) -> _Table:
     """
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started with stdin closed
+                raise _InputError("cannot read -: stdin is closed")
             stdin = getattr(sys.stdin, "buffer", None)  # a text stand-in may have none
             text = sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
         else:
@@ -785,6 +797,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out, created = _open_out(resolved["out"])
         with out or contextlib.nullcontext():
             _write(args.handler(resolved), resolved, out)
+        created = False  # written: the file stays
         return EXIT_OK
     except _InputError as exc:
         code, error = EXIT_INPUT, f"input error: {exc}"
@@ -792,11 +805,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, error = EXIT_CONFIG, f"configuration error: {exc}"
     except MemoryError as exc:
         code, error = EXIT_CONFIG, f"configuration error: the request does not fit in memory: {exc}"
-    if created:  # a failed run leaves --out as it found it
-        os.remove(resolved["out"])
-    print(f"sgpv: {error}", file=sys.stderr)
+    except KeyboardInterrupt:
+        code, error = EXIT_INTERRUPT, "interrupted"
+    finally:
+        if created:  # a failed run, whatever ended it, leaves --out as it found it
+            os.remove(resolved["out"])
+    if sys.stderr is not None:  # print(file=None) would write the line to stdout
+        try:
+            print(f"sgpv: {error}", file=sys.stderr)
+        except OSError:  # stderr takes no writes: drop the line, and the stream, whose
+            sys.stderr = None  # failed flush at exit would turn the exit code into 120
     return code
 
 
+def run() -> None:
+    """The command-line entry: main() with no cyclic collection, its objects frozen for exit."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

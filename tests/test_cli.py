@@ -46,6 +46,20 @@ def parse_csv(text):
     return [dict(zip(header, r)) for r in rows[1:] if r]
 
 
+def cli_env():
+    """The environment of a ``python -m sgpv.cli`` child: this checkout's package, buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(sgpv.__file__).resolve().parents[1])
+    return env
+
+
+def shell(script, *argv, cwd):
+    """Run ``python -m sgpv.cli *argv`` as "$@" of a bash ``script``: (code, stdout, stderr)."""
+    done = subprocess.run(["bash", "-c", script, "bash", sys.executable, "-m", "sgpv.cli", *argv],
+                          capture_output=True, env=cli_env(), cwd=cwd, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
 class TestCompute:
     def test_table_fixture(self, tmp_path, capsys):
         src = tmp_path / "t1.csv"
@@ -910,8 +924,7 @@ def test_write_failure_exit_3(tmp_path):
     """A reader that leaves early or a closed stdout ends the run with one error line."""
     src = tmp_path / "big.csv"
     src.write_text("id,lo,hi\n" + "".join(f"r{k},{k},{k + 1}\n" for k in range(40000)))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(sgpv.__file__).resolve().parents[1])
+    env = cli_env()
     cli = [sys.executable, "-m", "sgpv.cli"]
     proc = subprocess.Popen(
         [*cli, "compute", str(src), "--null-point", "0", "--delta", "1"],
@@ -1167,3 +1180,177 @@ def test_extreme_group_summaries_exit_2(tmp_path, capsys, row, welch):
     code, out, err = run(capsys, "screen", str(src), "--null-point", "0", "--delta", "1", *flags)
     assert code == 2
     assert err.startswith("sgpv: input error: line 2: ")
+
+
+# Runs main(argv[3:]) in a fresh process with argv[1]'s attribute argv[2] replaced by a
+# function that raises KeyboardInterrupt: an interrupt where that function is called.
+INTERRUPTED = """
+import importlib, sys
+from sgpv import cli
+
+def interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+setattr(importlib.import_module(sys.argv[1]), sys.argv[2], interrupt)
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+class TestHostileProcess:
+    """The exit contract when the process starts with a stream closed, is interrupted or
+    cannot write: exit 2, 3 or 130 with one error line wherever stderr can take it, no
+    traceback, and a --out file that the run created is gone."""
+
+    NULL = ("--null-point", "0", "--delta", "1")
+    DESIGN = ("--theta0", "0", "--delta", "1", "--n", "10", "--variance", "1")
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+    def test_stdin_closed_exit_2(self, tmp_path, out):
+        argv = ["compute", "-", *self.NULL] + (["--out", "o.csv"] if out else [])
+        assert shell('exec "$@" <&-', *argv, cwd=tmp_path) == (
+            2, b"", b"sgpv: input error: cannot read -: stdin is closed\n")
+        assert not (tmp_path / "o.csv").exists()
+
+    # closed: Python sets sys.stderr to None; read-only: writing to it raises OSError
+    @pytest.mark.parametrize("redirect", ["2>&-", "2<bad.csv"], ids=["closed", "read-only"])
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "existing-out"])
+    def test_stderr_unwritable_keeps_the_exit_code(self, tmp_path, redirect, out):
+        (tmp_path / "bad.csv").write_text("id,lo,hi\na,x,2\n")
+        (tmp_path / "o.csv").write_bytes(b"keep\n")
+        argv = ["compute", "bad.csv", *self.NULL] + (["--out", "o.csv"] if out else [])
+        assert shell(f'exec "$@" {redirect}', *argv, cwd=tmp_path) == (2, b"", b"")
+        assert (tmp_path / "o.csv").read_bytes() == b"keep\n"
+
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [("sgpv.cli", "_read_table", ["compute", "in.csv", *NULL, "--out", "o.csv"]),
+         ("sgpv.simulate", "simulate_outcomes",
+          ["simulate", *DESIGN, "--replicates", "10", "--out", "o.csv"])],
+        ids=["compute", "simulate"],
+    )
+    def test_interrupt_exit_130(self, tmp_path, module, name, argv):
+        (tmp_path / "in.csv").write_text("id,lo,hi\na,1,2\n")
+        done = subprocess.run([sys.executable, "-c", INTERRUPTED, module, name, *argv],
+                              capture_output=True, env=cli_env(), cwd=tmp_path, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (130, b"", b"sgpv: interrupted\n")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_any_escaping_exception_removes_the_created_out(self, tmp_path, monkeypatch):
+        def fault(*args):
+            raise RuntimeError("a fault in the program")
+
+        monkeypatch.setattr(sgpv.cli, "_read_table", fault)
+        existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+        existing.write_bytes(b"keep\n")
+        for out in (existing, new):
+            with pytest.raises(RuntimeError, match="a fault in the program"):
+                main(["compute", "in.csv", *self.NULL, "--out", str(out)])
+        assert existing.read_bytes() == b"keep\n"
+        assert not new.exists()
+
+    # these held before the three cases above were mended; they pin the rest of the contract
+    @pytest.mark.parametrize(
+        "script, argv, want",
+        [('"$@" | head -c 20; exit "${PIPESTATUS[0]}"', ["design", *DESIGN, "--grid", "0:1:100000"],
+          (3, b"theta,p_alt,p_null,p",
+           b"sgpv: configuration error: cannot write stdout: [Errno 32] Broken pipe\n")),
+         ('exec "$@" >/dev/full', ["design", *DESIGN, "--thetas", "0"],
+          (3, b"", b"sgpv: configuration error: cannot write stdout: "
+                   b"[Errno 28] No space left on device\n")),
+         ('exec "$@"', ["compute", ".", *NULL],
+          (2, b"", b"sgpv: input error: cannot read .: [Errno 21] Is a directory: '.'\n")),
+         ('exec "$@"', ["design", *DESIGN, "--thetas", "0", "--config", "."],
+          (3, b"", b"sgpv: configuration error: cannot read config file .: "
+                   b"[Errno 21] Is a directory: '.'\n"))],
+        ids=["closed-pipe", "dev-full", "directory-input", "directory-config"],
+    )
+    def test_held_cases(self, tmp_path, script, argv, want):
+        if "/dev/full" in script and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        assert shell(script, *argv, cwd=tmp_path) == want
+
+
+# Prints, as JSON, whether the collector is on and how many objects are frozen: after
+# `import sgpv.cli`, then after an in-process main() on each argv of the JSON list argv[1];
+# and each main()'s exit code, stdout and stderr.
+COLLECTOR_STATE = """
+import contextlib, gc, io, json, sys
+import sgpv.cli
+
+def state():
+    return [gc.isenabled(), gc.get_freeze_count()]
+
+states, runs = [state()], []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = sgpv.cli.main(argv)
+    states.append(state())
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"states": states, "runs": runs}))
+"""
+
+# The console entry, sgpv.cli.run(), on argv[1:]; at exit it reports the collector's state
+# to stderr.
+ENTRY = """
+import atexit, gc, sys
+from sgpv import cli
+
+atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["sgpv", *sys.argv[1:]]
+cli.run()
+"""
+
+
+class TestCollectorPolicy:
+    """A command-line run turns the cyclic collector off and freezes before exit; an import
+    or an in-process main() leaves it on and unfrozen. Each case runs in fresh processes,
+    since the collector's state is per process."""
+
+    DESIGN = ["--theta0", "0", "--delta", "0.3", "--n", "16", "--variance", "1"]
+    NULL = ["--null-point", "0", "--delta", "0.5"]
+    RUNS = {
+        "compute": ["compute", "iv.csv", *NULL],
+        "design": ["design", *DESIGN, "--thetas", "0,0.5"],
+        "reliability": ["reliability", *DESIGN, "--r", "1", "--thetas", "0.5"],
+        "screen": ["screen", "groups.csv", *NULL, "--crosstab"],
+        "track": ["track", "track.csv", *NULL],
+        "simulate": ["simulate", *DESIGN, "--replicates", "20", "--theta1", "1", "--r", "1"],
+        "input-error": ["compute", "groups.csv", *NULL],
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("collector")
+        (tmp / "iv.csv").write_text("id,lo,hi\na,0.1,0.9\nb,-3,-2\n")
+        (tmp / "groups.csv").write_text("id,n1,mean1,sd1,n2,mean2,sd2\na,5,1,1,6,2,1.5\n")
+        (tmp / "track.csv").write_text("t,lo,hi\n1,-0.1,0.1\n2,0.5,1.5\n")
+        return tmp
+
+    @pytest.fixture(scope="class")
+    def in_process(self, inputs):
+        """The collector's states, and main()'s exit code, stdout and stderr for each run."""
+        done = subprocess.run([sys.executable, "-c", COLLECTOR_STATE,
+                               json.dumps(list(self.RUNS.values()))],
+                              capture_output=True, env=cli_env(), cwd=inputs, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        return report["states"], dict(zip(self.RUNS, report["runs"]))
+
+    def test_import_and_main_leave_the_collector_alone(self, in_process):
+        states, _ = in_process
+        assert states == [[True, 0]] * (len(self.RUNS) + 1)
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_entries_write_what_main_writes(self, inputs, in_process, command):
+        code, stdout, stderr = in_process[1][command]
+        assert (code, stderr == "") == ((2, False) if command == "input-error" else (0, True))
+        argv = self.RUNS[command]
+        module = subprocess.run([sys.executable, "-m", "sgpv.cli", *argv],
+                                capture_output=True, env=cli_env(), cwd=inputs, timeout=120)
+        entry = subprocess.run([sys.executable, "-c", ENTRY, *argv],
+                               capture_output=True, env=cli_env(), cwd=inputs, timeout=120)
+        assert (module.returncode, module.stdout.decode(), module.stderr.decode()) == (
+            code, stdout, stderr)
+        assert (entry.returncode, entry.stdout.decode(), entry.stderr.decode()) == (
+            code, stdout, stderr + "False True\n")  # at exit: collector off, objects frozen
