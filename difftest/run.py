@@ -34,10 +34,13 @@ The cases:
   tree, a JSON list of objects with ``argv``, optional ``stdin`` text, an
   optional ``closed`` list of the streams (``stdin``, ``stderr``) that the
   child starts without, the new ``stdout`` (``code`` 0 and empty ``stderr``
-  unless given) and a free-text ``why`` that the harness does not read. Such a case is
-  expected when its working-tree run gives exactly that output and the
-  base run differs from it. An entry with the argv and stdin of one of the
-  cases above stands in for that case.
+  unless given) and a free-text ``why`` that the harness does not read. An
+  entry that writes a file names it with ``--out`` in its argv or with an
+  ``out`` key (relative to the work directory); the file is removed before
+  each run and compared, and ``out_text`` gives its new text (without it,
+  the file must be absent). Such a case is expected when its working-tree
+  run gives exactly that output and the base run differs from it. An entry
+  with the argv and stdin of one of the cases above stands in for that case.
 
 The harness imports only the standard library. The test constants are read
 with ``ast`` from the test files, without importing them;
@@ -256,14 +259,19 @@ def fuzz_cases(work: Path, per_command: int) -> list[Case]:
     return cases
 
 
-def expect_cases(path: Path) -> list[Case]:
+def expect_cases(path: Path, work: Path) -> list[Case]:
     entries = json.loads(path.read_text(encoding="utf-8"))
-    return [Case(f"expect {k}", tuple(e["argv"]), None,
-                 e["stdin"].encode("utf-8") if "stdin" in e else None,
-                 Run(e.get("code", 0), e["stdout"].encode("utf-8"),
-                     e.get("stderr", "").encode("utf-8"), None),
-                 tuple({"stdin": 0, "stderr": 2}[name] for name in e.get("closed", ())))
-            for k, e in enumerate(entries)]
+    cases = []
+    for k, e in enumerate(entries):
+        argv = e["argv"]
+        out = e.get("out", argv[argv.index("--out") + 1] if "--out" in argv else None)
+        written = e["out_text"].encode("utf-8") if "out_text" in e else None
+        cases.append(Case(f"expect {k}", tuple(argv), None if out is None else str(work / out),
+                          e["stdin"].encode("utf-8") if "stdin" in e else None,
+                          Run(e.get("code", 0), e["stdout"].encode("utf-8"),
+                              e.get("stderr", "").encode("utf-8"), written),
+                          tuple({"stdin": 0, "stderr": 2}[name] for name in e.get("closed", ()))))
+    return cases
 
 
 def unpack_base(rev: str, dest: Path) -> Path:
@@ -327,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         base_src = unpack_base(args.base, tmp / "base")
         cases = golden_cases(work) + variant_cases(work) + bench_cases(work)
         cases += usage_cases(work) + fuzz_cases(work, args.fuzz)
-        listed = expect_cases(args.expect) if args.expect else []
+        listed = expect_cases(args.expect, work) if args.expect else []
         replaced = {(case.argv, case.stdin) for case in listed}
         cases = [case for case in cases if (case.argv, case.stdin) not in replaced] + listed
         started, different, expected = time.perf_counter(), 0, 0

@@ -9,12 +9,16 @@ the column is blank. JSON is ``json.dumps({"rows": [{column: value, ...},
 ``rows`` when the columns are None (simulate's document). Both writers
 stream ``BLOCK_ROWS`` rows at a time through one ``%`` row template per
 table; a ``%s`` field takes a column's cells rendered once per block, a
-``%.Ng`` field the raw values of an unmasked float column in CSV.
+``%.Ng`` field the raw values of an unmasked float column in CSV. A CSV
+table of float and blank columns only, at up to ``_BYTE_DIGITS`` digits,
+takes the byte path instead: each block is built as one uint8 array by a
+vectorized ``%.Ng``, byte-identical to the template's text.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import re
@@ -33,6 +37,12 @@ _QUOTABLE = re.compile(r'[,"\r\n]')
 
 #: Labels of a bool code column: codes 0 and 1, and 2 for an empty cell.
 BOOL_LABELS = (False, True, None)
+
+#: The largest ``digits`` p of the byte path. Its y = |x| * 10**(p-1-e) is off
+#: by a few units of 2**-53 of itself, under 10**p * 2**-51, so only a cell within
+#: 10**p * 2**-46 of a half-integer can round the wrong way, and it goes to
+#: ``%``; that window is 0.014 at p = 12 and would pass 1/2 at p = 14.
+_BYTE_DIGITS = 12
 
 
 class Column(NamedTuple):
@@ -110,11 +120,96 @@ def _cells(column: Column, rows: slice, fmt: str | None, none: str):
     return cells
 
 
+@functools.cache
+def _shapes(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The byte path's tables at ``p`` digits: the skeleton of each text shape,
+    by sign, then fixed exponent in [-4, p) or exponent form at e in [-324, 308],
+    then kept digits; and 10**k per k in [-308, 335] as two factors, so that a
+    subnormal's does not overflow. A cell's slots are sign | ``0.000`` |
+    d0 s0 d1 s1 ... d(p-1) | ``e``, sign, 3 digits; a skeleton holds 0xFF in the
+    unused ones and "0" in each digit slot, to OR a digit into."""
+    def body(shown: int, point: int) -> str:  # digits and the point after digit ``point``
+        return "".join(("0" if i < shown else "~") + ("." if i == point else "~")
+                       for i in range(p))[:-1]
+    shapes = [("0." + "0" * (-1 - x)).ljust(5, "~") + body(kept, -1) + "~" * 5 if x < 0
+              else "~" * 5 + body(max(kept, x + 1), x if kept > x + 1 else -1) + "~" * 5
+              for x in range(-4, p) for kept in range(1, p + 1)]
+    shapes += ["~" * 5 + body(kept, 0 if kept > 1 else -1) + "e\x00000" for kept in range(1, p + 1)]
+    text = "".join(sign + shape for sign in "~-" for shape in shapes).encode()
+    skeletons = np.frombuffer(text.translate(bytes.maketrans(b"~", b"\xff")), np.uint8)
+    skeletons = skeletons.reshape(2, len(shapes), -1)
+    e = np.arange(-324, 309)[:, None]
+    exponent = skeletons[:, None, (p + 4) * p:].repeat(633, axis=1)  # sign, e, kept, slots
+    exponent[..., -4:] |= np.stack([np.where(e < 0, ord("-"), ord("+")),
+                                    np.where(abs(e) < 100, 0xFF, abs(e) // 100),
+                                    abs(e) // 10 % 10, abs(e) % 10], axis=-1).astype(np.uint8)
+    table = np.concatenate([skeletons[:, :(p + 4) * p], exponent.reshape(2, 633 * p, -1)], axis=1)
+    k = np.arange(-308, 336)  # numpy's 10.0**k is within an ulp
+    scale = np.stack([np.where(k > 300, 1e300, 1.0), 10.0 ** np.where(k > 300, k - 300, k)], axis=1)
+    return table.reshape(-1, table.shape[2]), scale
+
+
+def _float_bytes(x: np.ndarray, p: int, fmt: str, out: np.ndarray) -> None:
+    """Write each double's ``fmt`` text (``%.{p}g``) into its row of ``out``, a
+    ``(len(x), 2p + 10)`` uint8 array; unused slots hold 0xFF."""
+    shapes, scale = _shapes(p)
+    finite = np.isfinite(x)
+    plain = finite & (x != 0)
+    a = np.where(plain, np.abs(x), 1.0)
+    # floor(log10(a)) is one too big only just below a power of ten, where y
+    # rounds to 10**(p-1): the text the carry below gives for the true e.
+    e = np.floor(np.log10(a)).astype(np.intp)
+    f = np.take(scale, p - 1 - e + 308, axis=0)
+    y = a * f[:, 0] * f[:, 1]  # a * 10**(p-1-e), in [10**(p-1), 10**p) but for the above
+    near_tie = np.abs(y - np.floor(y) - 0.5) < 10.0**p * 2.0**-46
+    m = np.rint(y).astype(np.uint32 if p <= 9 else np.uint64) * plain  # 0 for a zero
+    carry = m == 10**p
+    m[carry] = 10 ** (p - 1)
+    e += carry
+    digits = np.empty((p, len(x)), np.uint8)
+    kept, seen = np.ones(len(x), np.intp), np.zeros(len(x), bool)
+    for i in range(p - 1, -1, -1):
+        kept += seen  # a digit after i is nonzero, so digit i is kept
+        q = m // 10
+        digits[i] = m - q * 10
+        seen |= digits[i] != 0
+        m = q
+    shape = np.where((e >= -4) & (e < p), e + 4, p + 4 + 324 + e) * p + kept - 1
+    cells = np.take(shapes, shape + np.signbit(x) * (p + 4 + 633) * p, axis=0)
+    for i in range(p):
+        cells[:, 6 + 2 * i] |= digits[i]
+    slow = np.flatnonzero(near_tie | ~finite)  # a near tie, nan or inf: its own %
+    for k, v in zip(slow.tolist(), x[slow].tolist()):
+        cells[k] = np.frombuffer((fmt % v).encode().ljust(cells.shape[1], b"\xff"), np.uint8)
+    out[...] = cells
+
+
 def _blocks(columns: Sequence[Column], template: str, fmt: str | None, none: str):
     """The table's rows through ``template``, one string per block of rows."""
     for start in range(0, _length(columns), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         yield "".join(map(template.__mod__, zip(*(_cells(c, rows, fmt, none) for c in columns))))
+
+
+def _byte_blocks(columns: Sequence[Column], p: int, fmt: str, none: str):
+    """The rows of a float and blank table, one string per block: a ``(rows,
+    columns, 2p + 11)`` uint8 array of cells and their comma or newline, less its
+    0xFF bytes, which are never UTF-8."""
+    length = _length(columns)
+    for start in range(0, length, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        block = np.empty((min(BLOCK_ROWS, length - start), len(columns), 2 * p + 11), np.uint8)
+        block[:, :, -1] = ord(",")
+        block[:, -1, -1] = ord("\n")
+        for c, column in enumerate(columns):
+            cells = block[:, c, :-1]
+            if column.values is not None:
+                _float_bytes(column.values[rows], p, fmt, cells)
+            if column.values is None or column.empty is not None:
+                empty = slice(None) if column.values is None else column.empty[rows]
+                cells[empty] = 0xFF
+                cells[empty, :len(none)] = np.frombuffer(none.encode(), np.uint8)
+        yield block.tobytes().translate(None, b"\xff").decode("ascii")
 
 
 def write_csv(fh: TextIO, columns: Sequence[Column], digits: int) -> None:
@@ -125,6 +220,9 @@ def write_csv(fh: TextIO, columns: Sequence[Column], digits: int) -> None:
     # '%.Ng' % x is the text of format(x, '.Ng') for every double.
     fmt = f"%.{min(digits, 800)}g"
     none = '""' if len(columns) == 1 else ""  # csv.writer quotes a lone empty field
+    if 0 <= digits <= _BYTE_DIGITS and all(c.kind in ("float", "blank") for c in columns):
+        fh.writelines(_byte_blocks(columns, max(digits, 1), fmt, none))
+        return
     # An unmasked float column's raw values fill its field (see _cells); text fills the rest.
     template = ",".join(fmt if c.kind == "float" and c.empty is None else "%s" for c in columns)
     fh.writelines(_blocks(columns, template + "\n", fmt, none))

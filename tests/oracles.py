@@ -55,7 +55,8 @@ stripped fields per line, ``parse_compute_rows``,
 find their columns through ``header_columns`` (a column the command reads
 named twice is an error), build one interval object per row and raise at
 the first bad line, and ``write_csv``/``json_text`` format each cell by
-its Python type. ``bh_qvalues`` and ``ranked_indices`` are the Python
+its Python type; ``float_rows_text`` formats rows of doubles one
+``'%.*g'`` per cell. ``bh_qvalues`` and ``ranked_indices`` are the Python
 sort-and-scan versions of the screening adjustments. The columnar CLI
 and its numpy adjustments must give the same bytes, the same error lines
 and bitwise the same q-values and ranks.
@@ -606,6 +607,15 @@ def csv_text(columns: Sequence[str], rows, digits: int = 6) -> str:
 def json_text(columns: Sequence[str], rows, **extra) -> str:
     payload = {"rows": [dict(zip(columns, row)) for row in rows], **extra}
     return json.dumps(payload, indent=2, default=attrgetter("value")) + "\n"
+
+
+def float_rows_text(rows, digits: int) -> str:
+    """Rows of doubles as CSV lines, each cell ``'%.*g' % (digits, v)`` and
+    None an empty cell (``""`` when it is a row's only cell): the reference for
+    the byte path of ``_table.write_csv``."""
+    def cell(v, alone: bool) -> str:
+        return '""' if v is None and alone else "" if v is None else "%.*g" % (digits, v)
+    return "".join(",".join(cell(v, len(row) == 1) for v in row) + "\n" for row in rows)
 
 
 def read_table(text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:

@@ -3,11 +3,14 @@
 Each case runs ``sgpv.cli.main`` on a 2-4 row input and compares stdout
 with the text the command printed when the case was recorded. The cases
 cover CSV and JSON, ids that need quoting or escaping, an unbounded
-row, one-sided rows, an undefined FCR, ``--digits 3``/``17``, the
-``screen --crosstab`` CSV block and a seeded ``simulate``. The design and reliability curves are also
-pinned at the limits theta = +-inf and +-1e308, at delta = 0, and (by
-digest) on a 2001-point grid whose prior odds 1e-300 reach subnormal
-rates; the benchmark's own curve must leave stderr empty.
+row, one-sided rows, an undefined FCR, ``--digits 1``, ``3``, ``12``,
+``13`` and ``17``, the ``screen --crosstab`` CSV block and a seeded
+``simulate``. The design and reliability curves are also pinned at the
+limits theta = +-inf and +-1e308, at delta = 0, at thetas that reach
+each text layout of a float (fixed notation down to 1e-4, exponent form
+above and below, a subnormal), and (by digest) on a 2001-point grid
+whose prior odds 1e-300 reach subnormal rates; the benchmark's own curve
+must leave stderr empty.
 """
 
 import hashlib
@@ -30,6 +33,7 @@ SCREEN_U = "id,estimate,lo,hi,p_value\nwide,0,-inf,inf,0.5\nhit,0.9,0.6,1.2,0.03
 SCREEN_G = "id,n1,mean1,sd1,n2,mean2,sd2\nx,10,1,1,10,0,1\ny,25,3.2,1.5,20,1.1,1.2\n"
 TRACK = "t,lo,hi\n100,-0.01,0.01\n200,0.02,0.10\n300,0.07,0.20\n"
 BENCH_DESIGN = ("--theta0", "0", "--delta", "0.5", "--n", "16", "--variance", "1")
+DESIGN_01 = ("--theta0", "0", "--delta", "0.3", "--n", "100", "--variance", "1")
 DELTA0_DESIGN = ("--theta0", "0", "--delta", "0", "--alpha", "0.01", "--n", "16", "--variance", "1")
 
 CASES = [
@@ -802,6 +806,63 @@ theta1,fdr_sgpv,fcr_sgpv,fdr_test,fnr_test
 0.25,0.147695,,0.147695,0.487655
 1,0.0107204,,0.0107204,0.0723376
 inf,0.00990099,,0.00990099,0
+""",
+    ),
+    (
+        "design-digits1",
+        None,
+        ("design", *DESIGN_01, "--thetas=0,0.25,1.5,-0.001,123456,5e-324", "--digits", "1"),
+        """\
+theta,p_alt,p_null,p_inconclusive
+0,7e-07,0.7,0.3
+0.2,0.007,0.07,0.9
+2,1,1e-44,5e-24
+-0.001,7e-07,0.7,0.3
+1e+05,1,0,0
+5e-324,7e-07,0.7,0.3
+""",
+    ),
+    (
+        "design-digits12",
+        None,
+        ("design", *DESIGN_01, "--thetas=0,0.25,1.5,-0.001,123456,5e-324", "--digits", "12"),
+        """\
+theta,p_alt,p_null,p_inconclusive
+0,7.05062503175e-07,0.701676831592,0.298322463346
+0.25,0.00694754794476,0.0719499500003,0.921102502055
+1.5,1,1.36786029153e-44,5.08185206112e-24
+-0.001,7.05962777327e-07,0.701652673158,0.29834662088
+123456,1,0,0
+4.94065645841e-324,7.05062503175e-07,0.701676831592,0.298322463346
+""",
+    ),
+    (
+        "design-digits13",
+        None,
+        ("design", *DESIGN_01, "--thetas=0,0.25,1.5,-0.001,123456,5e-324", "--digits", "13"),
+        """\
+theta,p_alt,p_null,p_inconclusive
+0,7.050625031747e-07,0.7016768315916,0.2983224633459
+0.25,0.00694754794476,0.07194995000027,0.921102502055
+1.5,1,1.367860291526e-44,5.081852061124e-24
+-0.001,7.059627773272e-07,0.7016526731576,0.2983466208796
+123456,1,0,0
+4.940656458412e-324,7.050625031747e-07,0.7016768315916,0.2983224633459
+""",
+    ),
+    (
+        "reliability-layouts-csv",
+        None,
+        ("reliability", *DESIGN_01, "--r", "3",
+         "--thetas=1e-5,0.0001,123456,1234567,5e-324,-1e308"),
+        """\
+theta1,fdr_sgpv,fcr_sgpv,fdr_test,fnr_test
+1e-05,0.25,0.75,0.25,0.75
+0.0001,0.249998,0.75,0.25,0.75
+123456,2.35021e-07,0,0.0163934,0
+1.23457e+06,2.35021e-07,0,0.0163934,0
+4.94066e-324,0.25,0.75,0.25,0.75
+-1e+308,2.35021e-07,0,0.0163934,0
 """,
     ),
 ]
