@@ -11,14 +11,15 @@ directory and runs every case through ``python -m sgpv.cli`` twice: once
 on that tree and once on the working tree's ``src/``. Children run one at
 a time, with the same argv, input files and working directory. A case is
 identical when the exit code, stdout, stderr and the ``--out`` file (when
-the case writes one) are the same bytes in both runs.
+the case writes one) are the same bytes in both runs; the report names
+each field that differs, one indented line each.
 
 The cases:
 
 - golden: every ``CASES`` entry of ``tests/test_cli_golden.py`` and its
   ``WIDE_RELIABILITY`` curve;
 - bench: the ``perfbench/workloads.py`` inputs and ops at seeds 7001 and
-  11, each table command at ``--digits`` 0, 6, 17 and 5000 and with
+  11, each table command at ``--digits`` 0, 6, 12, 13, 17 and 5000 and with
   ``--format json`` (``simulate`` writes JSON only, so it runs as given);
 - variant: ``VARIANTS``, flag forms the golden cases leave out (``--log10``,
   ``--null-lo``/``--null-hi``, ``--welch``, ``--level``, ``--alpha``,
@@ -73,7 +74,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 TABLE_COMMANDS = ("compute", "design", "reliability", "screen", "track")
 BENCH_SEEDS = (7001, 11)
-BENCH_DIGITS = (0, 6, 17, 5000)
+BENCH_DIGITS = (0, 6, 12, 13, 17, 5000)  # 12, 13: each side of _table._BYTE_DIGITS
 FUZZ_FLAGS = ((), ("--format", "json"), ("--digits", "17"))
 FUZZ_NULL = ("--null-point", "0", "--delta", "1")
 FUZZ_SEED = 0
@@ -303,23 +304,30 @@ def run_case(case: Case, src: Path, cwd: Path) -> Run:
     return Run(proc.returncode, proc.stdout, proc.stderr, out)
 
 
-def first_difference(base: Run, head: Run) -> str | None:
-    """Where ``head`` first differs from ``base``: the stream, the line and both
-    versions; None where the runs are identical."""
-    if base.code != head.code:
-        return f"exit code {base.code} -> {head.code}"
-    for stream in ("stdout", "stderr", "out"):
+def differences(base: Run, head: Run) -> list[str]:
+    """Each field in which ``head`` differs from ``base``, one line each: the exit
+    code, the first differing line of stdout and of stderr, and the ``--out`` file
+    (it appears, is gone, or its first differing line); empty where the runs are
+    identical."""
+    found = [] if base.code == head.code else [f"exit code {base.code} -> {head.code}"]
+    for stream, name in (("stdout", "stdout"), ("stderr", "stderr"), ("out", "--out file")):
         old, new = getattr(base, stream), getattr(head, stream)
         if old == new:
             continue
         if old is None or new is None:
-            return f"--out file {'appears' if old is None else 'is gone'}"
+            found.append(f"{name} {'appears' if old is None else 'is gone'}")
+            continue
         old_lines, new_lines = old.split(b"\n"), new.split(b"\n")
         k = next((k for k, (a, b) in enumerate(zip(old_lines, new_lines)) if a != b),
                  min(len(old_lines), len(new_lines)))
         shown = [lines[k][:SHOWN] if k < len(lines) else b"<end>" for lines in (old_lines, new_lines)]
-        return f"{stream} line {k + 1}: {shown[0]!r} -> {shown[1]!r}"
-    return None
+        found.append(f"{name} line {k + 1}: {shown[0]!r} -> {shown[1]!r}")
+    return found
+
+
+def report(verdict: str, case: Case, lines: list[str]) -> None:
+    print("\n    ".join([f"{verdict} {case.name}: sgpv {shlex.join(case.argv)}", *lines]),
+          flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -342,20 +350,18 @@ def main(argv: list[str] | None = None) -> int:
         for case in cases:
             base = run_case(case, base_src, work)
             head = run_case(case, ROOT / "src", work)
-            verdict = first_difference(base, head)
+            found = differences(base, head)
             if case.want is not None:
-                missed = first_difference(case.want, head)
-                if missed is None and verdict is not None:
+                missed = differences(case.want, head)
+                if found and not missed:
                     expected += 1
-                    print(f"EXPECTED {case.name}: sgpv {shlex.join(case.argv)}\n    {verdict}",
-                          flush=True)
+                    report("EXPECTED", case, found)
                     continue
-                verdict = (f"not the listed output: {missed}" if missed else
-                           "listed as a difference, but the base gives the same output")
-            if verdict is not None:
+                found = ([f"not the listed output: {line}" for line in missed] or
+                         ["listed as a difference, but the base gives the same output"])
+            if found:
                 different += 1
-                print(f"DIFFERENT {case.name}: sgpv {shlex.join(case.argv)}\n    {verdict}",
-                      flush=True)
+                report("DIFFERENT", case, found)
         base_lines, head_lines = line_counts(base_src), line_counts(ROOT / "src")
         for name in sorted(base_lines.keys() | head_lines.keys()):
             if base_lines.get(name, 0) != head_lines.get(name, 0):

@@ -8,11 +8,11 @@ the column is blank. JSON is ``json.dumps({"rows": [{column: value, ...},
 ...], **extra}, indent=2)``, with null for an empty cell, and without
 ``rows`` when the columns are None (simulate's document). Both writers
 stream ``BLOCK_ROWS`` rows at a time through one ``%`` row template per
-table; a ``%s`` field takes a column's cells rendered once per block, a
-``%.Ng`` field the raw values of an unmasked float column in CSV. A CSV
-table of float and blank columns only, at up to ``_BYTE_DIGITS`` digits,
-takes the byte path instead: each block is built as one uint8 array by a
-vectorized ``%.Ng``, byte-identical to the template's text.
+table of ``%s`` fields, each taking a column's cells rendered once per
+block. At up to ``_BYTE_DIGITS`` digits every CSV float comes from
+``_float_bytes``, a vectorized ``%.Ng`` into a uint8 array: a table of
+float and blank columns only is built as one such array per block, and a
+float column of any other table is split from one into its cells.
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ class Column(NamedTuple):
 
 
 def floats(name: str, values, empty=None) -> Column:
-    """A float column (a None value is NaN); NaN prints as ``nan`` unless ``empty`` masks it."""
-    return Column(name, "float", np.asarray(values, dtype=float), _mask(empty))
+    """A float column (a None value is NaN); NaN prints as ``nan`` unless ``empty`` masks it.
+    A masked value is stored as 0: it is never printed, and 0 is ``_float_bytes``' fast path."""
+    values, empty = np.asarray(values, dtype=float), _mask(empty)
+    return Column(name, "float", values if empty is None else np.where(empty, 0.0, values), empty)
 
 
 def ints(name: str, values, empty=None) -> Column:
@@ -95,9 +97,10 @@ def _csv_text(text: str | None, none: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _cells(column: Column, rows: slice, fmt: str | None, none: str):
-    """A block of a column for its template field: text (``none`` where empty), or
-    raw floats for write_csv's %.Ng field. ``fmt`` is CSV's float format, None for JSON."""
+def _cells(column: Column, rows: slice, none: str, fmt: str | None = None, digits: int = 0):
+    """A block of a column as the text of its ``%s`` field, ``none`` where empty. ``fmt``
+    is CSV's float format for ``digits`` digits, None for JSON; at up to ``_BYTE_DIGITS``
+    digits a CSV float comes from ``_float_bytes``."""
     if column.values is None:
         return repeat(none)
     part = column.values[rows]
@@ -110,8 +113,8 @@ def _cells(column: Column, rows: slice, fmt: str | None, none: str):
         labels = [json.dumps(v) if fmt is None or isinstance(v, bool) else _csv_text(v, none)
                   for v in column.labels]
         return list(map(labels.__getitem__, part.tolist()))
-    if fmt and column.kind == "float" and column.empty is None:
-        return part.tolist()  # the same test picks the field in write_csv
+    if fmt and column.kind == "float" and 0 <= digits <= _BYTE_DIGITS:
+        return _byte_block([column], rows, max(digits, 1), fmt, none).split("\n")[:-1]
     cells = (json.dumps(part.tolist())[1:-1].split(", ") if fmt is None  # json's NaN, Infinity
              else list(map(str if column.kind == "int" else fmt.__mod__, part.tolist())))
     if column.empty is not None:
@@ -184,32 +187,28 @@ def _float_bytes(x: np.ndarray, p: int, fmt: str, out: np.ndarray) -> None:
     out[...] = cells
 
 
-def _blocks(columns: Sequence[Column], template: str, fmt: str | None, none: str):
+def _blocks(columns: Sequence[Column], template: str, none: str, fmt=None, digits=0):
     """The table's rows through ``template``, one string per block of rows."""
     for start in range(0, _length(columns), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        yield "".join(map(template.__mod__, zip(*(_cells(c, rows, fmt, none) for c in columns))))
+        cells = [_cells(c, slice(start, start + BLOCK_ROWS), none, fmt, digits) for c in columns]
+        yield "".join(map(template.__mod__, zip(*cells)))
 
 
-def _byte_blocks(columns: Sequence[Column], p: int, fmt: str, none: str):
-    """The rows of a float and blank table, one string per block: a ``(rows,
-    columns, 2p + 11)`` uint8 array of cells and their comma or newline, less its
-    0xFF bytes, which are never UTF-8."""
-    length = _length(columns)
-    for start in range(0, length, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        block = np.empty((min(BLOCK_ROWS, length - start), len(columns), 2 * p + 11), np.uint8)
-        block[:, :, -1] = ord(",")
-        block[:, -1, -1] = ord("\n")
-        for c, column in enumerate(columns):
-            cells = block[:, c, :-1]
-            if column.values is not None:
-                _float_bytes(column.values[rows], p, fmt, cells)
-            if column.values is None or column.empty is not None:
-                empty = slice(None) if column.values is None else column.empty[rows]
-                cells[empty] = 0xFF
-                cells[empty, :len(none)] = np.frombuffer(none.encode(), np.uint8)
-        yield block.tobytes().translate(None, b"\xff").decode("ascii")
+def _byte_block(columns: Sequence[Column], rows: slice, p: int, fmt: str, none: str) -> str:
+    """The ``rows`` of a float and blank table: a ``(rows, columns, 2p + 11)`` uint8 array
+    of cells and their comma or newline, less its 0xFF bytes, which are never UTF-8."""
+    block = np.empty((len(range(_length(columns))[rows]), len(columns), 2 * p + 11), np.uint8)
+    block[:, :, -1] = ord(",")
+    block[:, -1, -1] = ord("\n")
+    for c, column in enumerate(columns):
+        cells = block[:, c, :-1]
+        if column.values is not None:
+            _float_bytes(column.values[rows], p, fmt, cells)
+        if column.values is None or column.empty is not None:
+            empty = slice(None) if column.values is None else column.empty[rows]
+            cells[empty] = 0xFF
+            cells[empty, :len(none)] = np.frombuffer(none.encode(), np.uint8)
+    return block.tobytes().translate(None, b"\xff").decode("ascii")
 
 
 def write_csv(fh: TextIO, columns: Sequence[Column], digits: int) -> None:
@@ -221,11 +220,10 @@ def write_csv(fh: TextIO, columns: Sequence[Column], digits: int) -> None:
     fmt = f"%.{min(digits, 800)}g"
     none = '""' if len(columns) == 1 else ""  # csv.writer quotes a lone empty field
     if 0 <= digits <= _BYTE_DIGITS and all(c.kind in ("float", "blank") for c in columns):
-        fh.writelines(_byte_blocks(columns, max(digits, 1), fmt, none))
+        fh.writelines(_byte_block(columns, slice(start, start + BLOCK_ROWS), max(digits, 1), fmt,
+                                  none) for start in range(0, _length(columns), BLOCK_ROWS))
         return
-    # An unmasked float column's raw values fill its field (see _cells); text fills the rest.
-    template = ",".join(fmt if c.kind == "float" and c.empty is None else "%s" for c in columns)
-    fh.writelines(_blocks(columns, template + "\n", fmt, none))
+    fh.writelines(_blocks(columns, ",".join(["%s"] * len(columns)) + "\n", none, fmt, digits))
 
 
 def write_json(fh: TextIO, columns: Sequence[Column] | None, **extra: Any) -> None:
@@ -238,7 +236,7 @@ def write_json(fh: TextIO, columns: Sequence[Column] | None, **extra: Any) -> No
     fields = ",\n".join(f'      {json.dumps(c.name).replace("%", "%%")}: %s' for c in columns)
     template = ",\n    {\n" + fields + "\n    }"
     fh.write('{\n  "rows": [')
-    for k, block in enumerate(_blocks(columns, template, None, "null")):
+    for k, block in enumerate(_blocks(columns, template, "null")):
         fh.write(block if k else block[1:])
     fh.write("\n  ]" if _length(columns) else "]")
     if extra:  # its keys sit at the depth of "rows", so its own layout fits as is

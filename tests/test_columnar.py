@@ -257,9 +257,16 @@ def assert_json_matches(columns, names, rows, **extra):
 
 
 @PROPERTY
-@given(tables(), st.sampled_from([0, 6, 17, 5000]), EXTRA)
+@given(tables(), st.sampled_from([0, 1, 6, 12, 13, 17, 5000]), EXTRA)
 @example(table_case(2, [("id", "texts", ["", "x"], None)]), 6, {})  # csv writes a lone "" cell
 @example(table_case(2, [("v", "floats", [1.0, math.nan], [True, False])]), 0, {})
+@example(table_case(5, [("id", "texts", ["a", "b,c", "", "d", "e"], None),  # near a 12-digit tie
+                        ("m", "floats", [math.nan, math.inf, -math.inf, 0.1234567890125, 2.5],
+                         [True, True, True, True, False]),
+                        ("x", "floats", [math.inf, -math.inf, -0.0, 5e-324, 0.1234567890125],
+                         None)]), 12, {})
+@example(table_case(3, [("id", "texts", ["a", "b", "c"], None),
+                        ("v", "floats", [1.0, math.nan, -2.5], [True, True, True])]), 6, {})
 @example(table_case(0, [("id", "texts", [], None), ("v", "floats", [], None)]), 6,
          {"summary": {"rows": 0, "by": [{}, []]}})  # an empty table
 def test_writers_match_row_oracle(table, digits, extra):
