@@ -23,7 +23,9 @@ The cases:
   ``--format json`` (``simulate`` writes JSON only, so it runs as given);
 - variant: ``VARIANTS``, flag forms the golden cases leave out (``--log10``,
   ``--null-lo``/``--null-hi``, ``--welch``, ``--level``, ``--alpha``,
-  ``--thetas``, ``--config``), over the golden inputs;
+  ``--thetas``, ``--config``), over the golden inputs, and compute on
+  ``WIDE``, whose one id at the csv field limit makes the writers' blocks
+  fewer rows;
 - usage: ``USAGE``, the help of the tool and of each subcommand, and the
   usage errors: no subcommand, an unknown subcommand or flag, a missing
   input, a ``--format`` or ``--digits`` the option does not take;
@@ -85,7 +87,12 @@ NARROW = {"theta0": 0, "delta": 0.5, "n": 16, "variance": 1}
 # Ratio estimates, all positive, for --log10; the golden inputs each hold a row at or below 0.
 RATIOS = ("id,estimate,lo,hi,p_value\nhr1,0.8,0.6,1.1,0.2\nhr2,2.1,1.5,2.9,0.001\n"
           "hr3,1.0,0.95,1.05,0.9\nopen,3,1.2,inf,0.01\n")
-# (RATIOS or an input constant of tests/test_cli_golden.py or None, argv with {input}
+# Thirty short ids and one at the csv field limit, 131,072 characters of which a quarter are
+# astral and half a comma or a quote; the line is too long for the plain reader.
+WIDE = "id,lo,hi\n" + "".join(
+    (f"g{k}" if k != 13 else '"' + 'x\U0001f600,""' * 32_768 + '"') + f",{k / 10 - 1},{k / 10}\n"
+    for k in range(31))
+# (RATIOS, WIDE or an input constant of tests/test_cli_golden.py or None, argv with {input}
 # and {config} for the paths, the --config file's JSON object or None)
 VARIANTS = (
     ("COMPUTE_IV", "compute {input} --null-lo=-1 --null-hi 1", None),
@@ -96,6 +103,8 @@ VARIANTS = (
     ("COMPUTE_IV", "compute {input} --null-point 0 --delta 1 --no-log10", None),
     ("COMPUTE_IV", "compute {input} --config {config}", {"null_point": 0, "delta": 0.5,
                                                          "digits": 4}),
+    ("WIDE", "compute {input} --null-point 0 --delta 0.5", None),
+    ("WIDE", "compute {input} --null-point 0 --delta 0.5 --format json", None),
     ("COMPUTE_SE", "compute {input} --null-point 0 --delta 0.5 --level 0.99", None),
     ("COMPUTE_SE", "compute {input} --null-point 0 --delta 0.5 --level 0.5 --format json", None),
     ("COMPUTE_SE", "compute {input} --null-lo=-0.5 --null-hi 0.5 --level 0.8 --log10", None),
@@ -199,7 +208,8 @@ def golden_cases(work: Path) -> list[Case]:
 
 
 def variant_cases(work: Path) -> list[Case]:
-    inputs = {**module_constants(ROOT / "tests" / "test_cli_golden.py"), "RATIOS": RATIOS}
+    inputs = {**module_constants(ROOT / "tests" / "test_cli_golden.py"), "RATIOS": RATIOS,
+              "WIDE": WIDE}
     cases = []
     for k, (fixture, argv, config) in enumerate(VARIANTS):
         paths = {"input": work / f"variant-{k}.csv", "config": work / f"variant-{k}.json"}

@@ -7,12 +7,10 @@ itself, and a cell is empty where its column's ``empty`` mask says so or
 the column is blank. JSON is ``json.dumps({"rows": [{column: value, ...},
 ...], **extra}, indent=2)``, with null for an empty cell, and without
 ``rows`` when the columns are None (simulate's document). Both writers
-stream ``BLOCK_ROWS`` rows at a time through one ``%`` row template per
-table of ``%s`` fields, each taking a column's cells rendered once per
-block. At up to ``_BYTE_DIGITS`` digits every CSV float comes from
-``_float_bytes``, a vectorized ``%.Ng`` into a uint8 array: a table of
-float and blank columns only is built as one such array per block, and a
-float column of any other table is split from one into its cells.
+build each block of rows as one uint8 array (``_blocks``): each column's
+cells in fixed slots padded with 0xFF, and the format's fixed text between
+them. A CSV float at up to ``_BYTE_DIGITS`` digits is written into its slots
+(``_float_bytes``); a code's slots are its label's; any other cell is text.
 """
 
 from __future__ import annotations
@@ -22,15 +20,15 @@ import functools
 import io
 import json
 import re
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-#: Rows formatted per write; large enough to amortise the per-block
-#: calls, small enough that a block's cell strings stay a few MB.
-BLOCK_ROWS = 8192
+#: Rows per block, or fewer where its array would pass BLOCK_BYTES: a row takes at
+#: most 12 bytes per character of the table's widest text (JSON's ``\ud83d\ude00``
+#: for an astral one; CSV's worst is 4, plus 2) and 2p + 32 per other cell.
+BLOCK_ROWS, BLOCK_BYTES = 8192, 1 << 23
 
 #: The characters that can make csv.writer quote a text cell.
 _QUOTABLE = re.compile(r'[,"\r\n]')
@@ -97,30 +95,45 @@ def _csv_text(text: str | None, none: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _cells(column: Column, rows: slice, none: str, fmt: str | None = None, digits: int = 0):
-    """A block of a column as the text of its ``%s`` field, ``none`` where empty. ``fmt``
-    is CSV's float format for ``digits`` digits, None for JSON; at up to ``_BYTE_DIGITS``
-    digits a CSV float comes from ``_float_bytes``."""
-    if column.values is None:
-        return repeat(none)
-    part = column.values[rows]
+def _cells(column: Column, values, none: str, fmt: str | None) -> list[str]:
+    """``values`` of a column, or its labels, as text: csv.writer's or JSON's (``none`` for
+    None or an empty CSV text), or a number's by ``fmt``, CSV's float format, or JSON's."""
     if column.kind == "text":
         if fmt is None:
-            return list(map(encode_basestring_ascii, part))
-        plain = not none and _QUOTABLE.search("".join(part)) is None
-        return part if plain else [_csv_text(text, none) for text in part]
+            return list(map(encode_basestring_ascii, values))
+        plain = not none and _QUOTABLE.search("".join(values)) is None
+        return values if plain else [_csv_text(text, none) for text in values]
     if column.kind == "code":
-        labels = [json.dumps(v) if fmt is None or isinstance(v, bool) else _csv_text(v, none)
-                  for v in column.labels]
-        return list(map(labels.__getitem__, part.tolist()))
-    if fmt and column.kind == "float" and 0 <= digits <= _BYTE_DIGITS:
-        return _byte_block([column], rows, max(digits, 1), fmt, none).split("\n")[:-1]
-    cells = (json.dumps(part.tolist())[1:-1].split(", ") if fmt is None  # json's NaN, Infinity
-             else list(map(str if column.kind == "int" else fmt.__mod__, part.tolist())))
+        return [json.dumps(v) if fmt is None or isinstance(v, bool) else _csv_text(v, none)
+                for v in values]
+    if fmt is None:
+        return json.dumps(values.tolist())[1:-1].split(", ")  # json's NaN, Infinity
+    return list(map(str if column.kind == "int" else fmt.__mod__, values.tolist()))
+
+
+def _pad(cells: list[str], width: int = 0) -> np.ndarray:
+    """``cells`` as the rows of a uint8 array: UTF-8 padded with 0xFF to ``width`` or more."""
+    text = "".join(cells)
+    sizes = np.fromiter(map(len, cells if text.isascii() else map(str.encode, cells)), np.intp)
+    out = np.full((len(cells), max(width, sizes.max(initial=0))), 0xFF, np.uint8)
+    out[np.arange(out.shape[1]) < sizes[:, None]] = np.frombuffer(text.encode(), np.uint8)
+    return out
+
+
+def _slots(column: Column, rows: slice, count: int, none: str, fmt: str | None, p: int):
+    """A block of ``count`` rows of a column as its cells' slots, ``none`` where empty."""
+    if column.values is None:
+        return np.broadcast_to(_pad([none]), (count, len(none)))
+    part = column.values[rows]
+    if column.kind == "code":
+        return np.take(_pad(_cells(column, column.labels, none, fmt)), part, axis=0)
+    if fmt and column.kind == "float" and 0 <= p <= _BYTE_DIGITS:
+        slots = _float_bytes(part, max(p, 1))
+    else:  # a masked cell's slots must hold ``none``: a lone CSV column's is ""
+        slots = _pad(_cells(column, part, none, fmt), len(none) * (column.empty is not None))
     if column.empty is not None:
-        for k in np.flatnonzero(column.empty[rows]).tolist():
-            cells[k] = none
-    return cells
+        slots[column.empty[rows]] = _pad([none], slots.shape[1])
+    return slots
 
 
 @functools.cache
@@ -152,9 +165,8 @@ def _shapes(p: int) -> tuple[np.ndarray, np.ndarray]:
     return table.reshape(-1, table.shape[2]), scale
 
 
-def _float_bytes(x: np.ndarray, p: int, fmt: str, out: np.ndarray) -> None:
-    """Write each double's ``fmt`` text (``%.{p}g``) into its row of ``out``, a
-    ``(len(x), 2p + 10)`` uint8 array; unused slots hold 0xFF."""
+def _float_bytes(x: np.ndarray, p: int) -> np.ndarray:
+    """Each double's ``%.{p}g`` text as a row of 2p + 10 bytes, 0xFF in unused slots."""
     shapes, scale = _shapes(p)
     finite = np.isfinite(x)
     plain = finite & (x != 0)
@@ -181,49 +193,38 @@ def _float_bytes(x: np.ndarray, p: int, fmt: str, out: np.ndarray) -> None:
     cells = np.take(shapes, shape + np.signbit(x) * (p + 4 + 633) * p, axis=0)
     for i in range(p):
         cells[:, 6 + 2 * i] |= digits[i]
-    slow = np.flatnonzero(near_tie | ~finite)  # a near tie, nan or inf: its own %
-    for k, v in zip(slow.tolist(), x[slow].tolist()):
-        cells[k] = np.frombuffer((fmt % v).encode().ljust(cells.shape[1], b"\xff"), np.uint8)
-    out[...] = cells
+    bad = np.flatnonzero(~finite)  # inf, -inf or nan; a nan with its sign bit set too
+    cells[bad] = _pad(["inf", "-inf", "nan"], cells.shape[1])[(x[bad] < 0) + 2 * np.isnan(x[bad])]
+    cells[near_tie] = _pad(list(map(f"%.{p}g".__mod__, x[near_tie].tolist())), cells.shape[1])
+    return cells
 
 
-def _blocks(columns: Sequence[Column], template: str, none: str, fmt=None, digits=0):
-    """The table's rows through ``template``, one string per block of rows."""
-    for start in range(0, _length(columns), BLOCK_ROWS):
-        cells = [_cells(c, slice(start, start + BLOCK_ROWS), none, fmt, digits) for c in columns]
-        yield "".join(map(template.__mod__, zip(*cells)))
-
-
-def _byte_block(columns: Sequence[Column], rows: slice, p: int, fmt: str, none: str) -> str:
-    """The ``rows`` of a float and blank table: a ``(rows, columns, 2p + 11)`` uint8 array
-    of cells and their comma or newline, less its 0xFF bytes, which are never UTF-8."""
-    block = np.empty((len(range(_length(columns))[rows]), len(columns), 2 * p + 11), np.uint8)
-    block[:, :, -1] = ord(",")
-    block[:, -1, -1] = ord("\n")
-    for c, column in enumerate(columns):
-        cells = block[:, c, :-1]
-        if column.values is not None:
-            _float_bytes(column.values[rows], p, fmt, cells)
-        if column.values is None or column.empty is not None:
-            empty = slice(None) if column.values is None else column.empty[rows]
-            cells[empty] = 0xFF
-            cells[empty, :len(none)] = np.frombuffer(none.encode(), np.uint8)
-    return block.tobytes().translate(None, b"\xff").decode("ascii")
+def _blocks(columns: Sequence[Column], pieces: Sequence[str], none: str, fmt=None, p=0):
+    """The rows, one str per block: ``pieces[k]`` before column k's cell, ``pieces[-1]`` at
+    the end. A block is one uint8 array, less its 0xFF bytes (never UTF-8), of BLOCK_ROWS
+    rows or fewer within BLOCK_BYTES. ``fmt`` is CSV's float format, of ``p`` digits."""
+    n, start = _length(columns), 0
+    texts = [np.fromiter(map(len, c.values), np.intp, n) for c in columns if c.kind == "text"]
+    bound = 12 * np.max([np.zeros(n, np.intp), *texts], axis=0) + (2 * p + 32) * len(columns)
+    fixed = [_pad([piece]) for piece in pieces]
+    while start < n:
+        widest = np.maximum.accumulate(bound[start:start + BLOCK_ROWS])  # up to each row
+        count = max(1, np.count_nonzero(widest * np.arange(1, len(widest) + 1) <= BLOCK_BYTES))
+        rows, start = slice(start, start + count), start + count
+        parts = [np.broadcast_to(piece, (count, piece.shape[1])) for piece in fixed]
+        for k, column in enumerate(columns):  # after pieces[k]
+            parts.insert(2 * k + 1, _slots(column, rows, count, none, fmt, p))
+        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\xff").decode()
 
 
 def write_csv(fh: TextIO, columns: Sequence[Column], digits: int) -> None:
     """Stream a table to ``fh`` as CSV with ``\\n`` line endings."""
     csv.writer(fh, lineterminator="\n").writerow([c.name for c in columns])
-    # A double prints exactly within 767 significant digits, so any larger
-    # precision gives the same text; the cap keeps a huge --digits valid.
-    # '%.Ng' % x is the text of format(x, '.Ng') for every double.
-    fmt = f"%.{min(digits, 800)}g"
+    # A double prints exactly within 767 significant digits, so the cap changes no text and
+    # keeps a huge --digits valid. '%.Ng' % x is the text of format(x, '.Ng') for every double.
+    p = min(digits, 800)
     none = '""' if len(columns) == 1 else ""  # csv.writer quotes a lone empty field
-    if 0 <= digits <= _BYTE_DIGITS and all(c.kind in ("float", "blank") for c in columns):
-        fh.writelines(_byte_block(columns, slice(start, start + BLOCK_ROWS), max(digits, 1), fmt,
-                                  none) for start in range(0, _length(columns), BLOCK_ROWS))
-        return
-    fh.writelines(_blocks(columns, ",".join(["%s"] * len(columns)) + "\n", none, fmt, digits))
+    fh.writelines(_blocks(columns, ["", *[","] * (len(columns) - 1), "\n"], none, f"%.{p}g", p))
 
 
 def write_json(fh: TextIO, columns: Sequence[Column] | None, **extra: Any) -> None:
@@ -233,10 +234,10 @@ def write_json(fh: TextIO, columns: Sequence[Column] | None, **extra: Any) -> No
         fh.write(json.dumps(extra, indent=2) + "\n")
         return
     # Each row opens with the comma after the row before; the first row drops it.
-    fields = ",\n".join(f'      {json.dumps(c.name).replace("%", "%%")}: %s' for c in columns)
-    template = ",\n    {\n" + fields + "\n    }"
+    pieces = [f",\n      {json.dumps(c.name)}: " for c in columns] + ["\n    }"]
+    pieces[0] = ",\n    {\n" + pieces[0][2:]
     fh.write('{\n  "rows": [')
-    for k, block in enumerate(_blocks(columns, template, "null")):
+    for k, block in enumerate(_blocks(columns, pieces, "null")):
         fh.write(block if k else block[1:])
     fh.write("\n  ]" if _length(columns) else "]")
     if extra:  # its keys sit at the depth of "rows", so its own layout fits as is

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,8 +165,8 @@ def test_compute_log10_bytes_match_oracle(work_dir, seed, count, digits, fmt):
     assert got == oracle_compute(text, FOLD_CHANGE_NULL, log10_mode=True, fmt=fmt, digits=digits)
 
 
-SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
-           1.7976931348623157e308, 1 / 3, -123456789.0, 0.1, 1e16]
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+           2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3, -123456789.0, 0.1, 1e16]
 
 
 @pytest.mark.parametrize("digits", [0, 1, 6, 17, 100, 767, 800, 5000])
@@ -192,6 +193,48 @@ def test_blocks_join_seamlessly():
     names = ("id", "v", "c", "k", "b")
     assert _table.csv_text(columns) == oracles.csv_text(names, rows)
     assert_json_matches(columns, names, rows, summary={"rows": n})
+
+
+def writer_peak(write) -> int:
+    """The most bytes that ``write()`` had allocated at once, as tracemalloc traces them."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_csv_text_keeps_blocks_small():
+    """A block is as wide as its widest cell, so one id at the csv field limit
+    (131,072 characters) would make an 8,192-row block of a gigabyte; the writer
+    takes fewer rows per block instead."""
+    n = 2 * _table.BLOCK_ROWS + 3
+    ids = [IDS[k % len(IDS)] for k in range(n)]
+    ids[_table.BLOCK_ROWS // 2] = ('wide,"id"' * 14_564)[:131_072]
+    values = np.linspace(-1.0, 1.0, n)
+    columns = [_table.texts("id", ids), _table.floats("v", values, np.arange(n) % 5 == 0),
+               _table.codes("c", np.arange(n) % 3, ("a", True, None))]
+    rows = [(i, None if k % 5 == 0 else v, ("a", True, None)[k % 3])
+            for k, (i, v) in enumerate(zip(ids, values.tolist()))]
+    expected = oracles.csv_text(("id", "v", "c"), rows)
+    buf = io.StringIO()
+    assert writer_peak(lambda: _table.write_csv(buf, columns, 6)) <= 64 * 2**20
+    assert buf.getvalue() == expected
+
+
+def test_wide_astral_json_text_keeps_blocks_small():
+    """JSON writes an astral character as 12 bytes (``\\ud83d\\ude00``), the most a
+    character takes in either format, so it is the width bound's worst case."""
+    n = 1000
+    ids = [IDS[k % len(IDS)] for k in range(n)]
+    ids[500] = "\U0001f600" * 20_000
+    columns = [_table.texts("id", ids), _table.ints("k", np.arange(n), np.arange(n) % 7 == 0)]
+    rows = [(i, None if k % 7 == 0 else k) for k, i in enumerate(ids)]
+    expected = oracles.json_text(("id", "k"), rows)
+    buf = io.StringIO()
+    assert writer_peak(lambda: _table.write_json(buf, columns)) <= 64 * 2**20
+    assert buf.getvalue() == expected
 
 
 # A table drawn column by column: (name, kind, values, empty) per column,
@@ -260,6 +303,7 @@ def assert_json_matches(columns, names, rows, **extra):
 @given(tables(), st.sampled_from([0, 1, 6, 12, 13, 17, 5000]), EXTRA)
 @example(table_case(2, [("id", "texts", ["", "x"], None)]), 6, {})  # csv writes a lone "" cell
 @example(table_case(2, [("v", "floats", [1.0, math.nan], [True, False])]), 0, {})
+@example(table_case(2, [("k", "ints", [1, 2], [True, False])]), 6, {})  # "" is wider than 1
 @example(table_case(5, [("id", "texts", ["a", "b,c", "", "d", "e"], None),  # near a 12-digit tie
                         ("m", "floats", [math.nan, math.inf, -math.inf, 0.1234567890125, 2.5],
                          [True, True, True, True, False]),

@@ -1,12 +1,12 @@
 """The CSV writer's byte path against one ``'%.*g'`` per cell.
 
-A table whose columns are all float or blank is written at up to
-``_table._BYTE_DIGITS`` digits by a vectorized ``%.Ng`` that builds each
-block as a uint8 array (see ``_table._float_bytes``). Its text must equal
-``oracles.float_rows_text`` for every double: random bit patterns, and the
-values where the rounding is hardest, namely the doubles next to each power
-of ten and each ``9...95 * 10**n`` rounding boundary, where the carry and
-the tie window decide.
+At up to ``_table._BYTE_DIGITS`` digits every CSV float cell, in any
+table, is written into its row of a uint8 array by a vectorized ``%.Ng``
+(see ``_table._float_bytes``), and the writer builds each block from such
+arrays. Its text must equal ``oracles.float_rows_text`` for every double:
+random bit patterns, and the values where the rounding is hardest, namely
+the doubles next to each power of ten and each ``9...95 * 10**n`` rounding
+boundary, where the carry and the tie window decide.
 """
 
 import math
