@@ -23,9 +23,10 @@ The cases:
   ``--format json`` (``simulate`` writes JSON only, so it runs as given);
 - variant: ``VARIANTS``, flag forms the golden cases leave out (``--log10``,
   ``--null-lo``/``--null-hi``, ``--welch``, ``--level``, ``--alpha``,
-  ``--thetas``, ``--config``), over the golden inputs, and compute on
+  ``--thetas``, ``--config``), over the golden inputs, compute on
   ``WIDE``, whose one id at the csv field limit makes the writers' blocks
-  fewer rows;
+  fewer rows, and ``screen --crosstab --out``, whose table goes to the
+  ``--out`` file and cross-tab block to stdout;
 - usage: ``USAGE``, the help of the tool and of each subcommand, and the
   usage errors: no subcommand, an unknown subcommand or flag, a missing
   input, a ``--format`` or ``--digits`` the option does not take;
@@ -92,8 +93,8 @@ RATIOS = ("id,estimate,lo,hi,p_value\nhr1,0.8,0.6,1.1,0.2\nhr2,2.1,1.5,2.9,0.001
 WIDE = "id,lo,hi\n" + "".join(
     (f"g{k}" if k != 13 else '"' + 'x\U0001f600,""' * 32_768 + '"') + f",{k / 10 - 1},{k / 10}\n"
     for k in range(31))
-# (RATIOS, WIDE or an input constant of tests/test_cli_golden.py or None, argv with {input}
-# and {config} for the paths, the --config file's JSON object or None)
+# (RATIOS, WIDE or an input constant of tests/test_cli_golden.py or None, argv with {input},
+# {config} and {out} for the paths, the --config file's JSON object or None)
 VARIANTS = (
     ("COMPUTE_IV", "compute {input} --null-lo=-1 --null-hi 1", None),
     ("COMPUTE_IV", "compute {input} --null-lo 0 --null-hi 2 --format json", None),
@@ -118,6 +119,13 @@ VARIANTS = (
      None),
     ("SCREEN_P", "screen {input} --config {config}", {"null_point": 0, "delta": 0.5,
                                                       "crosstab": True, "alpha": 0.1}),
+    ("SCREEN_P", "screen {input} --null-point 0 --delta 0.5 --crosstab --out {out}", None),
+    ("SCREEN_P", "screen {input} --null-point 0 --delta 0.5 --crosstab --out {out} --digits 0",
+     None),
+    ("SCREEN_P", "screen {input} --null-point 0 --delta 0.5 --crosstab --out {out} "
+                 "--format json", None),
+    ("SCREEN_P", "screen {input} --null-point 0 --delta 0.5 --crosstab --out {out} --digits 0 "
+                 "--format json", None),
     ("SCREEN_G", "screen {input} --null-point 0 --delta 0.2 --welch --level 0.9", None),
     ("SCREEN_G", "screen {input} --null-lo=-0.5 --null-hi 0.5 --no-welch --level 0.99 "
                  "--format json", None),
@@ -212,13 +220,14 @@ def variant_cases(work: Path) -> list[Case]:
               "WIDE": WIDE}
     cases = []
     for k, (fixture, argv, config) in enumerate(VARIANTS):
-        paths = {"input": work / f"variant-{k}.csv", "config": work / f"variant-{k}.json"}
+        paths = {"input": work / f"variant-{k}.csv", "config": work / f"variant-{k}.json",
+                 "out": work / f"variant-{k}.out"}
         if fixture is not None:
             paths["input"].write_text(inputs[fixture], encoding="utf-8")
         if config is not None:
             paths["config"].write_text(json.dumps(config), encoding="utf-8")
         cases.append(Case(f"variant {k}", tuple(a.format(**paths) for a in shlex.split(argv)),
-                          None))
+                          str(paths["out"]) if "{out}" in argv else None))
     return cases
 
 

@@ -1,16 +1,16 @@
 """The one serializer of the CLI's output; only ``cli`` imports it.
 
-A table is a sequence of typed columns of equal length. In CSV a float
-has ``digits`` significant digits (``nan`` and ``inf`` included), a code
-cell is its label (a bool is ``true``/``false``), an int or a text is
-itself, and a cell is empty where its column's ``empty`` mask says so or
-the column is blank. JSON is ``json.dumps({"rows": [{column: value, ...},
-...], **extra}, indent=2)``, with null for an empty cell, and without
-``rows`` when the columns are None (simulate's document). Both writers
-build each block of rows as one uint8 array (``_blocks``): each column's
-cells in fixed slots padded with 0xFF, and the format's fixed text between
-them. A CSV float at up to ``_BYTE_DIGITS`` digits is written into its slots
-(``_float_bytes``); a code's slots are its label's; any other cell is text.
+A table is a sequence of columns of equal length, of four kinds. In CSV a float
+has ``p`` = ``digits`` significant digits (``nan`` and ``inf`` included), a code
+cell is its label (a bool is ``true``/``false``, None is empty, as in a ``blank``
+column), an int or a text is itself, and a cell is empty where its column's
+``empty`` mask says so. JSON (``p`` None) is ``json.dumps({"rows": [{column:
+value, ...}, ...], **extra}, indent=2)``, with null for an empty cell, and without
+``rows`` when the columns are None (simulate's document). Both writers build each
+block of rows as one uint8 array (``_blocks``): each column's cells in fixed slots
+padded with 0xFF, and the format's fixed text between them. A CSV float at up to
+``_BYTE_DIGITS`` digits is written into its slots (``_float_bytes``); a code's
+slots are its label's; any other cell is text.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ BLOCK_ROWS, BLOCK_BYTES = 8192, 1 << 23
 
 #: The characters that can make csv.writer quote a text cell.
 _QUOTABLE = re.compile(r'[,"\r\n]')
+_utf8 = functools.partial(str.encode, errors="surrogatepass")  # a lone surrogate: 3 bytes, no 0xFF
 
 #: Labels of a bool code column: codes 0 and 1, and 2 for an empty cell.
 BOOL_LABELS = (False, True, None)
@@ -44,11 +45,11 @@ _BYTE_DIGITS = 12
 
 
 class Column(NamedTuple):
-    """One output column; build it with ``floats``, ``ints``, ``texts``, ``codes`` or ``blank``."""
+    """One output column, built by ``floats``, ``ints``, ``texts``, ``codes`` or ``blank``."""
 
     name: str
-    kind: str  # "float", "int", "text", "code" or "blank"
-    values: Any  # an array, a list of str, or None when every cell is empty
+    kind: str  # "float", "int", "text" or "code"
+    values: Any  # an array, or a list of str
     empty: np.ndarray | None = None  # True where the cell is empty
     labels: tuple = ()  # a code column's value per code; None is an empty cell
 
@@ -73,9 +74,9 @@ def codes(name: str, values, labels: tuple) -> Column:
     return Column(name, "code", np.asarray(values, dtype=np.intp), labels=labels)
 
 
-def blank(name: str) -> Column:
-    """A column whose every cell is empty (null in JSON)."""
-    return Column(name, "blank", None)
+def blank(name: str, n: int) -> Column:
+    """A column of ``n`` cells, every one empty (null in JSON): a code column of label None."""
+    return codes(name, np.zeros(n, np.intp), (None,))
 
 
 def _mask(empty) -> np.ndarray | None:
@@ -83,7 +84,7 @@ def _mask(empty) -> np.ndarray | None:
 
 
 def _length(columns: Sequence[Column]) -> int:
-    return next((len(c.values) for c in columns if c.values is not None), 0)
+    return len(columns[0].values) if columns else 0
 
 
 def _csv_text(text: str | None, none: str) -> str:
@@ -95,55 +96,53 @@ def _csv_text(text: str | None, none: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _cells(column: Column, values, none: str, fmt: str | None) -> list[str]:
+def _cells(column: Column, values, none: str, p: int | None) -> list[str]:
     """``values`` of a column, or its labels, as text: csv.writer's or JSON's (``none`` for
-    None or an empty CSV text), or a number's by ``fmt``, CSV's float format, or JSON's."""
+    None or an empty CSV text), or a number's: a CSV float's ``%.{p}g``, or JSON's."""
     if column.kind == "text":
-        if fmt is None:
+        if p is None:
             return list(map(encode_basestring_ascii, values))
         plain = not none and _QUOTABLE.search("".join(values)) is None
         return values if plain else [_csv_text(text, none) for text in values]
     if column.kind == "code":
-        return [json.dumps(v) if fmt is None or isinstance(v, bool) else _csv_text(v, none)
+        return [json.dumps(v) if p is None or isinstance(v, bool) else _csv_text(v, none)
                 for v in values]
-    if fmt is None:
+    if p is None:
         return json.dumps(values.tolist())[1:-1].split(", ")  # json's NaN, Infinity
-    return list(map(str if column.kind == "int" else fmt.__mod__, values.tolist()))
+    return list(map(str if column.kind == "int" else f"%.{p}g".__mod__, values.tolist()))
 
 
 def _pad(cells: list[str], width: int = 0) -> np.ndarray:
     """``cells`` as the rows of a uint8 array: UTF-8 padded with 0xFF to ``width`` or more."""
     text = "".join(cells)
-    sizes = np.fromiter(map(len, cells if text.isascii() else map(str.encode, cells)), np.intp)
+    sizes = np.fromiter(map(len, cells if text.isascii() else map(_utf8, cells)), np.intp)
     out = np.full((len(cells), max(width, sizes.max(initial=0))), 0xFF, np.uint8)
-    out[np.arange(out.shape[1]) < sizes[:, None]] = np.frombuffer(text.encode(), np.uint8)
+    out[np.arange(out.shape[1]) < sizes[:, None]] = np.frombuffer(_utf8(text), np.uint8)
     return out
 
 
-def _slots(column: Column, rows: slice, count: int, none: str, fmt: str | None, p: int):
-    """A block of ``count`` rows of a column as its cells' slots, ``none`` where empty."""
-    if column.values is None:
-        return np.broadcast_to(_pad([none]), (count, len(none)))
+def _slots(column: Column, rows: slice, none: str, p: int | None):
+    """A block of rows of a column as its cells' slots, ``none`` where empty."""
     part = column.values[rows]
     if column.kind == "code":
-        return np.take(_pad(_cells(column, column.labels, none, fmt)), part, axis=0)
-    if fmt and column.kind == "float" and 0 <= p <= _BYTE_DIGITS:
+        return np.take(_pad(_cells(column, column.labels, none, p)), part, axis=0)
+    if p is not None and column.kind == "float" and 0 <= p <= _BYTE_DIGITS:
         slots = _float_bytes(part, max(p, 1))
     else:  # a masked cell's slots must hold ``none``: a lone CSV column's is ""
-        slots = _pad(_cells(column, part, none, fmt), len(none) * (column.empty is not None))
+        slots = _pad(_cells(column, part, none, p), len(none) * (column.empty is not None))
     if column.empty is not None:
         slots[column.empty[rows]] = _pad([none], slots.shape[1])
     return slots
 
 
 @functools.cache
-def _shapes(p: int) -> tuple[np.ndarray, np.ndarray]:
+def _shapes(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The byte path's tables at ``p`` digits: the skeleton of each text shape,
     by sign, then fixed exponent in [-4, p) or exponent form at e in [-324, 308],
-    then kept digits; and 10**k per k in [-308, 335] as two factors, so that a
-    subnormal's does not overflow. A cell's slots are sign | ``0.000`` |
-    d0 s0 d1 s1 ... d(p-1) | ``e``, sign, 3 digits; a skeleton holds 0xFF in the
-    unused ones and "0" in each digit slot, to OR a digit into."""
+    then kept digits; 10**k per k in [-308, 335] as two factors, so that a subnormal's
+    does not overflow; and the rows of inf, -inf and nan. A cell's slots are sign |
+    ``0.000`` | d0 s0 d1 s1 ... d(p-1) | ``e``, sign, 3 digits; a skeleton holds 0xFF
+    in the unused ones and "0" in each digit slot, to OR a digit into."""
     def body(shown: int, point: int) -> str:  # digits and the point after digit ``point``
         return "".join(("0" if i < shown else "~") + ("." if i == point else "~")
                        for i in range(p))[:-1]
@@ -162,12 +161,12 @@ def _shapes(p: int) -> tuple[np.ndarray, np.ndarray]:
     table = np.concatenate([skeletons[:, :(p + 4) * p], exponent.reshape(2, 633 * p, -1)], axis=1)
     k = np.arange(-308, 336)  # numpy's 10.0**k is within an ulp
     scale = np.stack([np.where(k > 300, 1e300, 1.0), 10.0 ** np.where(k > 300, k - 300, k)], axis=1)
-    return table.reshape(-1, table.shape[2]), scale
+    return table.reshape(-1, table.shape[2]), scale, _pad(["inf", "-inf", "nan"], table.shape[2])
 
 
 def _float_bytes(x: np.ndarray, p: int) -> np.ndarray:
     """Each double's ``%.{p}g`` text as a row of 2p + 10 bytes, 0xFF in unused slots."""
-    shapes, scale = _shapes(p)
+    shapes, scale, special = _shapes(p)
     finite = np.isfinite(x)
     plain = finite & (x != 0)
     a = np.where(plain, np.abs(x), 1.0)
@@ -194,18 +193,19 @@ def _float_bytes(x: np.ndarray, p: int) -> np.ndarray:
     for i in range(p):
         cells[:, 6 + 2 * i] |= digits[i]
     bad = np.flatnonzero(~finite)  # inf, -inf or nan; a nan with its sign bit set too
-    cells[bad] = _pad(["inf", "-inf", "nan"], cells.shape[1])[(x[bad] < 0) + 2 * np.isnan(x[bad])]
-    cells[near_tie] = _pad(list(map(f"%.{p}g".__mod__, x[near_tie].tolist())), cells.shape[1])
+    cells[bad] = special[(x[bad] < 0) + 2 * np.isnan(x[bad])]
+    if near_tie.any():
+        cells[near_tie] = _pad(list(map(f"%.{p}g".__mod__, x[near_tie].tolist())), cells.shape[1])
     return cells
 
 
-def _blocks(columns: Sequence[Column], pieces: Sequence[str], none: str, fmt=None, p=0):
+def _blocks(columns: Sequence[Column], pieces: Sequence[str], none: str, p: int | None = None):
     """The rows, one str per block: ``pieces[k]`` before column k's cell, ``pieces[-1]`` at
     the end. A block is one uint8 array, less its 0xFF bytes (never UTF-8), of BLOCK_ROWS
-    rows or fewer within BLOCK_BYTES. ``fmt`` is CSV's float format, of ``p`` digits."""
+    rows or fewer within BLOCK_BYTES. ``p`` is a CSV float's digits, None for JSON."""
     n, start = _length(columns), 0
     texts = [np.fromiter(map(len, c.values), np.intp, n) for c in columns if c.kind == "text"]
-    bound = 12 * np.max([np.zeros(n, np.intp), *texts], axis=0) + (2 * p + 32) * len(columns)
+    bound = 12 * np.max([np.zeros(n, np.intp), *texts], axis=0) + (2 * (p or 0) + 32) * len(columns)
     fixed = [_pad([piece]) for piece in pieces]
     while start < n:
         widest = np.maximum.accumulate(bound[start:start + BLOCK_ROWS])  # up to each row
@@ -213,8 +213,8 @@ def _blocks(columns: Sequence[Column], pieces: Sequence[str], none: str, fmt=Non
         rows, start = slice(start, start + count), start + count
         parts = [np.broadcast_to(piece, (count, piece.shape[1])) for piece in fixed]
         for k, column in enumerate(columns):  # after pieces[k]
-            parts.insert(2 * k + 1, _slots(column, rows, count, none, fmt, p))
-        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\xff").decode()
+            parts.insert(2 * k + 1, _slots(column, rows, none, p))
+        yield np.hstack(parts).tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass")
 
 
 def write_csv(fh: TextIO, columns: Sequence[Column], digits: int) -> None:
@@ -224,7 +224,7 @@ def write_csv(fh: TextIO, columns: Sequence[Column], digits: int) -> None:
     # keeps a huge --digits valid. '%.Ng' % x is the text of format(x, '.Ng') for every double.
     p = min(digits, 800)
     none = '""' if len(columns) == 1 else ""  # csv.writer quotes a lone empty field
-    fh.writelines(_blocks(columns, ["", *[","] * (len(columns) - 1), "\n"], none, f"%.{p}g", p))
+    fh.writelines(_blocks(columns, ["", *[","] * (len(columns) - 1), "\n"], none, p))
 
 
 def write_json(fh: TextIO, columns: Sequence[Column] | None, **extra: Any) -> None:
@@ -243,9 +243,3 @@ def write_json(fh: TextIO, columns: Sequence[Column] | None, **extra: Any) -> No
     if extra:  # its keys sit at the depth of "rows", so its own layout fits as is
         fh.write("," + json.dumps(extra, indent=2)[1:-2])
     fh.write("\n}\n")
-
-
-def csv_text(columns: Sequence[Column], digits: int = 6) -> str:
-    """A table as one CSV string."""
-    write_csv(buf := io.StringIO(), columns, digits)
-    return buf.getvalue()

@@ -259,21 +259,28 @@ def _column(table: _Table, name: str) -> tuple[np.ndarray, np.ndarray]:
 _Rule = tuple[np.ndarray, Callable[[int], object]]
 
 
-def _check(table: _Table, rules: Sequence[_Rule]) -> None:
-    """Raise the input error of the first row any rule marks, from the first rule marking it.
-
-    A mask may mark anything on a row that an earlier rule marks.
-    """
+def _checked(table: _Table, rules: Sequence[_Rule], lo: np.ndarray, hi: np.ndarray,
+             log10_mode=False, interval: Callable | None = None, after: Sequence[_Rule] = ()):
+    """lo and hi, on the log10 scale under --log10, once each row passes, in this order,
+    ``rules``, the interval rule (row k's ``interval(k)``, its ExtendedInterval by default,
+    spans [lo, hi]), under --log10 the positive-endpoint rule, and ``after``. Else raise
+    the input error of the first row any rule marks, from the first rule marking it; a
+    mask may mark anything on a row that an earlier rule marks."""
+    interval = interval or _per_row(ExtendedInterval, lo, hi)
+    rules = [*rules, (invalid_intervals(lo, hi), interval)]
+    if log10_mode:
+        rules.append((lo <= 0.0, lambda k: log10_interval(interval(k))))
+    rules += after
     failing = np.logical_or.reduce([mask for mask, _ in rules])
-    if not failing.any():
-        return
-    k = int(failing.argmax())
-    why = next(why for mask, why in rules if mask[k])
-    try:
-        message = why(k)
-    except SgpvError as exc:
-        message = exc
-    raise _InputError(f"line {table.lines[k]}: {message}")
+    if failing.any():
+        k = int(failing.argmax())
+        why = next(why for mask, why in rules if mask[k])
+        try:
+            message = why(k)
+        except SgpvError as exc:
+            message = exc
+        raise _InputError(f"line {table.lines[k]}: {message}")
+    return (log10_array(lo), log10_array(hi)) if log10_mode else (lo, hi)
 
 
 def _per_row(make: Callable, *columns: np.ndarray) -> Callable[[int], object]:
@@ -296,15 +303,6 @@ def _id_rule(table: _Table) -> _Rule:
     return missing, lambda k: "missing value for 'id'"
 
 
-def _interval_rules(interval: Callable, lo: np.ndarray, hi: np.ndarray, log10_mode: bool = False):
-    """The rules that row k's ``interval(k)``, which spans [lo, hi], is an
-    ExtendedInterval and, under --log10, has positive endpoints."""
-    rules = [(invalid_intervals(lo, hi), interval)]
-    if log10_mode:
-        rules.append((lo <= 0.0, lambda k: log10_interval(interval(k))))
-    return rules
-
-
 def _p_value_rule(p: np.ndarray, present=True) -> _Rule:
     """The rule that a p-value, where ``present``, lies in [0, 1]."""
     from .screening import valid_p_values
@@ -313,11 +311,12 @@ def _p_value_rule(p: np.ndarray, present=True) -> _Rule:
 
 
 class _Output(NamedTuple):
-    """A handler's table (or None), the entries after its rows in JSON, and a CSV stdout block."""
+    """A handler's table (or None), the entries after its rows in JSON, and a table that
+    CSV writes to stdout after it (screen's cross-tab)."""
 
     columns: Sequence[_table.Column] | None
     extra: dict = {}
-    trailer: str = ""
+    trailer: Sequence[_table.Column] = ()
 
 
 def _verdict_columns(p_delta: np.ndarray, delta_gap: np.ndarray) -> list[_table.Column]:
@@ -339,10 +338,9 @@ def _flags(p_delta: np.ndarray) -> _table.Column:
 def _compute_intervals(path: str, level: float, log10_mode: bool):
     """ids and interval endpoints of a compute input, every row checked at once."""
     table = _read_table(path, ("id", "lo", "hi", "estimate", "se"))
-    cols = table.cells
+    cols, interval = table.cells, None
     if "lo" in cols and "hi" in cols:
         (lo, hi), rules = _read_numbers(table, ("lo", "hi"))
-        interval = _per_row(ExtendedInterval, lo, hi)
     elif "estimate" in cols and "se" in cols:
         (estimate, se), rules = _read_numbers(table, ("estimate", "se"))
         interval = _per_row(functools.partial(z_interval, level=level), estimate, se)
@@ -352,9 +350,7 @@ def _compute_intervals(path: str, level: float, log10_mode: bool):
         raise _InputError("input needs either lo,hi or estimate,se columns (id optional)")
     if "id" in cols:
         rules.insert(0, _id_rule(table))
-    _check(table, rules + _interval_rules(interval, lo, hi, log10_mode))
-    if log10_mode:
-        lo, hi = log10_array(lo), log10_array(hi)
+    lo, hi = _checked(table, rules, lo, hi, log10_mode, interval)
     ids = list(map(str.strip, cols["id"]) if "id" in cols else map(str, range(1, len(lo) + 1)))
     return ids, lo, hi
 
@@ -378,7 +374,7 @@ def _cmd_compute(resolved: dict) -> _Output:
 def _curve_columns(names: Sequence[str], grid: np.ndarray, values) -> list[_table.Column]:
     """The grid and its curves; an all-None curve (an undefined FCR) is a blank column."""
     return [
-        _table.blank(name) if column.dtype == object else _table.floats(name, column)
+        _table.blank(name, len(grid)) if column.dtype == object else _table.floats(name, column)
         for name, column in zip(names, (grid, *values))
     ]
 
@@ -417,14 +413,11 @@ def _screen_intervals(table: _Table, log10_mode: bool, crosstab: bool):
         for k in np.flatnonzero(~readable):
             has_p_raw[k] = cols["p_value"][k] is not None and cols["p_value"][k].strip() != ""
         rules.append((has_p_raw & ~readable, lambda k: "bad value for 'p_value'"))
-    rules += _interval_rules(_per_row(ExtendedInterval, lo, hi), lo, hi, log10_mode)
-    rules = [_id_rule(table), *rules, _p_value_rule(p_raw, has_p_raw)]
+    after = [_p_value_rule(p_raw, has_p_raw)]
     if crosstab and "p_value" in cols:
-        rules.append((~has_p_raw, lambda k: "missing value for 'p_value' "
+        after.append((~has_p_raw, lambda k: "missing value for 'p_value' "
                                             "(--crosstab needs a p-value on every row)"))
-    _check(table, rules)
-    if log10_mode:
-        lo, hi = log10_array(lo), log10_array(hi)
+    lo, hi = _checked(table, [_id_rule(table), *rules], lo, hi, log10_mode, after=after)
     return lo, hi, p_raw, has_p_raw
 
 
@@ -458,9 +451,8 @@ def _group_intervals(table: _Table, level: float, welch: bool):
     def t_test(k: int):
         return two_sample_ci(first_summary(k), second_summary(k), level, welch)
 
-    rules = [_id_rule(table), *first_rules, *second_rules]
-    rules += _interval_rules(t_test, lo, hi)  # lo, hi are NaN where two_sample_ci raises
-    _check(table, [*rules, _p_value_rule(p_raw)])
+    _checked(table, [_id_rule(table), *first_rules, *second_rules], lo, hi, interval=t_test,
+             after=[_p_value_rule(p_raw)])  # lo, hi are NaN where two_sample_ci raises
     return lo, hi, p_raw, np.ones(len(p_raw), dtype=bool)
 
 
@@ -496,7 +488,7 @@ def _cmd_screen(resolved: dict) -> _Output:
     rank[order] = np.arange(1, len(order) + 1)
     p_col, class_col, gap_col = _verdict_columns(report.p_delta, report.delta_gap)
     adjusted = [
-        _table.blank(name) if column is None else _table.floats(name, column)
+        _table.blank(name, len(report.ids)) if column is None else _table.floats(name, column)
         for name, column in (("p_bonferroni", report.p_bonferroni), ("q_bh", report.q_bh))
     ]
     columns = [
@@ -509,12 +501,12 @@ def _cmd_screen(resolved: dict) -> _Output:
         return _Output(columns, extra)
     tab = cross_tab(report, alpha)
     extra["crosstab"] = asdict(tab)
-    return _Output(columns, extra, _table.csv_text([
+    return _Output(columns, extra, [
         _table.texts("crosstab", ["bonferroni_significant", "bonferroni_not_significant"]),
         _table.ints("p_delta_zero", [tab.sgpv_zero_significant, tab.sgpv_zero_not_significant]),
         _table.ints("p_delta_positive",
                     [tab.sgpv_positive_significant, tab.sgpv_positive_not_significant]),
-    ]))
+    ])
 
 
 # ------------------------------------------------------------------- track
@@ -534,8 +526,8 @@ def _cmd_track(resolved: dict) -> _Output:
     def pair(k: int):  # rows k - 1 (which passes every rule) and k as a series of their own
         return track_arrays(*(column[max(k - 1, 0):k + 1] for column in (t, lo, hi)), null_spec)
 
-    _check(table, [*rules, *_interval_rules(_per_row(ExtendedInterval, lo, hi), lo, hi),
-                   (unordered_times(t), pair), (np.isinf(lo) & np.isinf(hi), pair)])
+    _checked(table, rules, lo, hi, after=[(unordered_times(t), pair),
+                                          (np.isinf(lo) & np.isinf(hi), pair)])
     del table
     p_delta, code = track_arrays(t, lo, hi, null_spec)
     return _Output([
@@ -770,7 +762,8 @@ def _write(result: _Output, resolved: dict, out: TextIO | None) -> None:
             if result.trailer:
                 fh.flush()
                 name, fh = "stdout", _stdout()
-                fh.write(result.trailer if out is not None else "\n" + result.trailer)
+                fh.write("" if out is not None else "\n")
+                _table.write_csv(fh, result.trailer, resolved["digits"])
         fh.flush()
     except OSError as exc:
         with contextlib.suppress(OSError):  # leaves nothing to flush at exit

@@ -9,6 +9,7 @@ the doubles next to each power of ten and each ``9...95 * 10**n`` rounding
 boundary, where the carry and the tie window decide.
 """
 
+import io
 import math
 import sys
 
@@ -24,9 +25,15 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 DIGITS = range(_table._BYTE_DIGITS + 1)
 
 
+def csv_text(columns, digits: int) -> str:
+    """A table as ``_table.write_csv`` writes it."""
+    _table.write_csv(buf := io.StringIO(), columns, digits)
+    return buf.getvalue()
+
+
 def csv_rows(columns, digits: int) -> str:
     """The rows (no header) that write_csv gives for ``columns``."""
-    return _table.csv_text(columns, digits).split("\n", 1)[1]
+    return csv_text(columns, digits).split("\n", 1)[1]
 
 
 def neighbours(x: float, ulps: int) -> list[float]:
@@ -83,7 +90,7 @@ def test_float_tables_match_and_pick_their_path(monkeypatch, digits):
     real = _table._float_bytes
     monkeypatch.setattr(_table, "_float_bytes", lambda *a: calls.append(a) or real(*a))
     tables = [
-        ([_table.floats("x", x), _table.floats("m", -x, empty), _table.blank("b")],
+        ([_table.floats("x", x), _table.floats("m", -x, empty), _table.blank("b", n)],
          [(v, None if e else -v, None) for v, e in zip(x.tolist(), empty.tolist())]),
         ([_table.floats("m", x, empty)], [(None if e else v,) for v, e in zip(x.tolist(), empty)]),
     ]
